@@ -22,13 +22,14 @@ import (
 // Early (conservative) bounds are always legal; only late ones are bugs.
 func TestNextEventConservatismStress(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260808))
-	const trials = 10
+	const trials = 20
 	for trial := 0; trial < trials; trial++ {
 		cfg := config.Default()
+		cfg.DebugChecks = true // includes the issue scheduler's invariant
 		cfg.Nodes = []int{1, 2, 4, 4}[rng.Intn(4)]
 		cfg.InOrder = rng.Intn(4) == 0
 		cfg.IssueWidth = []int{2, 4}[rng.Intn(2)]
-		cfg.WindowSize = []int{16, 32, 64}[rng.Intn(3)]
+		cfg.WindowSize = []int{16, 32, 64, 128}[rng.Intn(4)]
 		cfg.Consistency = []config.ConsistencyModel{config.RC, config.PC, config.SC}[rng.Intn(3)]
 		cfg.ConsistencyOpts = []config.ConsistencyImpl{
 			config.ImplPlain, config.ImplPrefetch, config.ImplSpeculative,
@@ -95,8 +96,10 @@ func stressStream(rng *rand.Rand, iters int, id uint64) *trace.SliceStream {
 			emit(trace.Instr{Op: trace.OpIntALU, Src1: 1, Dest: 2})
 			emit(trace.Instr{Op: trace.OpStore, Addr: shared + off, Src1: 2})
 		case 1: // lock-protected counter (release-generation channel)
-			emit(trace.Instr{Op: trace.OpLockAcquire, Addr: lockAddr})
-			emit(trace.Instr{Op: trace.OpLoad, Addr: lockAddr + 64, Dest: 1})
+			// The load consumes the acquire's result, which retirement
+			// re-times when the read-modify-write performs.
+			emit(trace.Instr{Op: trace.OpLockAcquire, Addr: lockAddr, Dest: 6})
+			emit(trace.Instr{Op: trace.OpLoad, Addr: lockAddr + 64, Src1: 6, Dest: 1})
 			emit(trace.Instr{Op: trace.OpIntALU, Src1: 1, Dest: 2})
 			emit(trace.Instr{Op: trace.OpStore, Addr: lockAddr + 64, Src1: 2})
 			emit(trace.Instr{Op: trace.OpWriteBar})

@@ -17,6 +17,7 @@ package cpu
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/bpred"
 	"repro/internal/config"
@@ -66,7 +67,7 @@ const noProd uint64 = 0
 const farFuture = ^uint64(0) >> 2
 
 // Reorder-buffer entry flags, packed one byte per entry so the coherence
-// hook and the issue scan test them with a single load.
+// hook and the issue stage test them with a single load.
 const (
 	fIssuedMem uint8 = 1 << iota
 	fPerformed
@@ -114,11 +115,11 @@ type Core struct {
 	ctx *Context
 	trc *tracing.Tracer // nil = tracing disabled (pure-observer event hooks)
 
-	// The reorder buffer is a struct-of-arrays ring: the issue scan, the
-	// NextEvent mirror, and the coherence hook walk the window every cycle
-	// touching only a few fields per entry, so each field lives in its own
-	// dense array (the whole state array is one cache line at window 64)
-	// instead of strided across ~100-byte records. All arrays share the
+	// The reorder buffer is a struct-of-arrays ring: the NextEvent mirror
+	// and the coherence hook walk the window, and the pipeline stages
+	// visit entries, touching only a few fields per entry, so each field
+	// lives in its own dense array (the whole state array is one cache
+	// line at window 64) instead of strided across ~100-byte records. All arrays share the
 	// ring geometry: index = seq & robMask. An entry's sequence number is
 	// not stored — it is the loop variable everywhere one is needed.
 	rIn        []trace.Instr // decoded instruction (written once at dispatch)
@@ -132,30 +133,24 @@ type Core struct {
 	rAddrDone  []uint64 // address-generation completion (0 = not yet)
 	rLineAddr  []uint64
 	rClass     []memsys.Class
-	// rNotBefore caches, per waiting entry, a proven lower bound on the
-	// cycle it could next make issue progress (0 = none; recheck). Bounds
-	// derive only from immutable inputs — the entry's fetchDone, and the
-	// completion times of producers that have already started executing —
-	// so they stay valid until the entry issues or is reused; rollback,
-	// which can legitimately re-time producers, clears the whole cache.
-	// Purely an issue-scan skip: hits and misses make identical decisions.
-	rNotBefore []uint64
 	robMask    uint64 // ring capacity - 1; capacity rounded to a power of two
+	ringBits   uint   // log2 of the ring capacity
 	headSeq    uint64 // oldest in-flight sequence number
 	tailSeq    uint64 // next sequence number to allocate
 	rename     [trace.MaxReg + 1]uint64
 	memInROB   int
-	waiting    int    // in-window entries not yet executing (issue-scan skip)
-	fenceCount int    // unretired MB/lock-acquire entries in the window
-	scanFrom   uint64 // issue-scan fast-path start (RC, no fences)
-	// issueQuiet is the whole-scan skip horizon: a cycle before which no
-	// in-window entry can issue, proven when an entire RC scan fails with
-	// every waiting entry carrying a sound not-before bound. While
-	// now < issueQuiet the issue stage is a no-op and is skipped entirely.
-	// Dispatch (new candidates), rollback, and restore clear it. Derived
-	// state: skipped scans would have made no decision, so timing and
-	// checkpoints are unchanged.
-	issueQuiet uint64
+	waiting    int // in-window entries not yet executing
+	fenceCount int // unretired MB/lock-acquire entries in the window
+
+	// Issue scheduler (issue.go), derived from the arrays above.
+	rAt       []uint64    // cycle of the entry's key in later (0 = none)
+	rWake     []uint64    // first consumer waiting for this entry to issue (0 = none)
+	rWakeNext []uint64    // next consumer on the same wake list
+	sw        []schedWord // ready, soon and program-order bit sets per ring word
+	soonAt    uint64      // cycle the soon set's entries become ready
+	soonN     int         // entries in the soon set
+	later     []uint64    // other timed entries: cycle<<ringBits | ring slot
+	laterMin  uint64      // at or below every live key in later
 
 	fetchQ       []fqEntry
 	fqHead       int
@@ -252,8 +247,13 @@ func New(cfg config.Config, id int, mem *memsys.Hierarchy, locks LockManager) *C
 	c.rAddrDone = make([]uint64, robCap)
 	c.rLineAddr = make([]uint64, robCap)
 	c.rClass = make([]memsys.Class, robCap)
-	c.rNotBefore = make([]uint64, robCap)
 	c.robMask = uint64(robCap - 1)
+	c.ringBits = uint(bits.TrailingZeros(uint(robCap)))
+	c.rAt = make([]uint64, robCap)
+	c.rWake = make([]uint64, robCap)
+	c.rWakeNext = make([]uint64, robCap)
+	c.sw = make([]schedWord, (robCap+63)/64)
+	c.laterMin = EventNever
 	c.headSeq, c.tailSeq = 1, 1
 	if p, ok := locks.(LockProber); ok {
 		c.prober = p
@@ -284,9 +284,6 @@ func (c *Core) Predictor() *bpred.Predictor { return c.pred }
 
 // Context returns the running process (nil when idle).
 func (c *Core) Context() *Context { return c.ctx }
-
-// ix maps a sequence number to its ring index.
-func (c *Core) ix(seq uint64) uint64 { return seq & c.robMask }
 
 func (c *Core) robLen() int { return int(c.tailSeq - c.headSeq) }
 
@@ -346,7 +343,7 @@ func (c *Core) SwitchTo(ctx *Context) {
 	c.resumeAt = 0
 	c.blockBranch = 0
 	c.unresolved = 0
-	c.issueQuiet = 0
+	c.rebuildSched(c.nowCycle)
 	c.rename = [trace.MaxReg + 1]uint64{}
 	c.mem.FlushTLBs()
 }
@@ -401,6 +398,9 @@ func (c *Core) Tick(now uint64) {
 	c.issueStage(now)
 	c.dispatchStage(now)
 	c.fetchStage(now)
+	if c.cfg.DebugChecks {
+		c.checkSched(now)
+	}
 }
 
 // String summarizes the core state (debugging aid).

@@ -240,24 +240,22 @@ func (c *Core) retireNextEvent(now uint64) uint64 {
 }
 
 // robNextEvent bounds the next cycle the issue stage would start any
-// instruction, mirroring issueStage's program-order walk and its
-// consistency-ordering flags. Every in-flight completion is also an event:
-// completions flip ordering flags, wake consumers, resolve branches and
-// enable retirement.
+// instruction, mirroring issueStage's program-order walk over the whole
+// window. Every in-flight completion is also an event: completions wake
+// consumers, perform loads, resolve branches and enable retirement.
 func (c *Core) robNextEvent(now uint64) uint64 {
+	if !c.cfg.InOrder && c.schedActsNext(now) {
+		return now + 1 // exactly what the walk below would return
+	}
 	w := uint64(EventNever)
-	olderLoadUnperformed := false
-	olderMemUnperformed := false
-	olderFence := false
-	st, mask := c.rState, c.robMask
 	for seq := c.headSeq; seq < c.tailSeq; seq++ {
-		i := seq & mask
-		if st[i] == stExec {
+		i := seq & c.robMask
+		if c.rState[i] == stExec {
 			if t := c.rComplete[i]; t > now && t < w {
 				w = t
 			}
 		} else {
-			if t := c.entryIssueEvent(i, now, olderLoadUnperformed, olderMemUnperformed, olderFence); t < w {
+			if t := c.entryIssueEvent(seq, i, now); t < w {
 				w = t
 			}
 			if c.cfg.InOrder {
@@ -269,98 +267,30 @@ func (c *Core) robNextEvent(now uint64) uint64 {
 		if w <= now+1 {
 			return now + 1
 		}
-		switch c.rOp[i] {
-		case trace.OpLoad:
-			if !(c.rFlags[i]&fIssuedMem != 0 && c.rComplete[i] <= now) {
-				olderLoadUnperformed = true
-				olderMemUnperformed = true
-			}
-		case trace.OpStore:
-			olderMemUnperformed = true
-		case trace.OpMemBar, trace.OpLockAcquire:
-			olderFence = true
-		}
 	}
 	return w
 }
 
-// entryIssueEvent bounds when a not-yet-executing entry (ring index i)
+// entryIssueEvent bounds when not-yet-executing entry seq (ring index i)
 // could make issue progress. EventNever means it is gated on another
-// entry's event (a non-executing producer, or ordering flags that only
-// change when an older instruction completes or retires — both already
-// candidate events).
-func (c *Core) entryIssueEvent(i, now uint64,
-	olderLoadUnperformed, olderMemUnperformed, olderFence bool) uint64 {
-
-	ready := uint64(0) // cycle both source operands are available
-	if p := c.rProd1[i]; p != noProd && c.live(p) {
-		j := p & c.robMask
-		if c.rState[j] != stExec {
-			return EventNever
-		}
-		if c.rComplete[j] > ready {
-			ready = c.rComplete[j]
-		}
+// entry's event (a non-executing producer, or a consistency decision that
+// only changes when an older instruction completes or retires — both
+// already candidate events).
+func (c *Core) entryIssueEvent(seq, i, now uint64) uint64 {
+	ready, _, blocked := c.operands(i) // cycle fetch and source operands are available
+	if blocked {
+		return EventNever
 	}
-	if p := c.rProd2[i]; p != noProd && c.live(p) {
-		j := p & c.robMask
-		if c.rState[j] != stExec {
-			return EventNever
-		}
-		if c.rComplete[j] > ready {
-			ready = c.rComplete[j]
-		}
-	}
-
-	switch c.rOp[i] {
-	case trace.OpLoad:
-		if c.rFlags[i]&fIssuedMem != 0 {
-			return EventNever // outstanding access; complete handled by caller
-		}
-		if c.rAddrDone[i] == 0 {
-			t := maxU(c.rFetchDone[i], ready)
-			return maxU(t, now+1) // address generation
-		}
-		if c.rAddrDone[i] > now {
-			return c.rAddrDone[i] // cache access (or consistency decision)
-		}
-		allowed := false
-		switch c.cfg.Consistency {
-		case config.RC:
-			allowed = !olderFence
-		case config.PC:
-			allowed = !olderLoadUnperformed && !olderFence
-		case config.SC:
-			allowed = !olderMemUnperformed && !olderFence
-		}
-		if allowed {
-			return now + 1 // ready to access the cache
-		}
-		switch c.cfg.ConsistencyOpts {
-		case config.ImplPrefetch:
-			if c.rFlags[i]&fPrefetch == 0 {
-				return now + 1 // would issue the consistency prefetch
-			}
-			return EventNever
-		case config.ImplSpeculative:
-			return now + 1 // would issue speculatively
-		}
-		return EventNever // plain: unblocks only via older entries' events
-	case trace.OpStore:
-		if c.rAddrDone[i] == 0 {
-			t := maxU(c.rFetchDone[i], ready)
-			return maxU(t, now+1)
-		}
-		if c.rAddrDone[i] > now {
-			return c.rAddrDone[i] // executes (and may consistency-prefetch)
-		}
+	op, addr := c.rOp[i], c.rAddrDone[i]
+	switch {
+	case op != trace.OpLoad && op != trace.OpStore || addr == 0:
+		return maxU(ready, now+1) // execution or address generation
+	case addr > now:
+		return addr // cache access or store completion (or consistency decision)
+	case op == trace.OpStore || c.loadCanAct(seq, i, now):
 		return now + 1
-	default:
-		// ALU and branches; fences/hints are stExec from dispatch and
-		// never reach here.
-		t := maxU(c.rFetchDone[i], ready)
-		return maxU(t, now+1)
 	}
+	return EventNever // a held load unblocks only via older entries' events
 }
 
 // dispatchNextEvent bounds the next cycle the dispatch stage would move an

@@ -32,27 +32,40 @@ type LockViewer interface {
 func newLatchPolicy(cfg config.Config) latchPolicy {
 	switch cfg.LatchPolicy {
 	case config.LatchHints:
-		return hintLatch{}
+		return plainLatch{hints: true}
 	case config.LatchHTM:
 		return htmLatch{}
 	}
 	return plainLatch{}
 }
 
-// ------------------------------------------------------------------ plain --
+// ------------------------------------------------------------ plain/hints --
 
 // plainLatch is the baseline path: spin on TryAcquire, then perform the
 // winning read-modify-write (the migratory lock-passing transfer); the
 // release is a store (direct under SC, via the write buffer under PC/RC).
-type plainLatch struct{}
+//
+// With hints it is the paper's software-hint treatment applied to the
+// latch line itself: while spinning, a one-shot exclusive prefetch pulls
+// the lock line toward the waiter so the winning read-modify-write
+// performs locally; the release is followed by a flush that pushes the
+// dirty latch line back to memory, converting the next waiter's dirty
+// (3-hop cache-to-cache) miss into a memory service.
+type plainLatch struct{ hints bool }
 
-func (plainLatch) acquire(c *Core, i uint64, now uint64) (bool, stats.Category) {
+func (l plainLatch) acquire(c *Core, i uint64, now uint64) (bool, stats.Category) {
 	if c.rFlags[i]&fIssuedMem == 0 {
 		c.LockTries++
 		if !c.locks.TryAcquire(c.rIn[i].Addr, c.ctx.ID, now) {
 			if c.rFlags[i]&fWaited == 0 {
 				c.LockWaits++
 				c.rFlags[i] |= fWaited
+			}
+			if l.hints && c.rFlags[i]&fPrefetch == 0 {
+				// One prefetch per contended acquire: issued alongside the
+				// first failing attempt, like the hand-inserted hint.
+				c.mem.Prefetch(c.rIn[i].Addr, c.rIn[i].PC, now, true, true)
+				c.rFlags[i] |= fPrefetch
 			}
 			c.LockSpins++
 			if c.trc != nil {
@@ -76,7 +89,7 @@ func (plainLatch) acquire(c *Core, i uint64, now uint64) (bool, stats.Category) 
 	return true, 0
 }
 
-func (plainLatch) release(c *Core, i uint64, now uint64) (bool, stats.Category) {
+func (l plainLatch) release(c *Core, i uint64, now uint64) (bool, stats.Category) {
 	if c.cfg.Consistency == config.SC {
 		if c.rFlags[i]&fIssuedMem == 0 {
 			res := c.mem.DataWrite(c.rIn[i].Addr, c.rIn[i].PC, now, true)
@@ -90,85 +103,18 @@ func (plainLatch) release(c *Core, i uint64, now uint64) (bool, stats.Category) 
 		if c.trc != nil {
 			c.trc.LockReleased(c.id, c.ctx.ID, c.rIn[i].Addr, c.rComplete[i])
 		}
+		if l.hints {
+			// Release-side flush hint: push the dirty latch line home so
+			// the next acquirer reads it from memory, not cache-to-cache.
+			c.mem.Flush(c.rIn[i].Addr, now)
+		}
 		c.ctx.csDepth--
 		return true, 0
 	}
 	if c.wbufLen() >= c.cfg.WriteBufEntries {
 		return false, stats.Write
 	}
-	c.wbuf = append(c.wbuf, wbufEntry{addr: c.rIn[i].Addr, pc: c.rIn[i].PC, inCS: true, release: true})
-	c.ctx.csDepth--
-	return true, 0
-}
-
-// ------------------------------------------------------------------ hints --
-
-// hintLatch is the paper's software-hint treatment applied to the latch
-// line itself: while spinning, a one-shot exclusive prefetch pulls the
-// lock line toward the waiter so the winning read-modify-write performs
-// locally; the release is followed by a flush that pushes the dirty
-// latch line back to memory, converting the next waiter's dirty
-// (3-hop cache-to-cache) miss into a memory service.
-type hintLatch struct{}
-
-func (hintLatch) acquire(c *Core, i uint64, now uint64) (bool, stats.Category) {
-	if c.rFlags[i]&fIssuedMem == 0 {
-		c.LockTries++
-		if !c.locks.TryAcquire(c.rIn[i].Addr, c.ctx.ID, now) {
-			if c.rFlags[i]&fWaited == 0 {
-				c.LockWaits++
-				c.rFlags[i] |= fWaited
-			}
-			if c.rFlags[i]&fPrefetch == 0 {
-				// One prefetch per contended acquire: issued alongside the
-				// first failing attempt, like the hand-inserted hint.
-				c.mem.Prefetch(c.rIn[i].Addr, c.rIn[i].PC, now, true, true)
-				c.rFlags[i] |= fPrefetch
-			}
-			c.LockSpins++
-			if c.trc != nil {
-				c.trc.LockSpin(c.id, c.ctx.ID, c.rIn[i].PC, c.rIn[i].Addr, now)
-			}
-			return false, stats.Sync
-		}
-		res := c.mem.DataWrite(c.rIn[i].Addr, c.rIn[i].PC, now, true)
-		c.rFlags[i] |= fIssuedMem
-		c.rComplete[i] = res.Done
-		if c.trc != nil {
-			c.trc.LockAcquired(c.id, c.ctx.ID, c.rIn[i].PC, c.rIn[i].Addr, now, c.rComplete[i])
-		}
-	}
-	if c.rComplete[i] > now {
-		return false, stats.Sync
-	}
-	c.ctx.csDepth++
-	return true, 0
-}
-
-func (hintLatch) release(c *Core, i uint64, now uint64) (bool, stats.Category) {
-	if c.cfg.Consistency == config.SC {
-		if c.rFlags[i]&fIssuedMem == 0 {
-			res := c.mem.DataWrite(c.rIn[i].Addr, c.rIn[i].PC, now, true)
-			c.rFlags[i] |= fIssuedMem
-			c.rComplete[i] = res.Done
-		}
-		if c.rComplete[i] > now {
-			return false, stats.Sync
-		}
-		c.locks.Release(c.rIn[i].Addr, c.ctx.ID, c.rComplete[i])
-		if c.trc != nil {
-			c.trc.LockReleased(c.id, c.ctx.ID, c.rIn[i].Addr, c.rComplete[i])
-		}
-		// Release-side flush hint: push the dirty latch line home so the
-		// next acquirer reads it from memory, not cache-to-cache.
-		c.mem.Flush(c.rIn[i].Addr, now)
-		c.ctx.csDepth--
-		return true, 0
-	}
-	if c.wbufLen() >= c.cfg.WriteBufEntries {
-		return false, stats.Write
-	}
-	c.wbuf = append(c.wbuf, wbufEntry{addr: c.rIn[i].Addr, pc: c.rIn[i].PC, inCS: true, release: true, flushAfter: true})
+	c.wbuf = append(c.wbuf, wbufEntry{addr: c.rIn[i].Addr, pc: c.rIn[i].PC, inCS: true, release: true, flushAfter: l.hints})
 	c.ctx.csDepth--
 	return true, 0
 }

@@ -118,7 +118,6 @@ type CoreState struct {
 	MemInROB   int
 	Waiting    int
 	FenceCount int
-	ScanFrom   uint64
 
 	FetchQ      []FQEntryState // logical queue (head compacted to 0)
 	CurLine     uint64
@@ -171,7 +170,6 @@ func (c *Core) Snapshot() CoreState {
 		MemInROB:         c.memInROB,
 		Waiting:          c.waiting,
 		FenceCount:       c.fenceCount,
-		ScanFrom:         c.scanFrom,
 		CurLine:          c.curLine,
 		LineValid:        c.lineValid,
 		FetchReady:       c.fetchReady,
@@ -278,7 +276,6 @@ func (c *Core) Restore(s CoreState, byID map[int]*Context) error {
 		c.rAddrDone[i] = 0
 		c.rLineAddr[i] = 0
 		c.rClass[i] = 0
-		c.rNotBefore[i] = 0
 	}
 	c.headSeq = s.HeadSeq
 	c.tailSeq = s.TailSeq
@@ -325,8 +322,7 @@ func (c *Core) Restore(s CoreState, byID map[int]*Context) error {
 	c.memInROB = s.MemInROB
 	c.waiting = s.Waiting
 	c.fenceCount = s.FenceCount
-	c.scanFrom = s.ScanFrom
-	c.issueQuiet = 0 // derived; recomputed by the next scan
+	c.rebuildSched(c.nowCycle) // derived state, not checkpointed
 
 	c.fetchQ = c.fetchQ[:0]
 	for _, f := range s.FetchQ {

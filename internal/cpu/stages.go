@@ -17,62 +17,6 @@ func maxU(a, b uint64) uint64 {
 // live reports whether seq names an entry currently in the window.
 func (c *Core) live(seq uint64) bool { return seq >= c.headSeq && seq < c.tailSeq }
 
-// prodReady reports whether the producer identified by seq has its result
-// available at cycle now. Retired producers are always ready.
-func (c *Core) prodReady(seq, now uint64) bool {
-	if seq == noProd || seq < c.headSeq || seq >= c.tailSeq {
-		return true
-	}
-	j := seq & c.robMask
-	return c.rState[j] == stExec && c.rComplete[j] <= now
-}
-
-func (c *Core) srcsReady(i, now uint64) bool {
-	return c.prodReady(c.rProd1[i], now) && c.prodReady(c.rProd2[i], now)
-}
-
-// readyBound returns the earliest cycle entry i's fetch and source
-// operands can all be available — a lower bound proven purely from
-// immutable inputs (the entry's fetchDone and the completion times of
-// producers already executing) — plus whether a producer has not yet
-// started executing, in which case the bound is incomplete and the entry
-// must be rechecked once it passes. A producer that has not issued still
-// contributes its own cached not-before bound: the consumer cannot issue
-// before the producer does (completion never precedes issue), so a
-// dependency chain behind one long-latency miss collapses into cached
-// bounds instead of a full recheck per link per cycle. b > now || blocked
-// is equivalent to rFetchDone[i] > now || !srcsReady(i, now): a producer
-// that has left the window completed at or before the cycle it retired,
-// so it never contributes a bound, and a cached producer bound > now
-// implies that producer is not executing now.
-func (c *Core) readyBound(i uint64) (b uint64, blocked bool) {
-	b = c.rFetchDone[i]
-	head, tail, mask := c.headSeq, c.tailSeq, c.robMask
-	if p := c.rProd1[i]; p != noProd && p >= head && p < tail {
-		j := p & mask
-		if c.rState[j] != stExec {
-			blocked = true
-			if t := c.rNotBefore[j]; t > b {
-				b = t
-			}
-		} else if t := c.rComplete[j]; t > b {
-			b = t
-		}
-	}
-	if p := c.rProd2[i]; p != noProd && p >= head && p < tail {
-		j := p & mask
-		if c.rState[j] != stExec {
-			blocked = true
-			if t := c.rNotBefore[j]; t > b {
-				b = t
-			}
-		} else if t := c.rComplete[j]; t > b {
-			b = t
-		}
-	}
-	return b, blocked
-}
-
 // ---------------------------------------------------------------- fetch --
 
 func (c *Core) fetchStage(now uint64) {
@@ -164,7 +108,6 @@ func (c *Core) fetchStage(now uint64) {
 // -------------------------------------------------------------- dispatch --
 
 func (c *Core) dispatchStage(now uint64) {
-	dispatchFrom := c.tailSeq
 	for n := 0; n < c.cfg.IssueWidth; n++ {
 		if c.fqHead >= len(c.fetchQ) {
 			break
@@ -196,7 +139,8 @@ func (c *Core) dispatchStage(now uint64) {
 		c.rAddrDone[i] = 0
 		c.rLineAddr[i] = 0
 		c.rClass[i] = 0
-		c.rNotBefore[i] = 0
+		c.rWake[i] = 0
+		c.rAt[i] = 0
 		if s := fe.in.Src1; s != trace.NoReg {
 			c.rProd1[i] = c.rename[s]
 		}
@@ -213,7 +157,7 @@ func (c *Core) dispatchStage(now uint64) {
 		case trace.OpMemBar, trace.OpWriteBar, trace.OpLockAcquire, trace.OpLockRelease,
 			trace.OpPrefetch, trace.OpPrefetchX, trace.OpFlush:
 			// These execute at retirement (fences, locks, hints); mark them
-			// executed so they do not block the in-order issue scan.
+			// executed so they do not block in-order issue.
 			c.rState[i] = stExec
 			c.rComplete[i] = fe.fetchDone
 		}
@@ -221,8 +165,10 @@ func (c *Core) dispatchStage(now uint64) {
 		case trace.OpMemBar, trace.OpLockAcquire:
 			c.fenceCount++
 		}
+		c.orderAdd(i)
 		if c.rState[i] != stExec {
 			c.waiting++
+			c.place(seq, now)
 		}
 		if fe.mispred {
 			c.blockBranch = seq
@@ -234,500 +180,6 @@ func (c *Core) dispatchStage(now uint64) {
 		c.fetchQ = c.fetchQ[:0]
 		c.fqHead = 0
 	}
-	if c.tailSeq != dispatchFrom {
-		// New issue candidates invalidate any whole-window quiet horizon.
-		c.issueQuiet = 0
-	}
-}
-
-// ----------------------------------------------------------------- issue --
-
-// issueStage walks the window in program order, starting execution of
-// ready instructions subject to functional units, issue width, and the
-// memory consistency model. The walk maintains the ordering flags each
-// model needs, so consistency checks are O(1) per instruction.
-func (c *Core) issueStage(now uint64) {
-	if c.waiting == 0 {
-		// Every in-window entry is already executing: the scan would only
-		// recompute ordering flags nobody consumes. (The scanFrom cache may
-		// lag; starting the next real scan earlier changes no decision.)
-		return
-	}
-	intFree, fpFree, agFree := c.cfg.IntALUs, c.cfg.FPUs, c.cfg.AddrGenUnits
-	if c.cfg.InfiniteFUs {
-		intFree, fpFree, agFree = 1<<30, 1<<30, 1<<30
-	}
-	budget := c.cfg.IssueWidth
-	// Entries younger than the last non-executing one contribute ordering
-	// flags nobody consumes, so the scan can stop once it has visited all
-	// c.waiting of them instead of walking to the window tail.
-	remaining := c.waiting
-
-	// Fast path: under RC with no fence in flight the ordering flags are
-	// irrelevant (loads are never blocked by older accesses), so a
-	// specialized scan skips the already-executing prefix and already-
-	// executing entries without maintaining any flags. If a previous scan
-	// proved the whole window quiet until issueQuiet, skip the scan: it
-	// would examine every waiting entry only to re-fail each one.
-	if c.cfg.Consistency == config.RC && c.fenceCount == 0 {
-		if now < c.issueQuiet {
-			return
-		}
-		c.issueStageRC(now, intFree, fpFree, agFree, budget, remaining)
-		return
-	}
-
-	olderLoadUnperformed := false
-	olderMemUnperformed := false
-	olderFence := false // unretired MB or lock acquire ahead of this point
-
-	start := c.headSeq
-
-	for seq := start; seq < c.tailSeq && budget > 0; seq++ {
-		i := seq & c.robMask
-		if c.rState[i] != stExec {
-			remaining--
-		}
-
-		// Ordering flags are updated after the entry is considered, below.
-		op := c.rOp[i]
-		switch op {
-		case trace.OpIntALU, trace.OpFPALU:
-			if c.rState[i] == stExec {
-				break
-			}
-			if c.rFetchDone[i] > now || !c.srcsReady(i, now) {
-				if c.cfg.InOrder {
-					return
-				}
-				break
-			}
-			lat, free := c.cfg.IntLatency, &intFree
-			if op == trace.OpFPALU {
-				lat, free = c.cfg.FPLatency, &fpFree
-			}
-			if *free == 0 {
-				if c.cfg.InOrder {
-					return
-				}
-				break
-			}
-			*free--
-			budget--
-			c.rState[i] = stExec
-			c.waiting--
-			c.rComplete[i] = now + uint64(lat)
-
-		case trace.OpBranch, trace.OpJump, trace.OpCall, trace.OpReturn:
-			if c.rState[i] == stExec {
-				break
-			}
-			if c.rFetchDone[i] > now || !c.srcsReady(i, now) || intFree == 0 {
-				if c.cfg.InOrder {
-					return
-				}
-				break
-			}
-			intFree--
-			budget--
-			c.rState[i] = stExec
-			c.waiting--
-			c.rComplete[i] = now + uint64(c.cfg.IntLatency)
-
-		case trace.OpLoad:
-			done := c.issueLoad(i, now, &agFree, &budget,
-				olderLoadUnperformed, olderMemUnperformed, olderFence)
-			if !done && c.cfg.InOrder {
-				return
-			}
-
-		case trace.OpStore:
-			// Stores execute (address + data ready) here; the memory
-			// access happens at retirement per the consistency model.
-			if c.rState[i] == stExec {
-				break
-			}
-			if c.rFetchDone[i] > now || !c.srcsReady(i, now) {
-				if c.cfg.InOrder {
-					return
-				}
-				break
-			}
-			if c.rAddrDone[i] == 0 {
-				if agFree == 0 {
-					if c.cfg.InOrder {
-						return
-					}
-					break
-				}
-				agFree--
-				budget--
-				c.rAddrDone[i] = now + 1
-				break
-			}
-			if c.rAddrDone[i] <= now {
-				c.rState[i] = stExec
-				c.waiting--
-				c.rComplete[i] = c.rAddrDone[i]
-				if c.cfg.ConsistencyOpts != config.ImplPlain && c.rFlags[i]&fPrefetch == 0 {
-					// Hardware prefetch from the window: request ownership
-					// early for stores blocked by consistency/retirement.
-					c.mem.Prefetch(c.rIn[i].Addr, c.rIn[i].PC, now, true, c.inCS())
-					c.rFlags[i] |= fPrefetch
-				}
-			}
-
-		default:
-			// Fences, locks and hints were marked executed at dispatch.
-		}
-
-		// Update ordering flags for younger instructions.
-		switch op {
-		case trace.OpLoad:
-			if !(c.rFlags[i]&fIssuedMem != 0 && c.rComplete[i] <= now) {
-				olderLoadUnperformed = true
-				olderMemUnperformed = true
-			}
-		case trace.OpStore:
-			// An in-window store is not yet globally performed (it issues
-			// at retirement at the earliest).
-			olderMemUnperformed = true
-		case trace.OpMemBar, trace.OpLockAcquire:
-			olderFence = true
-		}
-		if remaining == 0 {
-			break
-		}
-	}
-
-	// Advance the fast-path scan start past the fully executing prefix.
-	if c.scanFrom < c.headSeq {
-		c.scanFrom = c.headSeq
-	}
-	for c.scanFrom < c.tailSeq && c.rState[c.scanFrom&c.robMask] == stExec {
-		c.scanFrom++
-	}
-}
-
-// issueStageRC is the issue scan specialized for RC with no fence in
-// flight: ordering flags are irrelevant, so already-executing entries are
-// skipped with a single state check and loads issue with all ordering
-// restrictions clear. Waiting entries carry a cached not-before bound
-// (rNotBefore) so an entry blocked on a long-latency producer costs one
-// compare per scan instead of a full readiness check. Decisions are
-// identical to the generic scan — only the per-entry bookkeeping is
-// cheaper.
-//
-// The scan additionally tracks whether every failure this cycle came with
-// a sound not-before bound (as opposed to a functional-unit or issue-width
-// limit, which any cycle can lift). If so, the minimum such bound is a
-// cycle before which the whole window provably cannot issue, and it is
-// published as c.issueQuiet so issueStage skips the scan outright until
-// then. In-order cores stop at the first non-issuing entry, so its bound
-// alone is the horizon. Dispatching a new entry clears the horizon.
-func (c *Core) issueStageRC(now uint64, intFree, fpFree, agFree, budget, remaining int) {
-	start := c.headSeq
-	if c.scanFrom > start {
-		start = c.scanFrom
-	}
-	inOrder := c.cfg.InOrder
-	st, nb, mask := c.rState, c.rNotBefore, c.robMask
-	minB := ^uint64(0) // min sound bound over all failed entries
-	bounded := true    // every failure so far carried a bound
-	for seq := start; seq < c.tailSeq && budget > 0 && remaining > 0; seq++ {
-		i := seq & mask
-		if st[i] == stExec {
-			continue
-		}
-		remaining--
-		if nb[i] > now {
-			// Proven unable to make progress yet (operands, fetch, or a
-			// pending address still in flight). Cached bounds are only ever
-			// written where the full check's failure would have hit the
-			// same in-order stop below.
-			if nb[i] < minB {
-				minB = nb[i]
-			}
-			if inOrder {
-				c.issueQuiet = minB
-				return
-			}
-			continue
-		}
-		switch c.rOp[i] {
-		case trace.OpIntALU, trace.OpFPALU:
-			if b, blocked := c.readyBound(i); b > now || blocked {
-				if b > now {
-					nb[i] = b
-					if b < minB {
-						minB = b
-					}
-					if inOrder {
-						c.issueQuiet = minB
-						return
-					}
-				} else {
-					bounded = false
-					if inOrder {
-						return
-					}
-				}
-				continue
-			}
-			lat, free := c.cfg.IntLatency, &intFree
-			if c.rOp[i] == trace.OpFPALU {
-				lat, free = c.cfg.FPLatency, &fpFree
-			}
-			if *free == 0 {
-				bounded = false
-				if inOrder {
-					return
-				}
-				continue
-			}
-			*free--
-			budget--
-			st[i] = stExec
-			c.waiting--
-			c.rComplete[i] = now + uint64(lat)
-
-		case trace.OpBranch, trace.OpJump, trace.OpCall, trace.OpReturn:
-			if b, blocked := c.readyBound(i); b > now || blocked {
-				if b > now {
-					nb[i] = b
-					if b < minB {
-						minB = b
-					}
-					if inOrder {
-						c.issueQuiet = minB
-						return
-					}
-				} else {
-					bounded = false
-					if inOrder {
-						return
-					}
-				}
-				continue
-			}
-			if intFree == 0 {
-				bounded = false
-				if inOrder {
-					return
-				}
-				continue
-			}
-			intFree--
-			budget--
-			st[i] = stExec
-			c.waiting--
-			c.rComplete[i] = now + uint64(c.cfg.IntLatency)
-
-		case trace.OpLoad:
-			// Mirrors issueLoad under RC with no fence in flight: the
-			// consistency decision is always "allowed", and an issued load
-			// is stExec (skipped above).
-			if c.rAddrDone[i] == 0 {
-				b, blocked := c.readyBound(i)
-				if b > now || blocked {
-					if b > now {
-						nb[i] = b
-						if b < minB {
-							minB = b
-						}
-						if inOrder {
-							c.issueQuiet = minB
-							return
-						}
-					} else {
-						bounded = false
-						if inOrder {
-							return
-						}
-					}
-					continue
-				}
-				if agFree == 0 {
-					bounded = false
-					if inOrder {
-						return
-					}
-					continue
-				}
-				agFree--
-				budget--
-				c.rAddrDone[i] = now + 1
-				// Address generation is in flight; the entry becomes a
-				// memory-issue candidate next cycle, bounding the horizon.
-				if now+1 < minB {
-					minB = now + 1
-				}
-				continue
-			}
-			if c.rAddrDone[i] > now {
-				nb[i] = c.rAddrDone[i]
-				if c.rAddrDone[i] < minB {
-					minB = c.rAddrDone[i]
-				}
-				if inOrder {
-					c.issueQuiet = minB
-					return
-				}
-				continue
-			}
-			if c.cfg.DebugChecks {
-				c.dbgCheckLoadBind(now, c.rIn[i].PC)
-			}
-			res := c.mem.DataRead(c.rIn[i].Addr, c.rIn[i].PC, now, c.inCS())
-			c.rFlags[i] |= fIssuedMem
-			st[i] = stExec
-			c.waiting--
-			c.rComplete[i] = res.Done
-			c.rClass[i] = res.Class
-			if res.TLBMiss {
-				c.rFlags[i] |= fTLBMiss
-			}
-			c.rLineAddr[i] = res.LineAddr
-			if c.ctx.tx != nil {
-				c.trackRead(res.LineAddr)
-			}
-
-		case trace.OpStore:
-			if b, blocked := c.readyBound(i); b > now || blocked {
-				if b > now {
-					nb[i] = b
-					if b < minB {
-						minB = b
-					}
-					if inOrder {
-						c.issueQuiet = minB
-						return
-					}
-				} else {
-					bounded = false
-					if inOrder {
-						return
-					}
-				}
-				continue
-			}
-			if c.rAddrDone[i] == 0 {
-				if agFree == 0 {
-					bounded = false
-					if inOrder {
-						return
-					}
-					continue
-				}
-				agFree--
-				budget--
-				c.rAddrDone[i] = now + 1
-				if now+1 < minB {
-					minB = now + 1
-				}
-				continue
-			}
-			if c.rAddrDone[i] <= now {
-				st[i] = stExec
-				c.waiting--
-				c.rComplete[i] = c.rAddrDone[i]
-				if c.cfg.ConsistencyOpts != config.ImplPlain && c.rFlags[i]&fPrefetch == 0 {
-					c.mem.Prefetch(c.rIn[i].Addr, c.rIn[i].PC, now, true, c.inCS())
-					c.rFlags[i] |= fPrefetch
-				}
-			} else if c.rAddrDone[i] < minB {
-				// Pending store address: a sound bound for the horizon, but
-				// deliberately not cached in rNotBefore and no in-order stop
-				// (the generic scan lets younger entries proceed past it).
-				minB = c.rAddrDone[i]
-			}
-		}
-	}
-
-	// remaining > 0 means issue width ran out with waiting entries never
-	// examined — no claim about them is possible.
-	if bounded && remaining == 0 && minB > now && minB != ^uint64(0) {
-		c.issueQuiet = minB
-	}
-
-	if c.scanFrom < c.headSeq {
-		c.scanFrom = c.headSeq
-	}
-	for c.scanFrom < c.tailSeq && st[c.scanFrom&mask] == stExec {
-		c.scanFrom++
-	}
-}
-
-// issueLoad handles the two-phase (address generation, then cache access)
-// execution of a load under the configured consistency model. It returns
-// true when the load made progress this cycle. i is the load's ring index.
-func (c *Core) issueLoad(i, now uint64, agFree, budget *int,
-	olderLoadUnperformed, olderMemUnperformed, olderFence bool) bool {
-
-	if c.rFlags[i]&fIssuedMem != 0 {
-		return true
-	}
-	if c.rFetchDone[i] > now {
-		return false
-	}
-	if c.rAddrDone[i] == 0 {
-		if !c.srcsReady(i, now) || *agFree == 0 {
-			return false
-		}
-		*agFree--
-		*budget--
-		c.rAddrDone[i] = now + 1
-		return true
-	}
-	if c.rAddrDone[i] > now {
-		return false
-	}
-
-	allowed := false
-	switch c.cfg.Consistency {
-	case config.RC:
-		allowed = !olderFence
-	case config.PC:
-		allowed = !olderLoadUnperformed && !olderFence
-	case config.SC:
-		allowed = !olderMemUnperformed && !olderFence
-	}
-	spec := false
-	if !allowed {
-		switch c.cfg.ConsistencyOpts {
-		case config.ImplPlain:
-			return false
-		case config.ImplPrefetch:
-			if c.rFlags[i]&fPrefetch == 0 {
-				c.mem.Prefetch(c.rIn[i].Addr, c.rIn[i].PC, now, false, c.inCS())
-				c.rFlags[i] |= fPrefetch
-			}
-			return false
-		case config.ImplSpeculative:
-			spec = true
-		}
-	}
-	if c.cfg.DebugChecks && !spec {
-		c.dbgCheckLoadBind(now, c.rIn[i].PC)
-	}
-	res := c.mem.DataRead(c.rIn[i].Addr, c.rIn[i].PC, now, c.inCS())
-	c.rFlags[i] |= fIssuedMem
-	c.rState[i] = stExec
-	c.waiting--
-	c.rComplete[i] = res.Done
-	c.rClass[i] = res.Class
-	if res.TLBMiss {
-		c.rFlags[i] |= fTLBMiss
-	}
-	c.rLineAddr[i] = res.LineAddr // physical, as delivered by invalidation hooks
-	if spec {
-		c.rFlags[i] |= fSpecLoad
-		c.SpecLoads++
-	}
-	if c.ctx.tx != nil {
-		c.trackRead(res.LineAddr)
-	}
-	return true
 }
 
 func (c *Core) inCS() bool { return c.ctx != nil && c.ctx.csDepth > 0 }
@@ -742,7 +194,13 @@ func (c *Core) retireStage(now uint64) {
 	for retired < width && c.robLen() > 0 {
 		seq := c.headSeq
 		i := seq & c.robMask
+		complete := c.rComplete[i]
 		ok, cat := c.tryRetire(i, now)
+		if c.rComplete[i] != complete && c.rState[i] == stExec && c.rIn[i].Dest != trace.NoReg {
+			// Retirement re-timed the result (a lock acquire's
+			// read-modify-write, an SC store performing).
+			c.retimed(seq, now)
+		}
 		if !ok {
 			stallCat, stalled = cat, true
 			break
@@ -754,6 +212,9 @@ func (c *Core) retireStage(now uint64) {
 		switch op {
 		case trace.OpMemBar, trace.OpLockAcquire:
 			c.fenceCount--
+			c.orderDrop(i)
+		case trace.OpLoad, trace.OpStore:
+			c.orderDrop(i)
 		}
 		if op.IsBranch() {
 			c.unresolved--
@@ -769,6 +230,10 @@ func (c *Core) retireStage(now uint64) {
 		}
 		c.headSeq++
 		retired++
+		if c.rComplete[i] > now && c.rIn[i].Dest != trace.NoReg {
+			// Consumers of a retired producer no longer wait for it.
+			c.retimed(seq, now)
+		}
 	}
 	c.Bk[stats.Busy] += float64(retired) / float64(width)
 	if retired == width {
@@ -948,10 +413,6 @@ func (c *Core) tryRetire(i, now uint64) (bool, stats.Category) {
 // recovery mechanism is the one used for branch mispredictions).
 func (c *Core) rollback(fromSeq, now uint64) {
 	c.Rollbacks++
-	if c.scanFrom > fromSeq {
-		c.scanFrom = fromSeq
-	}
-	c.issueQuiet = 0
 	width := uint64(c.cfg.IssueWidth)
 	for seq := fromSeq; seq < c.tailSeq; seq++ {
 		i := seq & c.robMask
@@ -964,11 +425,6 @@ func (c *Core) rollback(fromSeq, now uint64) {
 		c.rAddrDone[i] = 0
 		c.rLineAddr[i] = 0
 		c.rClass[i] = 0
-		// The squash re-times this entry, so its cached issue bound is
-		// stale. Unsquashed entries are unaffected: a consumer is never
-		// older than its producer, so none of them consumes a squashed
-		// entry's completion time.
-		c.rNotBefore[i] = 0
 		switch c.rOp[i] {
 		case trace.OpMemBar, trace.OpWriteBar, trace.OpLockAcquire, trace.OpLockRelease,
 			trace.OpPrefetch, trace.OpPrefetchX, trace.OpFlush:
@@ -979,6 +435,7 @@ func (c *Core) rollback(fromSeq, now uint64) {
 			c.waiting++
 		}
 	}
+	c.rebuildSched(now)
 }
 
 // ---------------------------------------------------------- write buffer --
