@@ -136,10 +136,15 @@ func (c *Core) unplace(i uint64) {
 	c.rAt[i] = 0
 }
 
+// unready takes entry i out of the ready set.
+func (c *Core) unready(i uint64) {
+	c.sw[i>>6].ready[c.readyClass(i)] &^= 1 << (i & 63)
+}
+
 // started marks ready entry i executing with result time complete and
 // refiles the consumers waiting for it to issue.
 func (c *Core) started(i, complete, now uint64) {
-	c.unplace(i)
+	c.unready(i)
 	c.rState[i] = stExec
 	c.waiting--
 	c.rComplete[i] = complete
@@ -266,12 +271,20 @@ func (c *Core) ringNext(from, end uint64, word func(w *schedWord) uint64) (uint6
 }
 
 // nextReady returns the oldest ready entry at or after from whose
-// functional-unit class is enabled in en (all ones or zero per class).
+// functional-unit class is enabled in en (all ones or zero per class):
+// ringNext over the enabled classes, written out for the issue walk.
 func (c *Core) nextReady(from uint64, en *[4]uint64) (uint64, bool) {
-	return c.ringNext(from, c.tailSeq, func(w *schedWord) uint64 {
-		r := &w.ready
-		return r[clsInt]&en[clsInt] | r[clsFP]&en[clsFP] | r[clsAG]&en[clsAG] | r[clsMem]
-	})
+	for end := c.tailSeq; from < end; {
+		p := from & c.robMask
+		b := p & 63
+		r := &c.sw[p>>6].ready
+		if m := (r[clsInt]&en[clsInt] | r[clsFP]&en[clsFP] | r[clsAG]&en[clsAG] | r[clsMem]) >> b; m != 0 {
+			s := from + uint64(bits.TrailingZeros64(m))
+			return s, s < end
+		}
+		from += min(64-b, c.robMask+1-p)
+	}
+	return 0, false
 }
 
 // olderIn reports whether an entry older than seq has program-order class k.
@@ -390,7 +403,7 @@ func (c *Core) issueStage(now uint64) {
 				agFree--
 				budget--
 				en[clsAG] = enabled(agFree)
-				c.unplace(i)
+				c.unready(i)
 				c.rAddrDone[i] = now + 1
 				c.place(seq, now)
 				continue
