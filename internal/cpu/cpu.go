@@ -119,9 +119,10 @@ type Core struct {
 	// and the coherence hook walk the window, and the pipeline stages
 	// visit entries, touching only a few fields per entry, so each field
 	// lives in its own dense array (the whole state array is one cache
-	// line at window 64) instead of strided across ~100-byte records. All arrays share the
-	// ring geometry: index = seq & robMask. An entry's sequence number is
-	// not stored — it is the loop variable everywhere one is needed.
+	// line at window 64) instead of strided across ~100-byte records. All
+	// arrays share the ring geometry: index = seq & robMask. An entry's
+	// sequence number is not stored — it is the loop variable everywhere
+	// one is needed.
 	rIn        []trace.Instr // decoded instruction (written once at dispatch)
 	rOp        []trace.Op    // rIn[i].Op, mirrored for scan locality
 	rState     []uint8
