@@ -124,7 +124,7 @@ type Core struct {
 	// sequence number is not stored — it is the loop variable everywhere
 	// one is needed.
 	rIn        []trace.Instr // decoded instruction (written once at dispatch)
-	rOp        []trace.Op    // rIn[i].Op, mirrored for scan locality
+	rOp        []trace.Op    // rIn[i].Op, mirrored for locality
 	rState     []uint8
 	rFlags     []uint8
 	rFetchDone []uint64

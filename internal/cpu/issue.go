@@ -9,8 +9,9 @@ import (
 )
 
 // The issue scheduler keeps every waiting (not yet executing) window entry
-// in exactly one of three places, so the issue stage touches only entries
-// that can act this cycle:
+// of an out-of-order core in exactly one of three places, so the issue
+// stage touches only entries that can act this cycle (in-order cores keep
+// every waiting entry in the ready set; see issueStage):
 //
 //   - the ready set: one bit per ring slot, split by the functional unit
 //     the entry's next step needs. The step's inputs are available now.
@@ -103,9 +104,15 @@ func (c *Core) stepInputs(i uint64) (t, prod uint64, blocked bool) {
 }
 
 // place files waiting entry seq by when its next step's inputs are
-// available at cycle now.
+// available at cycle now. In-order cores file every waiting entry in the
+// ready set: their issue walk stops at the first waiting entry that
+// cannot act, so it checks that one entry's inputs directly instead.
 func (c *Core) place(seq, now uint64) {
 	i := seq & c.robMask
+	if c.cfg.InOrder {
+		c.sw[i>>6].ready[c.readyClass(i)] |= 1 << (i & 63)
+		return
+	}
 	t, j, blocked := c.stepInputs(i)
 	switch {
 	case blocked:
@@ -351,8 +358,9 @@ func (c *Core) loadCanAct(seq, i, now uint64) bool {
 // decides exactly as a walk over the whole window would: an entry that is
 // not ready, or whose unit is busy, makes no progress and has no effect
 // on younger entries, and the walk stops when the issue width runs out.
-// In-order cores walk every waiting entry instead and stop at the first
-// one that makes no progress, except a store whose address is still being
+// In-order cores keep every waiting entry in the ready set, check each
+// one's inputs as the walk reaches it, and stop at the first one that
+// makes no progress, except a store whose address is still being
 // generated.
 func (c *Core) issueStage(now uint64) {
 	if c.waiting == 0 {
@@ -370,29 +378,27 @@ func (c *Core) issueStage(now uint64) {
 		return 0
 	}
 	en := [4]uint64{enabled(intFree), enabled(fpFree), enabled(agFree), ^uint64(0)}
-	budget := c.cfg.IssueWidth
+	all := [4]uint64{^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)}
+	classes := &en
 	inOrder := c.cfg.InOrder
+	if inOrder {
+		classes = &all // a busy unit stops in-order issue; the walk must see it
+	}
+	budget := c.cfg.IssueWidth
 	for seq := c.headSeq; budget > 0; seq++ {
-		if inOrder {
-			for seq < c.tailSeq && c.rState[seq&c.robMask] == stExec {
-				seq++
-			}
-			if seq >= c.tailSeq {
-				return
-			}
-		} else {
-			var ok bool
-			if seq, ok = c.nextReady(seq, &en); !ok {
-				return
-			}
+		var ok bool
+		if seq, ok = c.nextReady(seq, classes); !ok {
+			return
 		}
 		i := seq & c.robMask
-		if inOrder && !c.inReady(i) {
-			if t, _, blocked := c.operands(i); c.rOp[i] == trace.OpStore &&
-				c.rAddrDone[i] > now && !blocked && t <= now {
-				continue
+		if inOrder {
+			if t, _, blocked := c.stepInputs(i); blocked || t > now {
+				if t, _, blocked := c.operands(i); c.rOp[i] == trace.OpStore &&
+					c.rAddrDone[i] > now && !blocked && t <= now {
+					continue // a pending store address does not stop in-order issue
+				}
+				return
 			}
-			return
 		}
 		switch op := c.rOp[i]; op {
 		case trace.OpLoad, trace.OpStore:
@@ -517,10 +523,11 @@ func (c *Core) schedActsNext(now uint64) bool {
 }
 
 // checkSched asserts the scheduler invariant (cfg.DebugChecks): every
-// waiting entry is filed in exactly one of the ready set, a wake list and
-// the timed queue — in the ready set exactly when its next step's inputs
-// are available at cycle now, timed at the cycle they will be — and no
-// set holds anything else.
+// waiting entry of an out-of-order core is filed in exactly one of the
+// ready set, a wake list and the timed queue — in the ready set exactly
+// when its next step's inputs are available at cycle now, timed at the
+// cycle they will be — every waiting entry of an in-order core is in the
+// ready set, and no set holds anything else.
 func (c *Core) checkSched(now uint64) {
 	onWake := make([]int, len(c.rState))   // by ring slot
 	inLater := make([]bool, len(c.rState)) // a live key at or above laterMin
@@ -543,7 +550,11 @@ func (c *Core) checkSched(now uint64) {
 		filed, soonN = filed+one[ready]+one[soon], soonN+one[soon]
 		t, _, blocked := c.stepInputs(i)
 		ok := places == 0
-		if c.rState[i] != stExec {
+		switch {
+		case c.rState[i] == stExec:
+		case c.cfg.InOrder:
+			ok = places == 1 && ready
+		default:
 			ok = places == 1 && blocked == (onWake[i] == 1) && (blocked || ready == (t <= now) &&
 				(!soon || t == c.soonAt) && (!later || t == c.rAt[i]))
 		}
