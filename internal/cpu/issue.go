@@ -62,13 +62,9 @@ func (c *Core) readyClass(i uint64) int {
 	return clsInt
 }
 
-// inReady and inSoon report whether entry i is in the ready or soon set.
+// inReady reports whether entry i is in the ready set.
 func (c *Core) inReady(i uint64) bool {
 	return c.sw[i>>6].ready[c.readyClass(i)]&(1<<(i&63)) != 0
-}
-
-func (c *Core) inSoon(i uint64) bool {
-	return c.sw[i>>6].soon[c.readyClass(i)]&(1<<(i&63)) != 0
 }
 
 // operands returns the cycle entry i's fetch and source operands are all
@@ -143,15 +139,10 @@ func (c *Core) unplace(i uint64) {
 	c.rAt[i] = 0
 }
 
-// unready takes entry i out of the ready set.
-func (c *Core) unready(i uint64) {
-	c.sw[i>>6].ready[c.readyClass(i)] &^= 1 << (i & 63)
-}
-
 // started marks ready entry i executing with result time complete and
 // refiles the consumers waiting for it to issue.
 func (c *Core) started(i, complete, now uint64) {
-	c.unready(i)
+	c.unplace(i)
 	c.rState[i] = stExec
 	c.waiting--
 	c.rComplete[i] = complete
@@ -167,11 +158,14 @@ func (c *Core) started(i, complete, now uint64) {
 // retimed refiles the ready and timed consumers of entry seq, whose
 // result time changed after they were filed: a lock acquire or SC store
 // rewritten at retirement, or a producer retiring before its result time.
+// A consumer whose other producer has not issued stays on that one's list.
 func (c *Core) retimed(seq, now uint64) {
 	for q := seq + 1; q < c.tailSeq; q++ {
 		k := q & c.robMask
-		if (c.rProd1[k] == seq || c.rProd2[k] == seq) && c.rState[k] != stExec &&
-			(c.rAt[k] != 0 || c.inReady(k) || c.inSoon(k)) {
+		if c.rProd1[k] != seq && c.rProd2[k] != seq || c.rState[k] == stExec {
+			continue
+		}
+		if _, _, blocked := c.operands(k); !blocked {
 			c.unplace(k)
 			c.place(q, now)
 		}
@@ -371,23 +365,18 @@ func (c *Core) issueStage(now uint64) {
 	if c.cfg.InfiniteFUs {
 		intFree, fpFree, agFree = 1<<30, 1<<30, 1<<30
 	}
+	inOrder := c.cfg.InOrder
 	enabled := func(free int) uint64 {
-		if free > 0 {
+		if free > 0 || inOrder { // a busy unit stops in-order issue: visit it
 			return ^uint64(0)
 		}
 		return 0
 	}
 	en := [4]uint64{enabled(intFree), enabled(fpFree), enabled(agFree), ^uint64(0)}
-	all := [4]uint64{^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)}
-	classes := &en
-	inOrder := c.cfg.InOrder
-	if inOrder {
-		classes = &all // a busy unit stops in-order issue; the walk must see it
-	}
 	budget := c.cfg.IssueWidth
 	for seq := c.headSeq; budget > 0; seq++ {
 		var ok bool
-		if seq, ok = c.nextReady(seq, classes); !ok {
+		if seq, ok = c.nextReady(seq, &en); !ok {
 			return
 		}
 		i := seq & c.robMask
@@ -409,7 +398,7 @@ func (c *Core) issueStage(now uint64) {
 				agFree--
 				budget--
 				en[clsAG] = enabled(agFree)
-				c.unready(i)
+				c.unplace(i)
 				c.rAddrDone[i] = now + 1
 				c.place(seq, now)
 				continue
@@ -545,7 +534,7 @@ func (c *Core) checkSched(now uint64) {
 	filed, soonN := 0, 0
 	for seq := c.headSeq; seq < c.tailSeq; seq++ {
 		i := seq & c.robMask
-		ready, soon, later := c.inReady(i), c.inSoon(i), inLater[i]
+		ready, soon, later := c.inReady(i), c.sw[i>>6].soon[c.readyClass(i)]&(1<<(i&63)) != 0, inLater[i]
 		places := onWake[i] + one[ready] + one[soon] + one[later]
 		filed, soonN = filed+one[ready]+one[soon], soonN+one[soon]
 		t, _, blocked := c.stepInputs(i)
