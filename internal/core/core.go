@@ -263,16 +263,6 @@ type RunOptions struct {
 	// cycles the full dynamic machine state is written atomically to
 	// Path. See CheckpointOptions and RestoreAndRun.
 	Checkpoint *CheckpointOptions
-	// SimThreads sets how many worker goroutines the run loop may use to
-	// apply machine-wide quiet fast-forward spans across cores
-	// concurrently (see parallel.go). 0 or 1 is the serial engine,
-	// verbatim. Results are bit-identical for every value: parallel work
-	// is restricted to per-core state over spans proven free of
-	// cross-core coupling, joined at a deterministic barrier before the
-	// serial cycle loop resumes. The fan-out is disabled while a Tracer
-	// is attached (its event ring is shared across cores and append order
-	// is part of the output).
-	SimThreads int
 }
 
 // DefaultWatchdogWindow is the default forward-progress window in cycles.
@@ -389,11 +379,6 @@ func (s *System) run(opt RunOptions, resume *MachineState) (rep *stats.Report, e
 		// and cycle-limit/watchdog/cancel errors) so partial traces are
 		// still well-formed.
 		defer func() { opt.Tracer.Finish(s.cycle) }()
-	}
-	var pool *ffPool
-	if opt.SimThreads > 1 && opt.Tracer == nil {
-		pool = newFFPool(s, opt.SimThreads)
-		defer pool.close()
 	}
 	prevRet := lastRetired
 	// Per-core steady-cycle skip: wake[i] is a cached bound below which core
@@ -516,7 +501,7 @@ func (s *System) run(opt RunOptions, resume *MachineState) (rep *stats.Report, e
 					wake[k] = 0
 				}
 			} else {
-				s.fastForward(&opt, window, lastProgress, tel, wake, ckInterval, pool)
+				s.fastForward(&opt, window, lastProgress, tel, wake, ckInterval)
 			}
 		}
 		prevRet = ret
@@ -535,7 +520,7 @@ func (s *System) run(opt RunOptions, resume *MachineState) (rep *stats.Report, e
 // is also capped so that every externally timed check in Run — telemetry
 // sample boundaries, the watchdog trip, the MaxCycles trip, the context
 // poll cadence — still happens on exactly the cycle it would have.
-func (s *System) fastForward(opt *RunOptions, window, lastProgress uint64, tel *telemetryState, wake []uint64, ckInterval uint64, pool *ffPool) {
+func (s *System) fastForward(opt *RunOptions, window, lastProgress uint64, tel *telemetryState, wake []uint64, ckInterval uint64) {
 	now := s.cycle
 	limit := uint64(cpu.EventNever)
 	// On a machine-wide retire-free cycle every core either skipped (its
@@ -599,16 +584,9 @@ func (s *System) fastForward(opt *RunOptions, window, lastProgress uint64, tel *
 	// Cycles now+1 .. limit-1 are steady; cycle limit is ticked normally by
 	// the next loop iteration (it may retire, sample, trip a check, ...).
 	from, to := now+1, limit-1
-	if pool != nil && to-from >= minParallelSpan {
-		// Epoch-parallel application: the span is proven quiet for every
-		// core, so the per-core bulk accounting fans out to the worker
-		// pool and joins at the barrier (bit-identical by construction).
-		pool.span(from, to)
-	} else {
-		for i, c := range s.cores {
-			s.sch.FastForward(i, c, from, to)
-			c.FastForward(from, to)
-		}
+	for i, c := range s.cores {
+		s.sch.FastForward(i, c, from, to)
+		c.FastForward(from, to)
 	}
 	s.cycle = to
 }

@@ -8,16 +8,15 @@ import (
 	"repro/internal/trace"
 )
 
-// TestNextEventConservatismStress is the white-box guarantee behind both
-// the idle-cycle skip and the epoch-parallel engine: a per-core bound
-// computed on a retire-free tick must never be late. The test runs
-// randomized machines over lock-heavy shared-memory streams, ticking
-// EVERY cycle, but carries cached bounds exactly as the production loop
-// would — consuming the same invalidation channels (TakePoked, the lock
+// TestNextEventConservatismStress is the white-box guarantee behind the
+// idle-cycle skip: a per-core bound computed on a retire-free tick must
+// never be late. The test runs randomized machines over lock-heavy
+// shared-memory streams, ticking EVERY cycle, but carries cached bounds
+// exactly as the production loop would — consuming the same invalidation channels (TakePoked, the lock
 // table's release generation) — and fails if a core retires an
 // instruction or switches context at a cycle an active bound claimed was
 // quiet. A failure here means FastForward would have skipped real work
-// and the skip/parallel engines would diverge from serial.
+// and a fast-forwarded run would diverge from the plain cycle loop.
 //
 // Early (conservative) bounds are always legal; only late ones are bugs.
 func TestNextEventConservatismStress(t *testing.T) {

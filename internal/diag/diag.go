@@ -25,9 +25,9 @@ type CoreState struct {
 	ID        int    `json:"id"`
 	ContextID int    `json:"ctx"` // running process, -1 when idle
 	Retired   uint64 `json:"retired"`
-	ROB       int    `json:"rob"`       // instructions in the window
-	FetchQ    int    `json:"fetch_q"`   // instructions in the fetch buffer
-	WriteBuf  int    `json:"write_buf"` // stores in the post-retirement write buffer
+	ROB       int    `json:"rob"`               // instructions in the window
+	FetchQ    int    `json:"fetch_q"`           // instructions in the fetch buffer
+	WriteBuf  int    `json:"write_buf"`         // stores in the post-retirement write buffer
 	HeadOp    string `json:"head_op,omitempty"` // opcode of the oldest unretired instruction ("" if none)
 	HeadPC    uint64 `json:"head_pc,omitempty"`
 	HeadAddr  uint64 `json:"head_addr,omitempty"`

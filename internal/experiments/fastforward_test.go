@@ -34,8 +34,9 @@ type nopWriteCloser struct{ *bytes.Buffer }
 func (nopWriteCloser) Close() error { return nil }
 
 // ffRun is one arm of an equivalence test: run the workload with the
-// given fast-forward setting, capturing the report, the telemetry JSONL
-// bytes, and (when traced) the exported Chrome trace bytes.
+// given latch policy and fast-forward setting, capturing the report, the
+// telemetry JSONL bytes, and (when traced) the exported Chrome trace
+// bytes.
 type ffResult struct {
 	rep      *stats.Report
 	jsonl    []byte
@@ -43,11 +44,12 @@ type ffResult struct {
 	analysis *tracing.Analysis
 }
 
-func ffRun(t *testing.T, oltpWorkload, traced bool, faults config.FaultConfig, disableFF bool) ffResult {
+func ffRun(t *testing.T, oltpWorkload, traced bool, faults config.FaultConfig, lp config.LatchPolicy, disableFF bool) ffResult {
 	t.Helper()
 	sc := ffScale()
 	sc.DisableFastForward = disableFF
 	sc.Faults = faults
+	sc.LatchPolicy = lp
 
 	var jsonl bytes.Buffer
 	sc.Telemetry = func(label string) *telemetry.Pipeline {
@@ -107,18 +109,40 @@ func assertIdentical(t *testing.T, on, off ffResult) {
 }
 
 func TestFastForwardEquivalenceOLTP(t *testing.T) {
-	on := ffRun(t, true, false, config.FaultConfig{}, false)
-	off := ffRun(t, true, false, config.FaultConfig{}, true)
+	testFastForwardEquivalence(t, true, config.LatchPlain)
+}
+
+func TestFastForwardEquivalenceDSS(t *testing.T) {
+	testFastForwardEquivalence(t, false, config.LatchPlain)
+}
+
+// The hints and htm latch policies add their own timed lock-path state
+// (latch prefetch and flush, elided critical sections with abort backoff)
+// that the quiet-span bounds must cover.
+func TestFastForwardEquivalenceOLTPHints(t *testing.T) {
+	testFastForwardEquivalence(t, true, config.LatchHints)
+}
+
+func TestFastForwardEquivalenceOLTPHTM(t *testing.T) {
+	testFastForwardEquivalence(t, true, config.LatchHTM)
+}
+
+func TestFastForwardEquivalenceDSSHints(t *testing.T) {
+	testFastForwardEquivalence(t, false, config.LatchHints)
+}
+
+func TestFastForwardEquivalenceDSSHTM(t *testing.T) {
+	testFastForwardEquivalence(t, false, config.LatchHTM)
+}
+
+func testFastForwardEquivalence(t *testing.T, oltpWorkload bool, lp config.LatchPolicy) {
+	t.Helper()
+	on := ffRun(t, oltpWorkload, false, config.FaultConfig{}, lp, false)
+	off := ffRun(t, oltpWorkload, false, config.FaultConfig{}, lp, true)
 	assertIdentical(t, on, off)
 	if on.rep.Instructions == 0 {
 		t.Fatal("degenerate run: no instructions retired")
 	}
-}
-
-func TestFastForwardEquivalenceDSS(t *testing.T) {
-	on := ffRun(t, false, false, config.FaultConfig{}, false)
-	off := ffRun(t, false, false, config.FaultConfig{}, true)
-	assertIdentical(t, on, off)
 }
 
 // TestFastForwardEquivalenceFaults injects the deterministic timing-fault
@@ -136,8 +160,8 @@ func TestFastForwardEquivalenceFaults(t *testing.T) {
 		MemStallProb:   0.05,
 		MemStallCycles: 60,
 	}
-	on := ffRun(t, true, false, f, false)
-	off := ffRun(t, true, false, f, true)
+	on := ffRun(t, true, false, f, config.LatchPlain, false)
+	off := ffRun(t, true, false, f, config.LatchPlain, true)
 	assertIdentical(t, on, off)
 }
 
@@ -145,8 +169,8 @@ func TestFastForwardEquivalenceFaults(t *testing.T) {
 // the bulk-applied stall spans and lock-contention windows must yield a
 // byte-identical export and identical aggregates.
 func TestFastForwardEquivalenceTraced(t *testing.T) {
-	on := ffRun(t, true, true, config.FaultConfig{}, false)
-	off := ffRun(t, true, true, config.FaultConfig{}, true)
+	on := ffRun(t, true, true, config.FaultConfig{}, config.LatchPlain, false)
+	off := ffRun(t, true, true, config.FaultConfig{}, config.LatchPlain, true)
 	assertIdentical(t, on, off)
 	if onT, offT := on.analysis.Totals(), off.analysis.Totals(); onT != offT {
 		t.Errorf("trace aggregate totals differ:\nff-on  %v\nff-off %v", onT, offT)

@@ -37,26 +37,6 @@ func runPoints(sc Scale, pts []figPoint) ([]*stats.Report, error) {
 	if sc.Tracer != nil {
 		workers = 1
 	}
-	// Oversubscription guard: each point may itself run SimThreads worker
-	// goroutines (core.RunOptions.SimThreads), so the pool's effective
-	// demand is workers × SimThreads. Beyond GOMAXPROCS the extra threads
-	// only add scheduling churn; clamp the per-point threads and say so.
-	if st := sc.SimThreads; st > 1 {
-		if gmp := runtime.GOMAXPROCS(0); workers*st > gmp {
-			clamped := gmp / workers
-			if clamped < 1 {
-				clamped = 1
-			}
-			if sc.Logger != nil {
-				sc.Logger.Warn("sim-threads oversubscribed; clamping per-point threads",
-					"parallel", workers,
-					"sim_threads", st,
-					"gomaxprocs", gmp,
-					"sim_threads_clamped", clamped)
-			}
-			sc.SimThreads = clamped
-		}
-	}
 	if workers <= 1 {
 		reports := make([]*stats.Report, 0, len(pts))
 		for _, p := range pts {

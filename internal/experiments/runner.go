@@ -121,15 +121,6 @@ type Scale struct {
 	// bit-identical by construction, so this does not participate in the
 	// spec hash; the equivalence tests use it as the reference arm.
 	DisableFastForward bool
-
-	// SimThreads is threaded into every run as
-	// core.RunOptions.SimThreads: the number of worker goroutines one
-	// simulation may use to apply machine-wide quiet fast-forward spans
-	// across simulated cores. 0 or 1 is the serial engine, and any value
-	// is bit-identical to it, so SimThreads does not participate in the
-	// spec hash. It multiplies with Parallel (points × threads per
-	// point); the runner pool clamps the product to GOMAXPROCS.
-	SimThreads int
 }
 
 // pipelineFor resolves the per-run telemetry pipeline (nil when disabled).
@@ -242,7 +233,6 @@ func RunOLTP(cfg config.Config, sc Scale, label string, hints oltp.HintLevel) (*
 		Tracer:             sc.Tracer,
 		DisableFastForward: sc.DisableFastForward,
 		Checkpoint:         ck,
-		SimThreads:         sc.SimThreads,
 	}
 	var rep *stats.Report
 	if resume != nil {
@@ -312,7 +302,6 @@ func RunDSS(cfg config.Config, sc Scale, label string) (*stats.Report, error) {
 		Tracer:             sc.Tracer,
 		DisableFastForward: sc.DisableFastForward,
 		Checkpoint:         ck,
-		SimThreads:         sc.SimThreads,
 	}
 	var rep *stats.Report
 	if resume != nil {
