@@ -79,6 +79,26 @@ const (
 	fTLBMiss
 )
 
+// robEntry is one in-flight instruction. Its sequence number is not
+// stored: it is the loop variable everywhere one is needed.
+type robEntry struct {
+	in        trace.Instr // decoded instruction (written once at dispatch)
+	state     uint8
+	flags     uint8
+	class     memsys.Class
+	fetchDone uint64
+	prod1     uint64 // producer sequence numbers (noProd = ready)
+	prod2     uint64
+	complete  uint64
+	addrDone  uint64 // address-generation completion (0 = not yet)
+	lineAddr  uint64
+
+	// Issue scheduler links (issue.go).
+	at       uint64 // cycle of the entry's key in later (0 = none)
+	wake     uint64 // first consumer waiting for this entry to issue (0 = none)
+	wakeNext uint64 // next consumer on the same wake list
+}
+
 type fqEntry struct {
 	in        trace.Instr
 	fetchDone uint64
@@ -115,25 +135,8 @@ type Core struct {
 	ctx *Context
 	trc *tracing.Tracer // nil = tracing disabled (pure-observer event hooks)
 
-	// The reorder buffer is a struct-of-arrays ring: the NextEvent mirror
-	// and the coherence hook walk the window, and the pipeline stages
-	// visit entries, touching only a few fields per entry, so each field
-	// lives in its own dense array (the whole state array is one cache
-	// line at window 64) instead of strided across ~100-byte records. All
-	// arrays share the ring geometry: index = seq & robMask. An entry's
-	// sequence number is not stored — it is the loop variable everywhere
-	// one is needed.
-	rIn        []trace.Instr // decoded instruction (written once at dispatch)
-	rOp        []trace.Op    // rIn[i].Op, mirrored for locality
-	rState     []uint8
-	rFlags     []uint8
-	rFetchDone []uint64
-	rProd1     []uint64 // producer sequence numbers (noProd = ready)
-	rProd2     []uint64
-	rComplete  []uint64
-	rAddrDone  []uint64 // address-generation completion (0 = not yet)
-	rLineAddr  []uint64
-	rClass     []memsys.Class
+	// The reorder buffer is a ring of entries, index = seq & robMask.
+	rob        []robEntry
 	robMask    uint64 // ring capacity - 1; capacity rounded to a power of two
 	ringBits   uint   // log2 of the ring capacity
 	headSeq    uint64 // oldest in-flight sequence number
@@ -143,15 +146,12 @@ type Core struct {
 	waiting    int // in-window entries not yet executing
 	fenceCount int // unretired MB/lock-acquire entries in the window
 
-	// Issue scheduler (issue.go), derived from the arrays above.
-	rAt       []uint64    // cycle of the entry's key in later (0 = none)
-	rWake     []uint64    // first consumer waiting for this entry to issue (0 = none)
-	rWakeNext []uint64    // next consumer on the same wake list
-	sw        []schedWord // ready, soon and program-order bit sets per ring word
-	soonAt    uint64      // cycle the soon set's entries become ready
-	soonN     int         // entries in the soon set
-	later     []uint64    // other timed entries: cycle<<ringBits | ring slot
-	laterMin  uint64      // at or below every live key in later
+	// Issue scheduler (issue.go), derived from the window entries.
+	sw       []schedWord // ready, soon and program-order bit sets per ring word
+	soonAt   uint64      // cycle the soon set's entries become ready
+	soonN    int         // entries in the soon set
+	later    []uint64    // other timed entries: cycle<<ringBits | ring slot
+	laterMin uint64      // at or below every live key in later
 
 	fetchQ       []fqEntry
 	fqHead       int
@@ -237,22 +237,9 @@ func New(cfg config.Config, id int, mem *memsys.Hierarchy, locks LockManager) *C
 	for robCap < cfg.WindowSize {
 		robCap <<= 1
 	}
-	c.rIn = make([]trace.Instr, robCap)
-	c.rOp = make([]trace.Op, robCap)
-	c.rState = make([]uint8, robCap)
-	c.rFlags = make([]uint8, robCap)
-	c.rFetchDone = make([]uint64, robCap)
-	c.rProd1 = make([]uint64, robCap)
-	c.rProd2 = make([]uint64, robCap)
-	c.rComplete = make([]uint64, robCap)
-	c.rAddrDone = make([]uint64, robCap)
-	c.rLineAddr = make([]uint64, robCap)
-	c.rClass = make([]memsys.Class, robCap)
+	c.rob = make([]robEntry, robCap)
 	c.robMask = uint64(robCap - 1)
 	c.ringBits = uint(bits.TrailingZeros(uint(robCap)))
-	c.rAt = make([]uint64, robCap)
-	c.rWake = make([]uint64, robCap)
-	c.rWakeNext = make([]uint64, robCap)
 	c.sw = make([]schedWord, (robCap+63)/64)
 	c.laterMin = EventNever
 	c.headSeq, c.tailSeq = 1, 1
@@ -357,10 +344,10 @@ func (c *Core) SwitchTo(ctx *Context) {
 // read/write set is a conflict abort, a local eviction a capacity abort.
 func (c *Core) onInvalidation(lineAddr uint64, eviction bool) {
 	for seq := c.headSeq; seq < c.tailSeq; seq++ {
-		i := seq & c.robMask
-		if c.rFlags[i]&(fSpecLoad|fViolated) == fSpecLoad &&
-			c.rState[i] == stExec && c.rLineAddr[i] == lineAddr {
-			c.rFlags[i] |= fViolated
+		e := &c.rob[seq&c.robMask]
+		if e.flags&(fSpecLoad|fViolated) == fSpecLoad &&
+			e.state == stExec && e.lineAddr == lineAddr {
+			e.flags |= fViolated
 			// Invalidate any cached NextEvent bound: the violation makes the
 			// rollback (and everything after it) due earlier than predicted.
 			c.poked = true

@@ -253,8 +253,9 @@ func TestInOrderClampsWindow(t *testing.T) {
 	cfg.Nodes = 1
 	ms := memsys.MustNew(cfg)
 	c := New(cfg, 0, ms.Node(0), newTestLocks())
-	if len(c.rState) > 2*cfg.IssueWidth+8 {
-		t.Errorf("in-order window not clamped: %d", len(c.rState))
+	// The ring holds the clamped window rounded up to a power of two.
+	if w := c.cfg.WindowSize; w > 2*cfg.IssueWidth+8 || len(c.rob) >= 2*w {
+		t.Errorf("in-order window not clamped: window %d, ring %d", w, len(c.rob))
 	}
 }
 

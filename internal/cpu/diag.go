@@ -27,8 +27,8 @@ func (c *Core) HeadInstr() (op string, pc, addr uint64, ok bool) {
 	if c.robLen() == 0 {
 		return "", 0, 0, false
 	}
-	i := c.headSeq & c.robMask
-	return c.rOp[i].String(), c.rIn[i].PC, c.rIn[i].Addr, true
+	e := &c.rob[c.headSeq&c.robMask]
+	return e.in.Op.String(), e.in.PC, e.in.Addr, true
 }
 
 // Memory-ordering checks (cfg.DebugChecks). Under SC every non-speculative
@@ -86,9 +86,9 @@ func (c *Core) SpinningOn() (addr uint64, ok bool) {
 	if c.robLen() == 0 {
 		return 0, false
 	}
-	i := c.headSeq & c.robMask
-	if c.rOp[i] == trace.OpLockAcquire && c.rFlags[i]&fWaited != 0 {
-		return c.rIn[i].Addr, true
+	e := &c.rob[c.headSeq&c.robMask]
+	if e.in.Op == trace.OpLockAcquire && e.flags&fWaited != 0 {
+		return e.in.Addr, true
 	}
 	return 0, false
 }

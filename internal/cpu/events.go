@@ -123,35 +123,35 @@ func (c *Core) wbufNextEvent(now uint64) uint64 {
 // means head progress is gated purely on other mirrors (write-buffer
 // drain, an older producer's issue event).
 func (c *Core) retireNextEvent(now uint64) uint64 {
-	i := c.headSeq & c.robMask
-	switch c.rOp[i] {
+	e := &c.rob[c.headSeq&c.robMask]
+	switch e.in.Op {
 	case trace.OpLoad:
-		if c.rState[i] != stExec {
-			if c.rFetchDone[i] > now {
-				return c.rFetchDone[i] // failure category flips Instr -> ReadL1
+		if e.state != stExec {
+			if e.fetchDone > now {
+				return e.fetchDone // failure category flips Instr -> ReadL1
 			}
 			return EventNever // steady ReadL1; progress via the issue mirror
 		}
-		if c.rFlags[i]&fViolated != 0 {
+		if e.flags&fViolated != 0 {
 			return now + 1 // rollback fires on the next tick
 		}
-		if c.rComplete[i] > now {
-			return c.rComplete[i]
+		if e.complete > now {
+			return e.complete
 		}
 		return now + 1
 	case trace.OpStore:
-		if c.rState[i] != stExec {
-			if c.rFetchDone[i] > now {
-				return c.rFetchDone[i]
+		if e.state != stExec {
+			if e.fetchDone > now {
+				return e.fetchDone
 			}
 			return EventNever
 		}
 		if c.cfg.Consistency == config.SC {
-			if c.rFlags[i]&fIssuedMem == 0 {
+			if e.flags&fIssuedMem == 0 {
 				return now + 1 // would perform the store at the head
 			}
-			if c.rComplete[i] > now {
-				return c.rComplete[i]
+			if e.complete > now {
+				return e.complete
 			}
 			return now + 1
 		}
@@ -160,41 +160,41 @@ func (c *Core) retireNextEvent(now uint64) uint64 {
 		}
 		return now + 1
 	case trace.OpLockAcquire:
-		if c.rFetchDone[i] > now {
-			return c.rFetchDone[i]
+		if e.fetchDone > now {
+			return e.fetchDone
 		}
 		if !c.latchMirrored {
 			// The HTM policy's per-cycle resolution has no mirror; a lock op
 			// at the head simply disables fast-forward (conservative bound).
 			return now + 1
 		}
-		if c.rFlags[i]&fIssuedMem == 0 {
+		if e.flags&fIssuedMem == 0 {
 			// Spinning. Steady only once the first failing TryAcquire has
 			// run (waited set: LockWaits and the tracer's contention window
 			// are already open); after that every spin cycle repeats the
 			// same counter bumps, which FastForward applies in bulk.
-			if c.rFlags[i]&fWaited == 0 || c.prober == nil {
+			if e.flags&fWaited == 0 || c.prober == nil {
 				return now + 1
 			}
-			return c.prober.NextTry(c.rIn[i].Addr, c.ctx.ID, now)
+			return c.prober.NextTry(e.in.Addr, c.ctx.ID, now)
 		}
-		if c.rComplete[i] > now {
-			return c.rComplete[i]
+		if e.complete > now {
+			return e.complete
 		}
 		return now + 1
 	case trace.OpLockRelease:
-		if c.rFetchDone[i] > now {
-			return c.rFetchDone[i]
+		if e.fetchDone > now {
+			return e.fetchDone
 		}
 		if !c.latchMirrored {
 			return now + 1
 		}
 		if c.cfg.Consistency == config.SC {
-			if c.rFlags[i]&fIssuedMem == 0 {
+			if e.flags&fIssuedMem == 0 {
 				return now + 1
 			}
-			if c.rComplete[i] > now {
-				return c.rComplete[i]
+			if e.complete > now {
+				return e.complete
 			}
 			return now + 1
 		}
@@ -213,27 +213,27 @@ func (c *Core) retireNextEvent(now uint64) uint64 {
 		}
 		return now + 1
 	case trace.OpPrefetch, trace.OpPrefetchX:
-		if c.rFetchDone[i] > now {
-			return c.rFetchDone[i]
+		if e.fetchDone > now {
+			return e.fetchDone
 		}
 		return now + 1
 	case trace.OpFlush:
-		if c.rFetchDone[i] > now {
-			return c.rFetchDone[i]
+		if e.fetchDone > now {
+			return e.fetchDone
 		}
 		if c.cfg.Consistency != config.SC && c.wbufLen() >= c.cfg.WriteBufEntries {
 			return EventNever
 		}
 		return now + 1
 	default: // ALU and branches
-		if c.rState[i] != stExec {
-			if c.rFetchDone[i] > now {
-				return c.rFetchDone[i]
+		if e.state != stExec {
+			if e.fetchDone > now {
+				return e.fetchDone
 			}
 			return EventNever // steady CPUStall; progress via the issue mirror
 		}
-		if c.rComplete[i] > now {
-			return c.rComplete[i]
+		if e.complete > now {
+			return e.complete
 		}
 		return now + 1
 	}
@@ -250,8 +250,9 @@ func (c *Core) robNextEvent(now uint64) uint64 {
 	w := uint64(EventNever)
 	for seq := c.headSeq; seq < c.tailSeq; seq++ {
 		i := seq & c.robMask
-		if c.rState[i] == stExec {
-			if t := c.rComplete[i]; t > now && t < w {
+		e := &c.rob[i]
+		if e.state == stExec {
+			if t := e.complete; t > now && t < w {
 				w = t
 			}
 		} else {
@@ -281,7 +282,7 @@ func (c *Core) entryIssueEvent(seq, i, now uint64) uint64 {
 	if blocked {
 		return EventNever
 	}
-	op, addr := c.rOp[i], c.rAddrDone[i]
+	op, addr := c.rob[i].in.Op, c.rob[i].addrDone
 	switch {
 	case op != trace.OpLoad && op != trace.OpStore || addr == 0:
 		return maxU(ready, now+1) // execution or address generation
@@ -319,12 +320,12 @@ func (c *Core) fetchNextEvent(now uint64) uint64 {
 		if !c.live(c.blockBranch) {
 			return now + 1 // cleared (and fetch resumes) next tick
 		}
-		i := c.blockBranch & c.robMask
-		if c.rState[i] != stExec {
+		e := &c.rob[c.blockBranch&c.robMask]
+		if e.state != stExec {
 			return EventNever // gated on the branch's own issue event
 		}
-		if c.rComplete[i] > now {
-			return c.rComplete[i] // redirect computed when the branch resolves
+		if e.complete > now {
+			return e.complete // redirect computed when the branch resolves
 		}
 		return now + 1
 	}
@@ -356,32 +357,32 @@ func (c *Core) steadyStall(t uint64) (stats.Category, uint64, bool) {
 		}
 		return stats.CPUStall, 0, false
 	}
-	i := c.headSeq & c.robMask
-	pc := c.rIn[i].PC
-	switch c.rOp[i] {
+	e := &c.rob[c.headSeq&c.robMask]
+	pc := e.in.PC
+	switch e.in.Op {
 	case trace.OpLoad:
-		if c.rState[i] != stExec {
-			if c.rFetchDone[i] > t {
+		if e.state != stExec {
+			if e.fetchDone > t {
 				return stats.Instr, pc, false
 			}
 			return stats.ReadL1, pc, false
 		}
-		return readCategory(c.rClass[i], c.rFlags[i]&fTLBMiss != 0), pc, false
+		return readCategory(e.class, e.flags&fTLBMiss != 0), pc, false
 	case trace.OpStore:
-		if c.rState[i] != stExec {
-			if c.rFetchDone[i] > t {
+		if e.state != stExec {
+			if e.fetchDone > t {
 				return stats.Instr, pc, false
 			}
 			return stats.ReadL1, pc, false
 		}
 		return stats.Write, pc, false
 	case trace.OpLockAcquire:
-		if c.rFetchDone[i] > t {
+		if e.fetchDone > t {
 			return stats.Instr, pc, false
 		}
-		return stats.Sync, pc, c.rFlags[i]&fIssuedMem == 0
+		return stats.Sync, pc, e.flags&fIssuedMem == 0
 	case trace.OpLockRelease:
-		if c.rFetchDone[i] > t {
+		if e.fetchDone > t {
 			return stats.Instr, pc, false
 		}
 		if c.cfg.Consistency == config.SC {
@@ -393,12 +394,12 @@ func (c *Core) steadyStall(t uint64) (stats.Category, uint64, bool) {
 	case trace.OpPrefetch, trace.OpPrefetchX:
 		return stats.Instr, pc, false
 	case trace.OpFlush:
-		if c.rFetchDone[i] > t {
+		if e.fetchDone > t {
 			return stats.Instr, pc, false
 		}
 		return stats.Write, pc, false // PC/RC flush behind a full buffer
 	default:
-		if c.rState[i] != stExec && c.rFetchDone[i] > t {
+		if e.state != stExec && e.fetchDone > t {
 			return stats.Instr, pc, false
 		}
 		return stats.CPUStall, pc, false
@@ -465,7 +466,7 @@ func (c *Core) FastForward(from, to uint64) {
 		if c.trc != nil {
 			// Re-opens the contention window if the warm-up reset cleared
 			// it (otherwise a no-op, exactly like the per-cycle calls).
-			c.trc.LockSpin(c.id, c.ctx.ID, pc, c.rIn[c.headSeq&c.robMask].Addr, from)
+			c.trc.LockSpin(c.id, c.ctx.ID, pc, c.rob[c.headSeq&c.robMask].in.Addr, from)
 		}
 	}
 	if wv, ok := c.fetchStallWrite(from); ok && wv != c.stallInstr {

@@ -16,13 +16,13 @@ import (
 //   - the ready set: one bit per ring slot, split by the functional unit
 //     the entry's next step needs. The step's inputs are available now.
 //   - the wake list of a producer that has not issued: the entry's inputs
-//     have no time yet. Lists are intrusive (rWake heads, rWakeNext links)
-//     and are drained when the producer issues.
+//     have no time yet. Lists are intrusive (robEntry.wake heads,
+//     robEntry.wakeNext links) and are drained when the producer issues.
 //   - the timed queue, until the cycle its inputs become available (every
 //     producer is executing): a bit in the soon set when that cycle is the
-//     next one, otherwise a key in the later list (rAt).
+//     next one, otherwise a key in the later list (robEntry.at).
 //
-// Scheduler state is derived from the window arrays: rollback, SwitchTo
+// Scheduler state is derived from the window entries: rollback, SwitchTo
 // and Restore rebuild it, and checkpoints do not carry it.
 
 // Ready-set classes: the functional unit an entry's next step needs.
@@ -50,11 +50,12 @@ type schedWord struct {
 
 // readyClass is the ready-set class of waiting entry i's next step.
 func (c *Core) readyClass(i uint64) int {
-	switch c.rOp[i] {
+	e := &c.rob[i]
+	switch e.in.Op {
 	case trace.OpFPALU:
 		return clsFP
 	case trace.OpLoad, trace.OpStore:
-		if c.rAddrDone[i] == 0 {
+		if e.addrDone == 0 {
 			return clsAG
 		}
 		return clsMem
@@ -71,16 +72,17 @@ func (c *Core) inReady(i uint64) bool {
 // available, or blocked with the ring slot of a producer that has not
 // issued (a retired producer's result is available).
 func (c *Core) operands(i uint64) (t, prod uint64, blocked bool) {
-	t = c.rFetchDone[i]
-	for _, p := range [2]uint64{c.rProd1[i], c.rProd2[i]} {
+	e := &c.rob[i]
+	t = e.fetchDone
+	for _, p := range [2]uint64{e.prod1, e.prod2} {
 		if p == noProd || !c.live(p) {
 			continue
 		}
 		j := p & c.robMask
-		if c.rState[j] != stExec {
+		if c.rob[j].state != stExec {
 			return 0, j, true
 		}
-		t = maxU(t, c.rComplete[j])
+		t = maxU(t, c.rob[j].complete)
 	}
 	return t, 0, false
 }
@@ -89,12 +91,13 @@ func (c *Core) operands(i uint64) (t, prod uint64, blocked bool) {
 // access waits only for its address, and a store's completion also for
 // its address.
 func (c *Core) stepInputs(i uint64) (t, prod uint64, blocked bool) {
-	if c.rOp[i] == trace.OpLoad && c.rAddrDone[i] != 0 {
-		return maxU(c.rFetchDone[i], c.rAddrDone[i]), 0, false
+	e := &c.rob[i]
+	if e.in.Op == trace.OpLoad && e.addrDone != 0 {
+		return maxU(e.fetchDone, e.addrDone), 0, false
 	}
 	t, prod, blocked = c.operands(i)
-	if c.rOp[i] == trace.OpStore {
-		t = maxU(t, c.rAddrDone[i])
+	if e.in.Op == trace.OpStore {
+		t = maxU(t, e.addrDone)
 	}
 	return t, prod, blocked
 }
@@ -105,6 +108,7 @@ func (c *Core) stepInputs(i uint64) (t, prod uint64, blocked bool) {
 // cannot act, so it checks that one entry's inputs directly instead.
 func (c *Core) place(seq, now uint64) {
 	i := seq & c.robMask
+	e := &c.rob[i]
 	if c.cfg.InOrder {
 		c.sw[i>>6].ready[c.readyClass(i)] |= 1 << (i & 63)
 		return
@@ -112,8 +116,8 @@ func (c *Core) place(seq, now uint64) {
 	t, j, blocked := c.stepInputs(i)
 	switch {
 	case blocked:
-		c.rWakeNext[i] = c.rWake[j]
-		c.rWake[j] = seq
+		e.wakeNext = c.rob[j].wake
+		c.rob[j].wake = seq
 	case t <= now:
 		c.sw[i>>6].ready[c.readyClass(i)] |= 1 << (i & 63)
 	case t == now+1 && (c.soonN == 0 || c.soonAt == t):
@@ -121,7 +125,7 @@ func (c *Core) place(seq, now uint64) {
 		c.soonAt = t
 		c.soonN++
 	default:
-		c.rAt[i] = t
+		e.at = t
 		c.later = append(c.later, t<<c.ringBits|i)
 		c.laterMin = min(c.laterMin, t)
 	}
@@ -136,20 +140,21 @@ func (c *Core) unplace(i uint64) {
 		c.sw[w].soon[k] &^= bit
 		c.soonN--
 	}
-	c.rAt[i] = 0
+	c.rob[i].at = 0
 }
 
 // started marks ready entry i executing with result time complete and
 // refiles the consumers waiting for it to issue.
 func (c *Core) started(i, complete, now uint64) {
+	e := &c.rob[i]
 	c.unplace(i)
-	c.rState[i] = stExec
+	e.state = stExec
 	c.waiting--
-	c.rComplete[i] = complete
-	s := c.rWake[i]
-	c.rWake[i] = 0
+	e.complete = complete
+	s := e.wake
+	e.wake = 0
 	for s != 0 {
-		next := c.rWakeNext[s&c.robMask]
+		next := c.rob[s&c.robMask].wakeNext
 		c.place(s, now)
 		s = next
 	}
@@ -162,7 +167,7 @@ func (c *Core) started(i, complete, now uint64) {
 func (c *Core) retimed(seq, now uint64) {
 	for q := seq + 1; q < c.tailSeq; q++ {
 		k := q & c.robMask
-		if c.rProd1[k] != seq && c.rProd2[k] != seq || c.rState[k] == stExec {
+		if e := &c.rob[k]; e.prod1 != seq && e.prod2 != seq || e.state == stExec {
 			continue
 		}
 		if _, _, blocked := c.operands(k); !blocked {
@@ -172,18 +177,18 @@ func (c *Core) retimed(seq, now uint64) {
 	}
 }
 
-// rebuildSched refiles every window entry from the window arrays at cycle
-// now, in O(window).
+// rebuildSched refiles every window entry at cycle now, in O(window).
 func (c *Core) rebuildSched(now uint64) {
 	clear(c.sw)
 	c.soonN = 0
 	c.later, c.laterMin = c.later[:0], EventNever
 	for seq := c.headSeq; seq < c.tailSeq; seq++ {
 		i := seq & c.robMask
-		c.rWake[i] = 0
-		c.rAt[i] = 0
+		e := &c.rob[i]
+		e.wake = 0
+		e.at = 0
 		c.orderAdd(i)
-		if c.rState[i] != stExec {
+		if e.state != stExec {
 			// Producers are older, so their lists were reset above.
 			c.place(seq, now)
 		}
@@ -211,9 +216,9 @@ func (c *Core) wakeTimed(now uint64) {
 	for _, key := range c.later {
 		t, i := key>>c.ringBits, key&c.robMask
 		switch {
-		case c.rAt[i] != t: // stale
+		case c.rob[i].at != t: // stale
 		case t <= now:
-			c.rAt[i] = 0
+			c.rob[i].at = 0
 			c.sw[i>>6].ready[c.readyClass(i)] |= 1 << (i & 63)
 		default:
 			keep = append(keep, key)
@@ -228,7 +233,7 @@ func (c *Core) wakeTimed(now uint64) {
 // and SC, stores under SC.
 func (c *Core) orderAdd(i uint64) {
 	var k int
-	switch c.rOp[i] {
+	switch c.rob[i].in.Op {
 	case trace.OpMemBar, trace.OpLockAcquire:
 		k = ordFence
 	case trace.OpLoad:
@@ -304,7 +309,7 @@ func (c *Core) olderLoadUnperformed(seq, now uint64) bool {
 			return false
 		}
 		k := s & c.robMask
-		if c.rFlags[k]&fIssuedMem == 0 || c.rComplete[k] > now {
+		if e := &c.rob[k]; e.flags&fIssuedMem == 0 || e.complete > now {
 			return true
 		}
 		c.sw[k>>6].order[ordLoad] &^= 1 << (k & 63)
@@ -339,7 +344,7 @@ func (c *Core) loadCanAct(seq, i, now uint64) bool {
 	case config.ImplSpeculative:
 		return true
 	case config.ImplPrefetch:
-		return c.rFlags[i]&fPrefetch == 0
+		return c.rob[i].flags&fPrefetch == 0
 	}
 	return false
 }
@@ -380,18 +385,19 @@ func (c *Core) issueStage(now uint64) {
 			return
 		}
 		i := seq & c.robMask
+		e := &c.rob[i]
 		if inOrder {
 			if t, _, blocked := c.stepInputs(i); blocked || t > now {
-				if t, _, blocked := c.operands(i); c.rOp[i] == trace.OpStore &&
-					c.rAddrDone[i] > now && !blocked && t <= now {
+				if t, _, blocked := c.operands(i); e.in.Op == trace.OpStore &&
+					e.addrDone > now && !blocked && t <= now {
 					continue // a pending store address does not stop in-order issue
 				}
 				return
 			}
 		}
-		switch op := c.rOp[i]; op {
+		switch op := e.in.Op; op {
 		case trace.OpLoad, trace.OpStore:
-			if c.rAddrDone[i] == 0 {
+			if e.addrDone == 0 {
 				if agFree == 0 {
 					break
 				}
@@ -399,19 +405,19 @@ func (c *Core) issueStage(now uint64) {
 				budget--
 				en[clsAG] = enabled(agFree)
 				c.unplace(i)
-				c.rAddrDone[i] = now + 1
+				e.addrDone = now + 1
 				c.place(seq, now)
 				continue
 			}
 			if op == trace.OpStore {
 				// Stores execute (address + data ready) here; the memory
 				// access happens at retirement per the consistency model.
-				c.started(i, c.rAddrDone[i], now)
-				if c.cfg.ConsistencyOpts != config.ImplPlain && c.rFlags[i]&fPrefetch == 0 {
+				c.started(i, e.addrDone, now)
+				if c.cfg.ConsistencyOpts != config.ImplPlain && e.flags&fPrefetch == 0 {
 					// Hardware prefetch from the window: request ownership
 					// early for stores blocked by consistency/retirement.
-					c.mem.Prefetch(c.rIn[i].Addr, c.rIn[i].PC, now, true, c.inCS())
-					c.rFlags[i] |= fPrefetch
+					c.mem.Prefetch(e.in.Addr, e.in.PC, now, true, c.inCS())
+					e.flags |= fPrefetch
 				}
 				continue
 			}
@@ -447,15 +453,16 @@ func (c *Core) issueStage(now uint64) {
 // model, returning false when the model holds it back this cycle (after
 // issuing the consistency prefetch, under that implementation).
 func (c *Core) accessLoad(seq, i, now uint64) bool {
+	e := &c.rob[i]
 	spec := false
 	if !c.loadAllowed(seq, now) {
 		switch c.cfg.ConsistencyOpts {
 		case config.ImplPlain:
 			return false
 		case config.ImplPrefetch:
-			if c.rFlags[i]&fPrefetch == 0 {
-				c.mem.Prefetch(c.rIn[i].Addr, c.rIn[i].PC, now, false, c.inCS())
-				c.rFlags[i] |= fPrefetch
+			if e.flags&fPrefetch == 0 {
+				c.mem.Prefetch(e.in.Addr, e.in.PC, now, false, c.inCS())
+				e.flags |= fPrefetch
 			}
 			return false
 		case config.ImplSpeculative:
@@ -463,17 +470,17 @@ func (c *Core) accessLoad(seq, i, now uint64) bool {
 		}
 	}
 	if c.cfg.DebugChecks && !spec {
-		c.dbgCheckLoadBind(now, c.rIn[i].PC)
+		c.dbgCheckLoadBind(now, e.in.PC)
 	}
-	res := c.mem.DataRead(c.rIn[i].Addr, c.rIn[i].PC, now, c.inCS())
-	c.rFlags[i] |= fIssuedMem
-	c.rClass[i] = res.Class
+	res := c.mem.DataRead(e.in.Addr, e.in.PC, now, c.inCS())
+	e.flags |= fIssuedMem
+	e.class = res.Class
 	if res.TLBMiss {
-		c.rFlags[i] |= fTLBMiss
+		e.flags |= fTLBMiss
 	}
-	c.rLineAddr[i] = res.LineAddr // physical, as delivered by invalidation hooks
+	e.lineAddr = res.LineAddr // physical, as delivered by invalidation hooks
 	if spec {
-		c.rFlags[i] |= fSpecLoad
+		e.flags |= fSpecLoad
 		c.SpecLoads++
 	}
 	c.started(i, res.Done, now)
@@ -505,7 +512,8 @@ func (c *Core) schedActsNext(now uint64) bool {
 			return false
 		}
 		i := seq & c.robMask
-		if c.rOp[i] != trace.OpLoad || c.rAddrDone[i] == 0 || c.loadCanAct(seq, i, now) {
+		e := &c.rob[i]
+		if e.in.Op != trace.OpLoad || e.addrDone == 0 || c.loadCanAct(seq, i, now) {
 			return true
 		}
 	}
@@ -518,15 +526,15 @@ func (c *Core) schedActsNext(now uint64) bool {
 // cycle they will be — every waiting entry of an in-order core is in the
 // ready set, and no set holds anything else.
 func (c *Core) checkSched(now uint64) {
-	onWake := make([]int, len(c.rState))   // by ring slot
-	inLater := make([]bool, len(c.rState)) // a live key at or above laterMin
+	onWake := make([]int, len(c.rob))   // by ring slot
+	inLater := make([]bool, len(c.rob)) // a live key at or above laterMin
 	for seq := c.headSeq; seq < c.tailSeq; seq++ {
-		for s := c.rWake[seq&c.robMask]; s != 0 && c.live(s); s = c.rWakeNext[s&c.robMask] {
+		for s := c.rob[seq&c.robMask].wake; s != 0 && c.live(s); s = c.rob[s&c.robMask].wakeNext {
 			onWake[s&c.robMask]++
 		}
 	}
 	for _, key := range c.later {
-		if i := key & c.robMask; c.rAt[i] == key>>c.ringBits && c.rAt[i] >= c.laterMin {
+		if i := key & c.robMask; c.rob[i].at == key>>c.ringBits && c.rob[i].at >= c.laterMin {
 			inLater[i] = true
 		}
 	}
@@ -534,18 +542,19 @@ func (c *Core) checkSched(now uint64) {
 	filed, soonN := 0, 0
 	for seq := c.headSeq; seq < c.tailSeq; seq++ {
 		i := seq & c.robMask
+		e := &c.rob[i]
 		ready, soon, later := c.inReady(i), c.sw[i>>6].soon[c.readyClass(i)]&(1<<(i&63)) != 0, inLater[i]
 		places := onWake[i] + one[ready] + one[soon] + one[later]
 		filed, soonN = filed+one[ready]+one[soon], soonN+one[soon]
 		t, _, blocked := c.stepInputs(i)
 		ok := places == 0
 		switch {
-		case c.rState[i] == stExec:
+		case e.state == stExec:
 		case c.cfg.InOrder:
 			ok = places == 1 && ready
 		default:
 			ok = places == 1 && blocked == (onWake[i] == 1) && (blocked || ready == (t <= now) &&
-				(!soon || t == c.soonAt) && (!later || t == c.rAt[i]))
+				(!soon || t == c.soonAt) && (!later || t == e.at))
 		}
 		if !ok {
 			panic(fmt.Sprintf("cpu%d: issue scheduler: seq %d (now %d, inputs at %d, blocked %v) filed ready %v soon %v later %v wake %d",

@@ -12,11 +12,11 @@ import (
 // spin + read-modify-write path, the hints policy layers the paper's
 // software prefetch+flush hints (Section 4.2) on it, and the htm policy
 // elides the latch with a best-effort hardware transaction
-// (internal/htm). Both hooks run with the entry at the window head and
-// its fetchDone <= now already established by tryRetire.
+// (internal/htm). Both hooks run with entry e at the window head and its
+// fetchDone <= now already established by tryRetire.
 type latchPolicy interface {
-	acquire(c *Core, i uint64, now uint64) (bool, stats.Category)
-	release(c *Core, i uint64, now uint64) (bool, stats.Category)
+	acquire(c *Core, e *robEntry, now uint64) (bool, stats.Category)
+	release(c *Core, e *robEntry, now uint64) (bool, stats.Category)
 }
 
 // LockViewer is optionally implemented by a LockManager to expose a
@@ -53,60 +53,60 @@ func newLatchPolicy(cfg config.Config) latchPolicy {
 // (3-hop cache-to-cache) miss into a memory service.
 type plainLatch struct{ hints bool }
 
-func (l plainLatch) acquire(c *Core, i uint64, now uint64) (bool, stats.Category) {
-	if c.rFlags[i]&fIssuedMem == 0 {
+func (l plainLatch) acquire(c *Core, e *robEntry, now uint64) (bool, stats.Category) {
+	if e.flags&fIssuedMem == 0 {
 		c.LockTries++
-		if !c.locks.TryAcquire(c.rIn[i].Addr, c.ctx.ID, now) {
-			if c.rFlags[i]&fWaited == 0 {
+		if !c.locks.TryAcquire(e.in.Addr, c.ctx.ID, now) {
+			if e.flags&fWaited == 0 {
 				c.LockWaits++
-				c.rFlags[i] |= fWaited
+				e.flags |= fWaited
 			}
-			if l.hints && c.rFlags[i]&fPrefetch == 0 {
+			if l.hints && e.flags&fPrefetch == 0 {
 				// One prefetch per contended acquire: issued alongside the
 				// first failing attempt, like the hand-inserted hint.
-				c.mem.Prefetch(c.rIn[i].Addr, c.rIn[i].PC, now, true, true)
-				c.rFlags[i] |= fPrefetch
+				c.mem.Prefetch(e.in.Addr, e.in.PC, now, true, true)
+				e.flags |= fPrefetch
 			}
 			c.LockSpins++
 			if c.trc != nil {
-				c.trc.LockSpin(c.id, c.ctx.ID, c.rIn[i].PC, c.rIn[i].Addr, now)
+				c.trc.LockSpin(c.id, c.ctx.ID, e.in.PC, e.in.Addr, now)
 			}
 			return false, stats.Sync
 		}
 		// The winning read-modify-write brings the lock line in
 		// exclusive; this is the lock-passing (migratory) transfer.
-		res := c.mem.DataWrite(c.rIn[i].Addr, c.rIn[i].PC, now, true)
-		c.rFlags[i] |= fIssuedMem
-		c.rComplete[i] = res.Done
+		res := c.mem.DataWrite(e.in.Addr, e.in.PC, now, true)
+		e.flags |= fIssuedMem
+		e.complete = res.Done
 		if c.trc != nil {
-			c.trc.LockAcquired(c.id, c.ctx.ID, c.rIn[i].PC, c.rIn[i].Addr, now, c.rComplete[i])
+			c.trc.LockAcquired(c.id, c.ctx.ID, e.in.PC, e.in.Addr, now, e.complete)
 		}
 	}
-	if c.rComplete[i] > now {
+	if e.complete > now {
 		return false, stats.Sync
 	}
 	c.ctx.csDepth++
 	return true, 0
 }
 
-func (l plainLatch) release(c *Core, i uint64, now uint64) (bool, stats.Category) {
+func (l plainLatch) release(c *Core, e *robEntry, now uint64) (bool, stats.Category) {
 	if c.cfg.Consistency == config.SC {
-		if c.rFlags[i]&fIssuedMem == 0 {
-			res := c.mem.DataWrite(c.rIn[i].Addr, c.rIn[i].PC, now, true)
-			c.rFlags[i] |= fIssuedMem
-			c.rComplete[i] = res.Done
+		if e.flags&fIssuedMem == 0 {
+			res := c.mem.DataWrite(e.in.Addr, e.in.PC, now, true)
+			e.flags |= fIssuedMem
+			e.complete = res.Done
 		}
-		if c.rComplete[i] > now {
+		if e.complete > now {
 			return false, stats.Sync
 		}
-		c.locks.Release(c.rIn[i].Addr, c.ctx.ID, c.rComplete[i])
+		c.locks.Release(e.in.Addr, c.ctx.ID, e.complete)
 		if c.trc != nil {
-			c.trc.LockReleased(c.id, c.ctx.ID, c.rIn[i].Addr, c.rComplete[i])
+			c.trc.LockReleased(c.id, c.ctx.ID, e.in.Addr, e.complete)
 		}
 		if l.hints {
 			// Release-side flush hint: push the dirty latch line home so
 			// the next acquirer reads it from memory, not cache-to-cache.
-			c.mem.Flush(c.rIn[i].Addr, now)
+			c.mem.Flush(e.in.Addr, now)
 		}
 		c.ctx.csDepth--
 		return true, 0
@@ -114,7 +114,7 @@ func (l plainLatch) release(c *Core, i uint64, now uint64) (bool, stats.Category
 	if c.wbufLen() >= c.cfg.WriteBufEntries {
 		return false, stats.Write
 	}
-	c.wbuf = append(c.wbuf, wbufEntry{addr: c.rIn[i].Addr, pc: c.rIn[i].PC, inCS: true, release: true, flushAfter: l.hints})
+	c.wbuf = append(c.wbuf, wbufEntry{addr: e.in.Addr, pc: e.in.PC, inCS: true, release: true, flushAfter: l.hints})
 	c.ctx.csDepth--
 	return true, 0
 }
@@ -183,22 +183,22 @@ func (c *Core) tx() *htm.Tx {
 	return c.ctx.tx
 }
 
-func (htmLatch) acquire(c *Core, i uint64, now uint64) (bool, stats.Category) {
+func (htmLatch) acquire(c *Core, e *robEntry, now uint64) (bool, stats.Category) {
 	tx := c.tx()
-	if c.rFlags[i]&fIssuedMem == 0 {
+	if e.flags&fIssuedMem == 0 {
 		if tx.Phase() == htm.PhaseIdle {
 			// Top-level acquire: speculation can only start on a free
 			// latch (a real owner's critical section cannot be elided
 			// around); wait like a plain spinner until it frees.
-			if !c.lockFree(c.rIn[i].Addr, now) {
+			if !c.lockFree(e.in.Addr, now) {
 				c.LockTries++
-				if c.rFlags[i]&fWaited == 0 {
+				if e.flags&fWaited == 0 {
 					c.LockWaits++
-					c.rFlags[i] |= fWaited
+					e.flags |= fWaited
 				}
 				c.LockSpins++
 				if c.trc != nil {
-					c.trc.LockSpin(c.id, c.ctx.ID, c.rIn[i].PC, c.rIn[i].Addr, now)
+					c.trc.LockSpin(c.id, c.ctx.ID, e.in.PC, e.in.Addr, now)
 				}
 				return false, stats.Sync
 			}
@@ -206,14 +206,14 @@ func (htmLatch) acquire(c *Core, i uint64, now uint64) (bool, stats.Category) {
 			// no read-modify-write, no exclusive transfer. Every
 			// concurrent speculator holds the line shared; only a
 			// fallback acquirer's real write invalidates them.
-			res := c.mem.DataRead(c.rIn[i].Addr, c.rIn[i].PC, now, true)
-			c.rFlags[i] |= fIssuedMem
-			c.rComplete[i] = res.Done
-			c.rLineAddr[i] = res.LineAddr
+			res := c.mem.DataRead(e.in.Addr, e.in.PC, now, true)
+			e.flags |= fIssuedMem
+			e.complete = res.Done
+			e.lineAddr = res.LineAddr
 			c.HTMBegins++
-			tx.Begin(c.rIn[i].Addr, now)
+			tx.Begin(e.in.Addr, now)
 			if c.trc != nil {
-				c.trc.HTMBegin(c.id, c.ctx.ID, c.rIn[i].PC, c.rIn[i].Addr, now)
+				c.trc.HTMBegin(c.id, c.ctx.ID, e.in.PC, e.in.Addr, now)
 			}
 			if tx.TrackRead(res.LineAddr) {
 				c.htmAborted(tx, res.LineAddr)
@@ -222,11 +222,11 @@ func (htmLatch) acquire(c *Core, i uint64, now uint64) (bool, stats.Category) {
 			// Nested acquire flattens into the running transaction. A
 			// nested latch held by a real (fallback) owner cannot be
 			// waited on inside the speculation: explicit abort.
-			avail := c.lockFree(c.rIn[i].Addr, now)
-			res := c.mem.DataRead(c.rIn[i].Addr, c.rIn[i].PC, now, true)
-			c.rFlags[i] |= fIssuedMem
-			c.rComplete[i] = res.Done
-			c.rLineAddr[i] = res.LineAddr
+			avail := c.lockFree(e.in.Addr, now)
+			res := c.mem.DataRead(e.in.Addr, e.in.PC, now, true)
+			e.flags |= fIssuedMem
+			e.complete = res.Done
+			e.lineAddr = res.LineAddr
 			if tx.Enter(avail) {
 				c.htmAborted(tx, res.LineAddr)
 			} else if tx.TrackRead(res.LineAddr) {
@@ -234,19 +234,19 @@ func (htmLatch) acquire(c *Core, i uint64, now uint64) (bool, stats.Category) {
 			}
 		}
 	}
-	if c.rComplete[i] > now {
+	if e.complete > now {
 		return false, stats.Sync
 	}
 	c.ctx.csDepth++
 	return true, 0
 }
 
-func (htmLatch) release(c *Core, i uint64, now uint64) (bool, stats.Category) {
+func (htmLatch) release(c *Core, e *robEntry, now uint64) (bool, stats.Category) {
 	tx := c.ctx.tx
 	if tx == nil || tx.Phase() == htm.PhaseIdle {
 		// No transaction pairs with this release (an acquire retired
 		// before the policy engaged); take the plain path.
-		return plainLatch{}.release(c, i, now)
+		return plainLatch{}.release(c, e, now)
 	}
 	if tx.Depth() > 1 {
 		tx.Exit()
@@ -264,7 +264,7 @@ func (htmLatch) release(c *Core, i uint64, now uint64) (bool, stats.Category) {
 	case htm.DecideCommit:
 		c.HTMCommits++
 		if c.trc != nil {
-			c.trc.HTMCommit(c.id, c.ctx.ID, c.rIn[i].PC, tx.Latch(), tx.BeginCycle(), now)
+			c.trc.HTMCommit(c.id, c.ctx.ID, e.in.PC, tx.Latch(), tx.BeginCycle(), now)
 		}
 		tx.Commit()
 		c.ctx.csDepth--
@@ -277,14 +277,14 @@ func (htmLatch) release(c *Core, i uint64, now uint64) (bool, stats.Category) {
 
 	case htm.DecideSpin:
 		c.LockTries++
-		if !c.locks.TryAcquire(c.rIn[i].Addr, c.ctx.ID, now) {
-			if c.rFlags[i]&fWaited == 0 {
+		if !c.locks.TryAcquire(e.in.Addr, c.ctx.ID, now) {
+			if e.flags&fWaited == 0 {
 				c.LockWaits++
-				c.rFlags[i] |= fWaited
+				e.flags |= fWaited
 			}
 			c.LockSpins++
 			if c.trc != nil {
-				c.trc.LockSpin(c.id, c.ctx.ID, c.rIn[i].PC, c.rIn[i].Addr, now)
+				c.trc.LockSpin(c.id, c.ctx.ID, e.in.PC, e.in.Addr, now)
 			}
 			return false, htmStallCat(tx.Cause())
 		}
@@ -293,12 +293,12 @@ func (htmLatch) release(c *Core, i uint64, now uint64) (bool, stats.Category) {
 		// speculating core subscribed, which is what keeps fallback and
 		// elision coherent.
 		c.HTMFallbacks++
-		res := c.mem.DataWrite(c.rIn[i].Addr, c.rIn[i].PC, now, true)
-		c.rFlags[i] |= fIssuedMem
-		c.rComplete[i] = res.Done
+		res := c.mem.DataWrite(e.in.Addr, e.in.PC, now, true)
+		e.flags |= fIssuedMem
+		e.complete = res.Done
 		if c.trc != nil {
-			c.trc.HTMFallback(c.id, c.ctx.ID, c.rIn[i].PC, c.rIn[i].Addr, tx.Cause(), now)
-			c.trc.LockAcquired(c.id, c.ctx.ID, c.rIn[i].PC, c.rIn[i].Addr, now, res.Done)
+			c.trc.HTMFallback(c.id, c.ctx.ID, e.in.PC, e.in.Addr, tx.Cause(), now)
+			c.trc.LockAcquired(c.id, c.ctx.ID, e.in.PC, e.in.Addr, now, res.Done)
 		}
 		tx.FallbackAcquired(res.Done)
 		return false, htmStallCat(tx.Cause())
@@ -306,17 +306,17 @@ func (htmLatch) release(c *Core, i uint64, now uint64) (bool, stats.Category) {
 	case htm.DecideRMW:
 		// Redo finished under the latch; the releasing store performs
 		// and frees it.
-		if c.rFlags[i]&fPrefetch == 0 {
-			res := c.mem.DataWrite(c.rIn[i].Addr, c.rIn[i].PC, now, true)
-			c.rFlags[i] |= fPrefetch
-			c.rComplete[i] = res.Done
+		if e.flags&fPrefetch == 0 {
+			res := c.mem.DataWrite(e.in.Addr, e.in.PC, now, true)
+			e.flags |= fPrefetch
+			e.complete = res.Done
 		}
-		if c.rComplete[i] > now {
+		if e.complete > now {
 			return false, htmStallCat(tx.Cause())
 		}
-		c.locks.Release(c.rIn[i].Addr, c.ctx.ID, c.rComplete[i])
+		c.locks.Release(e.in.Addr, c.ctx.ID, e.complete)
 		if c.trc != nil {
-			c.trc.LockReleased(c.id, c.ctx.ID, c.rIn[i].Addr, c.rComplete[i])
+			c.trc.LockReleased(c.id, c.ctx.ID, e.in.Addr, e.complete)
 		}
 		tx.Reset()
 		c.ctx.csDepth--

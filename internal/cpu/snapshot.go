@@ -64,7 +64,8 @@ func (c *Context) Restore(s ContextState, htmCfg htm.Config) {
 // per-context transactions.
 func (c *Core) HTMCfg() htm.Config { return c.htmCfg }
 
-// ROBEntryState mirrors robEntry.
+// ROBEntryState is one in-flight window entry (robEntry plus its
+// sequence number).
 type ROBEntryState struct {
 	FetchDone uint64
 	Prod1     uint64
@@ -207,15 +208,15 @@ func (c *Core) Snapshot() CoreState {
 		s.CtxID = c.ctx.ID
 	}
 	for seq := c.headSeq; seq < c.tailSeq; seq++ {
-		i := seq & c.robMask
-		f := c.rFlags[i]
+		e := &c.rob[seq&c.robMask]
+		f := e.flags
 		s.ROB = append(s.ROB, ROBEntryState{
-			FetchDone: c.rFetchDone[i],
-			Prod1:     c.rProd1[i],
-			Prod2:     c.rProd2[i],
-			Complete:  c.rComplete[i],
-			AddrDone:  c.rAddrDone[i],
-			State:     c.rState[i],
+			FetchDone: e.fetchDone,
+			Prod1:     e.prod1,
+			Prod2:     e.prod2,
+			Complete:  e.complete,
+			AddrDone:  e.addrDone,
+			State:     e.state,
 			IssuedMem: f&fIssuedMem != 0,
 			Performed: f&fPerformed != 0,
 			SpecLoad:  f&fSpecLoad != 0,
@@ -223,10 +224,10 @@ func (c *Core) Snapshot() CoreState {
 			Prefetch:  f&fPrefetch != 0,
 			Mispred:   f&fMispred != 0,
 			Waited:    f&fWaited != 0,
-			In:        c.rIn[i],
+			In:        e.in,
 			Seq:       seq,
-			LineAddr:  c.rLineAddr[i],
-			Class:     uint8(c.rClass[i]),
+			LineAddr:  e.lineAddr,
+			Class:     uint8(e.class),
 			TLBMiss:   f&fTLBMiss != 0,
 		})
 	}
@@ -250,9 +251,9 @@ func (c *Core) Snapshot() CoreState {
 // themselves must have been restored (and their streams re-attached)
 // first.
 func (c *Core) Restore(s CoreState, byID map[int]*Context) error {
-	if n := s.TailSeq - s.HeadSeq; n != uint64(len(s.ROB)) || n > uint64(len(c.rState)) {
+	if n := s.TailSeq - s.HeadSeq; n != uint64(len(s.ROB)) || n > uint64(len(c.rob)) {
 		return fmt.Errorf("cpu: core %d snapshot window [%d,%d) inconsistent with %d entries (cap %d)",
-			c.id, s.HeadSeq, s.TailSeq, len(s.ROB), len(c.rState))
+			c.id, s.HeadSeq, s.TailSeq, len(s.ROB), len(c.rob))
 	}
 	c.nowCycle = s.NowCycle
 	if s.CtxID >= 0 {
@@ -264,59 +265,44 @@ func (c *Core) Restore(s CoreState, byID map[int]*Context) error {
 	} else {
 		c.ctx = nil
 	}
-	for i := range c.rState {
-		c.rIn[i] = trace.Instr{}
-		c.rOp[i] = 0
-		c.rState[i] = 0
-		c.rFlags[i] = 0
-		c.rFetchDone[i] = 0
-		c.rProd1[i] = 0
-		c.rProd2[i] = 0
-		c.rComplete[i] = 0
-		c.rAddrDone[i] = 0
-		c.rLineAddr[i] = 0
-		c.rClass[i] = 0
-	}
+	clear(c.rob)
 	c.headSeq = s.HeadSeq
 	c.tailSeq = s.TailSeq
 	for k, es := range s.ROB {
-		i := (s.HeadSeq + uint64(k)) & c.robMask
-		c.rIn[i] = es.In
-		c.rOp[i] = es.In.Op
-		c.rState[i] = es.State
-		f := uint8(0)
+		e := &c.rob[(s.HeadSeq+uint64(k))&c.robMask]
+		e.in = es.In
+		e.state = es.State
 		if es.IssuedMem {
-			f |= fIssuedMem
+			e.flags |= fIssuedMem
 		}
 		if es.Performed {
-			f |= fPerformed
+			e.flags |= fPerformed
 		}
 		if es.SpecLoad {
-			f |= fSpecLoad
+			e.flags |= fSpecLoad
 		}
 		if es.Violated {
-			f |= fViolated
+			e.flags |= fViolated
 		}
 		if es.Prefetch {
-			f |= fPrefetch
+			e.flags |= fPrefetch
 		}
 		if es.Mispred {
-			f |= fMispred
+			e.flags |= fMispred
 		}
 		if es.Waited {
-			f |= fWaited
+			e.flags |= fWaited
 		}
 		if es.TLBMiss {
-			f |= fTLBMiss
+			e.flags |= fTLBMiss
 		}
-		c.rFlags[i] = f
-		c.rFetchDone[i] = es.FetchDone
-		c.rProd1[i] = es.Prod1
-		c.rProd2[i] = es.Prod2
-		c.rComplete[i] = es.Complete
-		c.rAddrDone[i] = es.AddrDone
-		c.rLineAddr[i] = es.LineAddr
-		c.rClass[i] = memsys.Class(es.Class)
+		e.fetchDone = es.FetchDone
+		e.prod1 = es.Prod1
+		e.prod2 = es.Prod2
+		e.complete = es.Complete
+		e.addrDone = es.AddrDone
+		e.lineAddr = es.LineAddr
+		e.class = memsys.Class(es.Class)
 	}
 	c.rename = s.Rename
 	c.memInROB = s.MemInROB

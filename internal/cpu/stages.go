@@ -27,9 +27,8 @@ func (c *Core) fetchStage(now uint64) {
 		// Fetch is halted behind a mispredicted branch; resolution is
 		// detected here or at the branch's retirement.
 		if c.live(c.blockBranch) {
-			i := c.blockBranch & c.robMask
-			if c.rState[i] == stExec && c.rComplete[i] <= now {
-				c.resumeAt = c.rComplete[i] + uint64(c.cfg.BranchRestart)
+			if e := &c.rob[c.blockBranch&c.robMask]; e.state == stExec && e.complete <= now {
+				c.resumeAt = e.complete + uint64(c.cfg.BranchRestart)
 				c.blockBranch = 0
 			} else {
 				c.stallInstr = false
@@ -125,27 +124,16 @@ func (c *Core) dispatchStage(now uint64) {
 		}
 		seq := c.tailSeq
 		i := seq & c.robMask
-		c.rIn[i] = fe.in
-		c.rOp[i] = fe.in.Op
-		c.rState[i] = stWaiting
-		flags := uint8(0)
+		e := &c.rob[i]
+		*e = robEntry{in: fe.in, state: stWaiting, fetchDone: fe.fetchDone, prod1: noProd, prod2: noProd}
 		if fe.mispred {
-			flags = fMispred
+			e.flags = fMispred
 		}
-		c.rFlags[i] = flags
-		c.rFetchDone[i] = fe.fetchDone
-		c.rProd1[i], c.rProd2[i] = noProd, noProd
-		c.rComplete[i] = 0
-		c.rAddrDone[i] = 0
-		c.rLineAddr[i] = 0
-		c.rClass[i] = 0
-		c.rWake[i] = 0
-		c.rAt[i] = 0
 		if s := fe.in.Src1; s != trace.NoReg {
-			c.rProd1[i] = c.rename[s]
+			e.prod1 = c.rename[s]
 		}
 		if s := fe.in.Src2; s != trace.NoReg {
-			c.rProd2[i] = c.rename[s]
+			e.prod2 = c.rename[s]
 		}
 		if d := fe.in.Dest; d != trace.NoReg {
 			c.rename[d] = seq
@@ -153,20 +141,17 @@ func (c *Core) dispatchStage(now uint64) {
 		if isMem {
 			c.memInROB++
 		}
-		switch fe.in.Op {
-		case trace.OpMemBar, trace.OpWriteBar, trace.OpLockAcquire, trace.OpLockRelease,
-			trace.OpPrefetch, trace.OpPrefetchX, trace.OpFlush:
-			// These execute at retirement (fences, locks, hints); mark them
-			// executed so they do not block in-order issue.
-			c.rState[i] = stExec
-			c.rComplete[i] = fe.fetchDone
+		if execAtRetire(fe.in.Op) {
+			// Mark it executed so it does not block in-order issue.
+			e.state = stExec
+			e.complete = fe.fetchDone
 		}
 		switch fe.in.Op {
 		case trace.OpMemBar, trace.OpLockAcquire:
 			c.fenceCount++
 		}
 		c.orderAdd(i)
-		if c.rState[i] != stExec {
+		if e.state != stExec {
 			c.waiting++
 			c.place(seq, now)
 		}
@@ -182,6 +167,17 @@ func (c *Core) dispatchStage(now uint64) {
 	}
 }
 
+// execAtRetire reports whether op executes at retirement: fences, locks
+// and hints.
+func execAtRetire(op trace.Op) bool {
+	switch op {
+	case trace.OpMemBar, trace.OpWriteBar, trace.OpLockAcquire, trace.OpLockRelease,
+		trace.OpPrefetch, trace.OpPrefetchX, trace.OpFlush:
+		return true
+	}
+	return false
+}
+
 func (c *Core) inCS() bool { return c.ctx != nil && c.ctx.csDepth > 0 }
 
 // ---------------------------------------------------------------- retire --
@@ -194,9 +190,10 @@ func (c *Core) retireStage(now uint64) {
 	for retired < width && c.robLen() > 0 {
 		seq := c.headSeq
 		i := seq & c.robMask
-		complete := c.rComplete[i]
-		ok, cat := c.tryRetire(i, now)
-		if c.rComplete[i] != complete && c.rState[i] == stExec && c.rIn[i].Dest != trace.NoReg {
+		e := &c.rob[i]
+		complete := e.complete
+		ok, cat := c.tryRetire(e, now)
+		if e.complete != complete && e.state == stExec && e.in.Dest != trace.NoReg {
 			// Retirement re-timed the result (a lock acquire's
 			// read-modify-write, an SC store performing).
 			c.retimed(seq, now)
@@ -205,7 +202,7 @@ func (c *Core) retireStage(now uint64) {
 			stallCat, stalled = cat, true
 			break
 		}
-		op := c.rOp[i]
+		op := e.in.Op
 		if op.IsMem() {
 			c.memInROB--
 		}
@@ -219,18 +216,18 @@ func (c *Core) retireStage(now uint64) {
 		if op.IsBranch() {
 			c.unresolved--
 			if seq == c.blockBranch {
-				c.resumeAt = c.rComplete[i] + uint64(c.cfg.BranchRestart)
+				c.resumeAt = e.complete + uint64(c.cfg.BranchRestart)
 				c.blockBranch = 0
 			}
 		}
 		c.ctx.Retired++
 		c.Retired++
 		if c.trc != nil {
-			c.trc.RetireSlot(c.id, c.rIn[i].PC, 1/float64(width))
+			c.trc.RetireSlot(c.id, e.in.PC, 1/float64(width))
 		}
 		c.headSeq++
 		retired++
-		if c.rComplete[i] > now && c.rIn[i].Dest != trace.NoReg {
+		if e.complete > now && e.in.Dest != trace.NoReg {
 			// Consumers of a retired producer no longer wait for it.
 			c.retimed(seq, now)
 		}
@@ -242,7 +239,7 @@ func (c *Core) retireStage(now uint64) {
 	frac := float64(width-retired) / float64(width)
 	stallPC := uint64(0)
 	if stalled {
-		stallPC = c.rIn[c.headSeq&c.robMask].PC
+		stallPC = c.rob[c.headSeq&c.robMask].in.PC
 	} else {
 		// Window empty: charge the fetch-side reason (PC 0 marks the
 		// frontend in the stall profile).
@@ -281,32 +278,32 @@ func readCategory(class memsys.Class, tlbMiss bool) stats.Category {
 	return stats.ReadL1
 }
 
-// tryRetire attempts to retire the head entry (ring index i), returning
-// the stall category on failure.
-func (c *Core) tryRetire(i, now uint64) (bool, stats.Category) {
-	switch c.rOp[i] {
+// tryRetire attempts to retire head entry e, returning the stall
+// category on failure.
+func (c *Core) tryRetire(e *robEntry, now uint64) (bool, stats.Category) {
+	switch e.in.Op {
 	case trace.OpLoad:
-		if c.rState[i] != stExec {
-			if c.rFetchDone[i] > now {
+		if e.state != stExec {
+			if e.fetchDone > now {
 				return false, stats.Instr
 			}
 			return false, stats.ReadL1 // address generation / dependence
 		}
-		if c.rFlags[i]&fViolated != 0 {
+		if e.flags&fViolated != 0 {
 			// Speculative-load ordering violation: squash and re-execute
 			// from this load (recovery as for branch mispredictions).
 			c.rollback(c.headSeq, now)
 			c.Violations++
 			return false, stats.ReadL1
 		}
-		if c.rComplete[i] > now {
-			return false, readCategory(c.rClass[i], c.rFlags[i]&fTLBMiss != 0)
+		if e.complete > now {
+			return false, readCategory(e.class, e.flags&fTLBMiss != 0)
 		}
 		return true, 0
 
 	case trace.OpStore:
-		if c.rState[i] != stExec {
-			if c.rFetchDone[i] > now {
+		if e.state != stExec {
+			if e.fetchDone > now {
 				return false, stats.Instr
 			}
 			return false, stats.ReadL1 // address generation / dependence
@@ -314,19 +311,19 @@ func (c *Core) tryRetire(i, now uint64) (bool, stats.Category) {
 		if c.cfg.Consistency == config.SC {
 			// SC: the store performs at the head of the window and blocks
 			// retirement until globally performed.
-			if c.rFlags[i]&fIssuedMem == 0 {
-				res := c.mem.DataWrite(c.rIn[i].Addr, c.rIn[i].PC, now, c.inCS())
-				c.rFlags[i] |= fIssuedMem
-				c.rComplete[i] = res.Done
-				c.rClass[i] = res.Class
+			if e.flags&fIssuedMem == 0 {
+				res := c.mem.DataWrite(e.in.Addr, e.in.PC, now, c.inCS())
+				e.flags |= fIssuedMem
+				e.complete = res.Done
+				e.class = res.Class
 				if c.cfg.DebugChecks {
-					c.dbgCheckStorePerform(c.rComplete[i], c.rIn[i].PC)
+					c.dbgCheckStorePerform(e.complete, e.in.PC)
 				}
 				if c.ctx.tx != nil {
 					c.trackWrite(res.LineAddr)
 				}
 			}
-			if c.rComplete[i] > now {
+			if e.complete > now {
 				return false, stats.Write
 			}
 			return true, 0
@@ -335,20 +332,20 @@ func (c *Core) tryRetire(i, now uint64) (bool, stats.Category) {
 		if c.wbufLen() >= c.cfg.WriteBufEntries {
 			return false, stats.Write
 		}
-		c.wbuf = append(c.wbuf, wbufEntry{addr: c.rIn[i].Addr, pc: c.rIn[i].PC, inCS: c.inCS()})
+		c.wbuf = append(c.wbuf, wbufEntry{addr: e.in.Addr, pc: e.in.PC, inCS: c.inCS()})
 		return true, 0
 
 	case trace.OpLockAcquire:
-		if c.rFetchDone[i] > now {
+		if e.fetchDone > now {
 			return false, stats.Instr
 		}
-		return c.latch.acquire(c, i, now)
+		return c.latch.acquire(c, e, now)
 
 	case trace.OpLockRelease:
-		if c.rFetchDone[i] > now {
+		if e.fetchDone > now {
 			return false, stats.Instr
 		}
-		return c.latch.release(c, i, now)
+		return c.latch.release(c, e, now)
 
 	case trace.OpMemBar:
 		// Full barrier: all prior memory operations performed and the
@@ -366,23 +363,23 @@ func (c *Core) tryRetire(i, now uint64) (bool, stats.Category) {
 		return true, 0
 
 	case trace.OpPrefetch, trace.OpPrefetchX:
-		if c.rFetchDone[i] > now {
+		if e.fetchDone > now {
 			return false, stats.Instr
 		}
-		if c.rFlags[i]&fIssuedMem == 0 {
-			c.mem.Prefetch(c.rIn[i].Addr, c.rIn[i].PC, now, c.rOp[i] == trace.OpPrefetchX, c.inCS())
-			c.rFlags[i] |= fIssuedMem
+		if e.flags&fIssuedMem == 0 {
+			c.mem.Prefetch(e.in.Addr, e.in.PC, now, e.in.Op == trace.OpPrefetchX, c.inCS())
+			e.flags |= fIssuedMem
 		}
 		return true, 0
 
 	case trace.OpFlush:
-		if c.rFetchDone[i] > now {
+		if e.fetchDone > now {
 			return false, stats.Instr
 		}
 		if c.cfg.Consistency == config.SC {
 			// Under SC all prior stores have performed by the time the
 			// flush reaches the head; execute directly.
-			c.mem.Flush(c.rIn[i].Addr, now)
+			c.mem.Flush(e.in.Addr, now)
 			return true, 0
 		}
 		// PC/RC: queue behind the buffered stores so the flush executes
@@ -391,17 +388,17 @@ func (c *Core) tryRetire(i, now uint64) (bool, stats.Category) {
 		if c.wbufLen() >= c.cfg.WriteBufEntries {
 			return false, stats.Write
 		}
-		c.wbuf = append(c.wbuf, wbufEntry{addr: c.rIn[i].Addr, isFlush: true})
+		c.wbuf = append(c.wbuf, wbufEntry{addr: e.in.Addr, isFlush: true})
 		return true, 0
 
 	default: // ALU and branches
-		if c.rState[i] != stExec {
-			if c.rFetchDone[i] > now {
+		if e.state != stExec {
+			if e.fetchDone > now {
 				return false, stats.Instr
 			}
 			return false, stats.CPUStall
 		}
-		if c.rComplete[i] > now {
+		if e.complete > now {
 			return false, stats.CPUStall
 		}
 		return true, 0
@@ -415,23 +412,21 @@ func (c *Core) rollback(fromSeq, now uint64) {
 	c.Rollbacks++
 	width := uint64(c.cfg.IssueWidth)
 	for seq := fromSeq; seq < c.tailSeq; seq++ {
-		i := seq & c.robMask
-		wasExec := c.rState[i] == stExec
+		e := &c.rob[seq&c.robMask]
+		wasExec := e.state == stExec
 		refetch := now + uint64(c.cfg.BranchRestart) + (seq-fromSeq)/width
-		c.rFetchDone[i] = maxU(c.rFetchDone[i], refetch)
-		c.rState[i] = stWaiting
-		c.rFlags[i] &= fMispred
-		c.rComplete[i] = 0
-		c.rAddrDone[i] = 0
-		c.rLineAddr[i] = 0
-		c.rClass[i] = 0
-		switch c.rOp[i] {
-		case trace.OpMemBar, trace.OpWriteBar, trace.OpLockAcquire, trace.OpLockRelease,
-			trace.OpPrefetch, trace.OpPrefetchX, trace.OpFlush:
-			c.rState[i] = stExec
-			c.rComplete[i] = c.rFetchDone[i]
+		e.fetchDone = maxU(e.fetchDone, refetch)
+		e.state = stWaiting
+		e.flags &= fMispred
+		e.complete = 0
+		e.addrDone = 0
+		e.lineAddr = 0
+		e.class = 0
+		if execAtRetire(e.in.Op) {
+			e.state = stExec
+			e.complete = e.fetchDone
 		}
-		if wasExec && c.rState[i] != stExec {
+		if wasExec && e.state != stExec {
 			c.waiting++
 		}
 	}

@@ -55,7 +55,6 @@ type TLBEntryState struct {
 type TLBState struct {
 	Entries  []TLBEntryState
 	Stamp    uint64
-	MRU      int
 	Accesses uint64
 	Misses   uint64
 }
@@ -65,7 +64,6 @@ func (t *TLB) Snapshot() TLBState {
 	s := TLBState{
 		Entries:  make([]TLBEntryState, len(t.entries)),
 		Stamp:    t.stamp,
-		MRU:      t.mru,
 		Accesses: t.Accesses,
 		Misses:   t.Misses,
 	}
@@ -81,14 +79,10 @@ func (t *TLB) Restore(s TLBState) error {
 	if len(s.Entries) != len(t.entries) {
 		return fmt.Errorf("tlb: snapshot has %d entries, configured %d", len(s.Entries), len(t.entries))
 	}
-	if s.MRU < 0 || s.MRU >= len(t.entries) {
-		return fmt.Errorf("tlb: snapshot MRU index %d out of range", s.MRU)
-	}
 	for i, e := range s.Entries {
 		t.entries[i] = tlbEntry{vpn: e.VPN, stamp: e.Stamp, valid: e.Valid}
 	}
 	t.stamp = s.Stamp
-	t.mru = s.MRU
 	t.Accesses = s.Accesses
 	t.Misses = s.Misses
 	return nil

@@ -26,15 +26,6 @@ type PageTable struct {
 	entries   map[uint64]PTE
 	homeByPPN map[uint64]int
 	nextPPN   uint64
-
-	// One-entry MRU translation cache. Every data and instruction access
-	// translates, page locality makes back-to-back same-page lookups the
-	// common case, and a mapping never changes once allocated — so the map
-	// probe shows up hot in profiles while the cached PTE can never go
-	// stale. (Derived state: deliberately absent from checkpoints.)
-	mruVPN   uint64
-	mruPTE   PTE
-	mruValid bool
 }
 
 // NewPageTable returns an empty page table for the given page size, which
@@ -65,10 +56,6 @@ func (pt *PageTable) VPN(vaddr uint64) uint64 { return vaddr >> pt.pageShift }
 func (pt *PageTable) Translate(vaddr uint64, node int) (paddr uint64, home int) {
 	vpn := vaddr >> pt.pageShift
 	off := vaddr & ((1 << pt.pageShift) - 1)
-	if pt.mruValid && vpn == pt.mruVPN {
-		e := pt.mruPTE
-		return e.PPN<<pt.pageShift | off, e.Home
-	}
 	e, ok := pt.entries[vpn]
 	if !ok {
 		pt.nextPPN++
@@ -76,7 +63,6 @@ func (pt *PageTable) Translate(vaddr uint64, node int) (paddr uint64, home int) 
 		pt.entries[vpn] = e
 		pt.homeByPPN[e.PPN] = node
 	}
-	pt.mruVPN, pt.mruPTE, pt.mruValid = vpn, e, true
 	return e.PPN<<pt.pageShift | off, e.Home
 }
 
@@ -94,7 +80,6 @@ func (pt *PageTable) Pages() int { return len(pt.entries) }
 type TLB struct {
 	entries []tlbEntry
 	stamp   uint64
-	mru     int // index of the last hit: sequential scans hit the same page
 
 	Accesses uint64
 	Misses   uint64
@@ -119,18 +104,10 @@ func New(entries int) (*TLB, error) {
 func (t *TLB) Lookup(vpn uint64) bool {
 	t.Accesses++
 	t.stamp++
-	// MRU short-circuit: page locality makes back-to-back lookups of the
-	// same page the common case, and a full associative probe per access
-	// shows up hot in profiles.
-	if e := &t.entries[t.mru]; e.valid && e.vpn == vpn {
-		e.stamp = t.stamp
-		return true
-	}
 	for i := range t.entries {
 		e := &t.entries[i]
 		if e.valid && e.vpn == vpn {
 			e.stamp = t.stamp
-			t.mru = i
 			return true
 		}
 	}
@@ -150,7 +127,6 @@ func (t *TLB) Lookup(vpn uint64) bool {
 		}
 	}
 	t.entries[victim] = tlbEntry{vpn: vpn, stamp: t.stamp, valid: true}
-	t.mru = victim
 	return false
 }
 
