@@ -36,11 +36,37 @@ func (s State) String() string {
 	return fmt.Sprintf("State(%d)", uint8(s))
 }
 
-type line struct {
-	tag   uint64 // full line address (paddr >> lineShift)
-	stamp uint64
-	state State
-}
+// line is one cache way packed into a single word: the tag (the full line
+// address, paddr >> lineShift) in the high bits, the way's LRU rank within
+// its set in the middle bits, and the MESI state in the low two bits. Rank
+// 0 marks a way that has never been filled; filled ways hold ranks 1..k
+// (1 = most recently used), so the zero word is an empty way and a new
+// cache needs no initialization beyond make. An invalidated way keeps its
+// rank: the victim choice prefers any invalid way, so where an invalid way
+// sits in the recency order never shows.
+type line uint64
+
+const (
+	stateBits = 2
+	rankBits  = 5
+	rankShift = stateBits
+	tagShift  = stateBits + rankBits
+
+	stateMask line = 1<<stateBits - 1
+	rankMask  line = (1<<rankBits - 1) << rankShift
+	rankOne   line = 1 << rankShift
+
+	// MaxAssoc is the largest associativity the rank field can hold.
+	MaxAssoc = 1<<rankBits - 1
+	// MaxLineAddr is the largest line address the tag field can hold.
+	MaxLineAddr = 1<<(64-tagShift) - 1
+)
+
+func (l line) state() State { return State(l & stateMask) }
+func (l line) tag() uint64  { return uint64(l) >> tagShift }
+
+// holds reports whether the way is valid and caches line address la.
+func (l line) holds(la uint64) bool { return l&stateMask != 0 && l.tag() == la }
 
 // Cache is one level of a cache hierarchy. It stores tags and MESI states
 // only (the simulator is timing-only; data values live in the workload
@@ -51,7 +77,6 @@ type Cache struct {
 	assoc     int
 	lineShift uint
 	lines     []line
-	stamp     uint64
 
 	// Statistics.
 	Reads       uint64
@@ -61,10 +86,15 @@ type Cache struct {
 }
 
 // New builds a cache. sizeBytes/assoc/lineBytes must describe a power-of-two
-// set count; name is used in error messages and dumps.
+// set count, and assoc may not exceed MaxAssoc; name is used in error
+// messages and dumps.
 func New(name string, sizeBytes, assoc, lineBytes int) (*Cache, error) {
 	if assoc <= 0 || lineBytes <= 0 {
 		return nil, fmt.Errorf("cache %s: invalid geometry (assoc %d, line %d)", name, assoc, lineBytes)
+	}
+	if assoc > MaxAssoc {
+		return nil, fmt.Errorf("cache %s: associativity %d exceeds the maximum %d (the LRU rank field is %d bits)",
+			name, assoc, MaxAssoc, rankBits)
 	}
 	sets := sizeBytes / (assoc * lineBytes)
 	if sets <= 0 || sets&(sets-1) != 0 {
@@ -98,19 +128,36 @@ func (c *Cache) Sets() int { return c.sets }
 // Assoc returns the associativity.
 func (c *Cache) Assoc() int { return c.assoc }
 
-func (c *Cache) setOf(lineAddr uint64) int { return int(lineAddr % uint64(c.sets)) }
+// set returns the ways of the set line address la maps to.
+func (c *Cache) set(la uint64) []line {
+	base := int(la%uint64(c.sets)) * c.assoc
+	return c.lines[base : base+c.assoc : base+c.assoc]
+}
+
+// touch makes way w its set's most recently used way. The filled ways more
+// recent than w age by one rank (all filled ways, when w was never filled)
+// and w takes rank 1, so the filled ranks stay a permutation of 1..k.
+func touch(set []line, w int) {
+	r := set[w] & rankMask
+	for i, l := range set {
+		if lr := l & rankMask; lr != 0 && (lr < r || r == 0) {
+			set[i] = l + rankOne
+		}
+	}
+	set[w] = set[w]&^rankMask | rankOne
+}
 
 // Lookup probes for the line containing paddr, updating LRU on a hit, and
 // returns the line state (Invalid on miss).
 func (c *Cache) Lookup(paddr uint64) State {
 	la := c.LineAddr(paddr)
-	base := c.setOf(la) * c.assoc
-	for w := 0; w < c.assoc; w++ {
-		l := &c.lines[base+w]
-		if l.state != Invalid && l.tag == la {
-			c.stamp++
-			l.stamp = c.stamp
-			return l.state
+	set := c.set(la)
+	for w, l := range set {
+		if l.holds(la) {
+			if l&rankMask != rankOne {
+				touch(set, w)
+			}
+			return l.state()
 		}
 	}
 	return Invalid
@@ -119,11 +166,9 @@ func (c *Cache) Lookup(paddr uint64) State {
 // Probe is like Lookup but does not disturb LRU state.
 func (c *Cache) Probe(paddr uint64) State {
 	la := c.LineAddr(paddr)
-	base := c.setOf(la) * c.assoc
-	for w := 0; w < c.assoc; w++ {
-		l := &c.lines[base+w]
-		if l.state != Invalid && l.tag == la {
-			return l.state
+	for _, l := range c.set(la) {
+		if l.holds(la) {
+			return l.state()
 		}
 	}
 	return Invalid
@@ -137,32 +182,38 @@ type Eviction struct {
 }
 
 // Insert places the line containing paddr in state st, returning any
-// displaced victim (choosing an invalid way first, else true LRU). Inserting
-// a line that is already present just updates its state and LRU position.
+// displaced victim (the last invalid way in scan order, else true LRU).
+// Inserting a line that is already present just updates its state and LRU
+// position. A line address beyond MaxLineAddr does not fit the tag field
+// and panics.
 func (c *Cache) Insert(paddr uint64, st State) Eviction {
 	la := c.LineAddr(paddr)
-	base := c.setOf(la) * c.assoc
-	c.stamp++
-	victim := base
-	for w := 0; w < c.assoc; w++ {
-		l := &c.lines[base+w]
-		if l.state != Invalid && l.tag == la {
-			l.state = st
-			l.stamp = c.stamp
+	if la > MaxLineAddr {
+		panic(fmt.Sprintf("cache %s: line address %#x overflows the %d-bit tag field", c.name, la, 64-tagShift))
+	}
+	set := c.set(la)
+	victim := 0
+	for w, l := range set {
+		if l.holds(la) {
+			set[w] = l&^stateMask | line(st)&stateMask
+			if l&rankMask != rankOne {
+				touch(set, w)
+			}
 			return Eviction{}
 		}
-		if l.state == Invalid {
-			victim = base + w
-		} else if c.lines[victim].state != Invalid && l.stamp < c.lines[victim].stamp {
-			victim = base + w
+		if l&stateMask == 0 {
+			victim = w
+		} else if v := set[victim]; v&stateMask != 0 && l&rankMask > v&rankMask {
+			victim = w
 		}
 	}
 	ev := Eviction{}
-	v := &c.lines[victim]
-	if v.state != Invalid {
-		ev = Eviction{LineAddr: v.tag, State: v.state, Valid: true}
+	v := set[victim]
+	if v&stateMask != 0 {
+		ev = Eviction{LineAddr: v.tag(), State: v.state(), Valid: true}
 	}
-	*v = line{tag: la, stamp: c.stamp, state: st}
+	set[victim] = line(la)<<tagShift | v&rankMask | line(st)&stateMask
+	touch(set, victim)
 	return ev
 }
 
@@ -170,15 +221,10 @@ func (c *Cache) Insert(paddr uint64, st State) Eviction {
 // downgrades (M->S on sharing write-back) and upgrades (S->M).
 func (c *Cache) SetState(paddr uint64, st State) {
 	la := c.LineAddr(paddr)
-	base := c.setOf(la) * c.assoc
-	for w := 0; w < c.assoc; w++ {
-		l := &c.lines[base+w]
-		if l.state != Invalid && l.tag == la {
-			if st == Invalid {
-				l.state = Invalid
-			} else {
-				l.state = st
-			}
+	set := c.set(la)
+	for w, l := range set {
+		if l.holds(la) {
+			set[w] = l&^stateMask | line(st)&stateMask
 			return
 		}
 	}
@@ -187,13 +233,11 @@ func (c *Cache) SetState(paddr uint64, st State) {
 // Invalidate removes the line containing paddr, returning its prior state.
 func (c *Cache) Invalidate(paddr uint64) State {
 	la := c.LineAddr(paddr)
-	base := c.setOf(la) * c.assoc
-	for w := 0; w < c.assoc; w++ {
-		l := &c.lines[base+w]
-		if l.state != Invalid && l.tag == la {
-			st := l.state
-			l.state = Invalid
-			return st
+	set := c.set(la)
+	for w, l := range set {
+		if l.holds(la) {
+			set[w] = l &^ stateMask
+			return l.state()
 		}
 	}
 	return Invalid
@@ -202,8 +246,8 @@ func (c *Cache) Invalidate(paddr uint64) State {
 // ResidentLines returns the number of valid lines (for tests/invariants).
 func (c *Cache) ResidentLines() int {
 	n := 0
-	for i := range c.lines {
-		if c.lines[i].state != Invalid {
+	for _, l := range c.lines {
+		if l&stateMask != 0 {
 			n++
 		}
 	}
@@ -212,9 +256,9 @@ func (c *Cache) ResidentLines() int {
 
 // VisitResident calls f for each valid line address and state.
 func (c *Cache) VisitResident(f func(lineAddr uint64, st State)) {
-	for i := range c.lines {
-		if c.lines[i].state != Invalid {
-			f(c.lines[i].tag, c.lines[i].state)
+	for _, l := range c.lines {
+		if l&stateMask != 0 {
+			f(l.tag(), l.state())
 		}
 	}
 }

@@ -8,7 +8,11 @@ import "fmt"
 // configuration by the constructors; Restore only refills the dynamic
 // state and cross-checks the geometry it was captured under.
 
-// LineState is one valid cache line in a CacheState.
+// LineState is one valid cache line in a CacheState. Stamp orders the
+// valid lines of one set by recency (higher is more recent); only that
+// order within each set is meaningful. Snapshot writes 1..k per set, and
+// images written when stamps were a cache-wide counter restore to the same
+// LRU order.
 type LineState struct {
 	Way   int // index into the flat lines array (set*assoc+way)
 	Tag   uint64
@@ -17,7 +21,8 @@ type LineState struct {
 }
 
 // CacheState is the dynamic state of a Cache. (The DTO is not named
-// State because cache.State is the MESI line state.)
+// State because cache.State is the MESI line state.) Stamp is the retired
+// cache-wide LRU counter: Snapshot writes 0 and Restore ignores it.
 type CacheState struct {
 	Sets, Assoc int // captured geometry, verified on restore
 	Lines       []LineState
@@ -33,42 +38,73 @@ func (c *Cache) Snapshot() CacheState {
 	s := CacheState{
 		Sets:        c.sets,
 		Assoc:       c.assoc,
-		Stamp:       c.stamp,
 		Reads:       c.Reads,
 		ReadMisses:  c.ReadMisses,
 		Writes:      c.Writes,
 		WriteMisses: c.WriteMisses,
 	}
-	for i := range c.lines {
-		if c.lines[i].state != Invalid {
-			s.Lines = append(s.Lines, LineState{
-				Way:   i,
-				Tag:   c.lines[i].tag,
-				Stamp: c.lines[i].stamp,
-				St:    uint8(c.lines[i].state),
-			})
+	for base := 0; base < len(c.lines); base += c.assoc {
+		set := c.lines[base : base+c.assoc]
+		for w, l := range set {
+			if l&stateMask == 0 {
+				continue
+			}
+			// Recency among the set's valid ways: one more than the
+			// number of valid ways used less recently (higher rank).
+			stamp := uint64(1)
+			for _, o := range set {
+				if o&stateMask != 0 && o&rankMask > l&rankMask {
+					stamp++
+				}
+			}
+			s.Lines = append(s.Lines, LineState{Way: base + w, Tag: l.tag(), Stamp: stamp, St: uint8(l.state())})
 		}
 	}
 	return s
 }
 
 // Restore refills the cache from a snapshot taken on an identically
-// configured cache.
+// configured cache, its lines in increasing way order as Snapshot writes
+// them. Each set's valid lines take LRU ranks from their stamp order (ties
+// go to the lower way); ways without a line are left never-filled, which
+// no later access can tell from an invalidated way.
 func (c *Cache) Restore(s CacheState) error {
 	if s.Sets != c.sets || s.Assoc != c.assoc {
 		return fmt.Errorf("cache %s: snapshot geometry %dx%d != configured %dx%d",
 			c.name, s.Sets, s.Assoc, c.sets, c.assoc)
 	}
-	for i := range c.lines {
-		c.lines[i] = line{}
-	}
-	for _, l := range s.Lines {
-		if l.Way < 0 || l.Way >= len(c.lines) {
+	for i, l := range s.Lines {
+		switch {
+		case l.Way < 0 || l.Way >= len(c.lines):
 			return fmt.Errorf("cache %s: snapshot line way %d out of range", c.name, l.Way)
+		case i > 0 && l.Way <= s.Lines[i-1].Way:
+			return fmt.Errorf("cache %s: snapshot line way %d not above its predecessor %d", c.name, l.Way, s.Lines[i-1].Way)
+		case State(l.St) == Invalid || State(l.St) > Modified:
+			return fmt.Errorf("cache %s: snapshot line way %d has invalid state %d", c.name, l.Way, l.St)
+		case l.Tag > MaxLineAddr:
+			return fmt.Errorf("cache %s: snapshot line tag %#x overflows the %d-bit tag field", c.name, l.Tag, 64-tagShift)
 		}
-		c.lines[l.Way] = line{tag: l.Tag, stamp: l.Stamp, state: State(l.St)}
 	}
-	c.stamp = s.Stamp
+	clear(c.lines)
+	lines := s.Lines
+	for i := 0; i < len(lines); {
+		set := lines[i].Way / c.assoc
+		j := i + 1
+		for j < len(lines) && lines[j].Way/c.assoc == set {
+			j++
+		}
+		group := lines[i:j]
+		for _, l := range group {
+			rank := 1
+			for _, o := range group {
+				if o.Stamp > l.Stamp || o.Stamp == l.Stamp && o.Way < l.Way {
+					rank++
+				}
+			}
+			c.lines[l.Way] = line(l.Tag)<<tagShift | line(rank)<<rankShift | line(l.St)
+		}
+		i = j
+	}
 	c.Reads = s.Reads
 	c.ReadMisses = s.ReadMisses
 	c.Writes = s.Writes

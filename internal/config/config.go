@@ -9,7 +9,11 @@
 // 160-180 for remote reads, and 280-310 for cache-to-cache transfers.
 package config
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/cache"
+)
 
 // ConsistencyModel selects the hardware memory consistency model.
 type ConsistencyModel int
@@ -161,6 +165,10 @@ func (c CacheConfig) Sets() int {
 func (c CacheConfig) Validate(name string) error {
 	if c.SizeBytes <= 0 || c.Assoc <= 0 || c.LineBytes <= 0 {
 		return fmt.Errorf("config: %s: size/assoc/line must be positive", name)
+	}
+	if c.Assoc > cache.MaxAssoc {
+		return fmt.Errorf("config: %s: associativity %d exceeds the maximum %d a cache line's LRU rank field holds",
+			name, c.Assoc, cache.MaxAssoc)
 	}
 	if c.SizeBytes%(c.Assoc*c.LineBytes) != 0 {
 		return fmt.Errorf("config: %s: size %d not divisible by assoc*line %d",

@@ -48,6 +48,9 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		{"line mismatch", func(c *Config) { c.L1I.LineBytes = 128; c.L1I.SizeBytes = 256 << 10 }, "line sizes"},
 		{"bad page", func(c *Config) { c.PageBytes = 3000 }, "page size"},
 		{"page < line", func(c *Config) { c.PageBytes = 32 }, "page size"},
+		{"wide L1I", func(c *Config) { c.L1I.Assoc = 32 }, "associativity 32 exceeds"},
+		{"wide L1D", func(c *Config) { c.L1D.Assoc = 32 }, "associativity 32 exceeds"},
+		{"wide L2", func(c *Config) { c.L2.Assoc = 64 }, "associativity 64 exceeds"},
 		{"no mshr", func(c *Config) { c.L2.MSHRs = 0 }, "MSHR"},
 		{"negative sbuf", func(c *Config) { c.StreamBufEntries = -1 }, "stream buffer"},
 		{"bad model", func(c *Config) { c.Consistency = ConsistencyModel(9) }, "consistency"},

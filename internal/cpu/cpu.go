@@ -153,8 +153,10 @@ type Core struct {
 	later    []uint64    // other timed entries: cycle<<ringBits | ring slot
 	laterMin uint64      // at or below every live key in later
 
-	fetchQ       []fqEntry
-	fqHead       int
+	fetchQ       []fqEntry // ring, capacity the next power of two >= FetchBufferEntries
+	fqMask       int
+	fqHead       int // ring index of the oldest fetched instruction
+	fqLen        int // instructions in the fetch queue
 	curLine      uint64
 	lineValid    bool
 	fetchReady   uint64 // icache stall: no fetch before this cycle
@@ -164,9 +166,8 @@ type Core struct {
 	pendingSys   bool
 	pendingSysNs uint32
 	streamEnded  bool
-	stallInstr   bool        // last fetch stall was the icache/iTLB
-	poked        bool        // async wake: a line invalidation marked a violation
-	inScratch    trace.Instr // fetch-loop decode buffer (kept off the heap's per-call path)
+	stallInstr   bool // last fetch stall was the icache/iTLB
+	poked        bool // async wake: a line invalidation marked a violation
 
 	wbuf   []wbufEntry
 	wbHead int // index of the oldest buffered store (pop without realloc)
@@ -241,6 +242,11 @@ func New(cfg config.Config, id int, mem *memsys.Hierarchy, locks LockManager) *C
 	c.robMask = uint64(robCap - 1)
 	c.ringBits = uint(bits.TrailingZeros(uint(robCap)))
 	c.sw = make([]schedWord, (robCap+63)/64)
+	// The fetch queue is a ring rounded up the same way; occupancy is
+	// bounded by cfg.FetchBufferEntries at fetch.
+	fqCap := 1 << bits.Len(uint(cfg.FetchBufferEntries-1))
+	c.fetchQ = make([]fqEntry, fqCap)
+	c.fqMask = fqCap - 1
 	c.laterMin = EventNever
 	c.headSeq, c.tailSeq = 1, 1
 	if p, ok := locks.(LockProber); ok {
@@ -279,7 +285,7 @@ func (c *Core) wbufLen() int { return len(c.wbuf) - c.wbHead }
 
 // Empty reports whether the pipeline has fully drained.
 func (c *Core) Empty() bool {
-	return c.robLen() == 0 && c.fqHead >= len(c.fetchQ) && c.wbufLen() == 0
+	return c.robLen() == 0 && c.fqLen == 0 && c.wbufLen() == 0
 }
 
 // NeedsSwitch reports that the running process hit a blocking system call
@@ -325,8 +331,7 @@ func (c *Core) SwitchTo(ctx *Context) {
 	}
 	c.ctx = ctx
 	c.lineValid = false
-	c.fetchQ = c.fetchQ[:0]
-	c.fqHead = 0
+	c.fqHead, c.fqLen = 0, 0
 	c.fetchReady = 0
 	c.resumeAt = 0
 	c.blockBranch = 0
@@ -394,5 +399,5 @@ func (c *Core) Tick(now uint64) {
 // String summarizes the core state (debugging aid).
 func (c *Core) String() string {
 	return fmt.Sprintf("core%d rob=%d fq=%d wbuf=%d retired=%d",
-		c.id, c.robLen(), len(c.fetchQ)-c.fqHead, c.wbufLen(), c.Retired)
+		c.id, c.robLen(), c.fqLen, c.wbufLen(), c.Retired)
 }

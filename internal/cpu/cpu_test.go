@@ -259,6 +259,49 @@ func TestInOrderClampsWindow(t *testing.T) {
 	}
 }
 
+// TestFetchQueueRing: the fetch queue is a fixed ring of the next power of
+// two at or above FetchBufferEntries. It never holds more than that many
+// instructions, its backing array never grows, and Restore rejects a
+// snapshot whose queue the ring cannot hold.
+func TestFetchQueueRing(t *testing.T) {
+	cfg := config.Default()
+	cfg.Nodes = 1
+	cfg.FetchBufferEntries = 5
+	ms := memsys.MustNew(cfg)
+	c := New(cfg, 0, ms.Node(0), newTestLocks())
+	if len(c.fetchQ) != 8 {
+		t.Fatalf("ring holds %d entries, want 8", len(c.fetchQ))
+	}
+	// Long loop bodies of missing loads fill the window before the
+	// speculated-branch limit stops fetch, so the queue backs up.
+	ins := loop(100, func(emit func(trace.Instr), i int) {
+		for k := 0; k < 12; k++ {
+			emit(trace.Instr{Op: trace.OpLoad, Addr: 0x10_0000 + uint64(i*12+k)*4096, Dest: 1})
+		}
+	})
+	c.SwitchTo(&Context{ID: 0, Stream: trace.NewSliceStream(ins)})
+	full := 0
+	for cycle := uint64(1); !c.NeedsSwitch(); cycle++ {
+		if cycle > 3_000_000 {
+			t.Fatal("stream did not finish")
+		}
+		c.Tick(cycle)
+		if n := c.FetchQueueLen(); n > cfg.FetchBufferEntries {
+			t.Fatalf("cycle %d: fetch queue holds %d, buffer is %d", cycle, n, cfg.FetchBufferEntries)
+		} else if n == cfg.FetchBufferEntries {
+			full++
+		}
+	}
+	if full == 0 || len(c.fetchQ) != 8 || c.Retired != uint64(len(ins)) {
+		t.Fatalf("full on %d cycles, ring %d, retired %d of %d", full, len(c.fetchQ), c.Retired, len(ins))
+	}
+	s := c.Snapshot()
+	s.FetchQ = make([]FQEntryState, len(c.fetchQ)+1)
+	if err := c.Restore(s, nil); err == nil {
+		t.Error("Restore accepted more fetch-queue entries than the ring holds")
+	}
+}
+
 func TestBranchMispredictStallsFetch(t *testing.T) {
 	// A data-dependent branch with an unpredictable pattern behind a load:
 	// resolution latency must show up as lost time vs a predictable one.

@@ -15,7 +15,7 @@ import (
 func (c *Core) ROBLen() int { return c.robLen() }
 
 // FetchQueueLen returns the number of instructions in the fetch buffer.
-func (c *Core) FetchQueueLen() int { return len(c.fetchQ) - c.fqHead }
+func (c *Core) FetchQueueLen() int { return c.fqLen }
 
 // WriteBufferLen returns the number of entries in the post-retirement
 // write buffer.

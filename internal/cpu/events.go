@@ -297,7 +297,7 @@ func (c *Core) entryIssueEvent(seq, i, now uint64) uint64 {
 // dispatchNextEvent bounds the next cycle the dispatch stage would move an
 // instruction into the window.
 func (c *Core) dispatchNextEvent(now uint64) uint64 {
-	if c.fqHead >= len(c.fetchQ) {
+	if c.fqLen == 0 {
 		return EventNever
 	}
 	if c.robLen() >= c.cfg.WindowSize {
@@ -335,7 +335,7 @@ func (c *Core) fetchNextEvent(now uint64) uint64 {
 	if now < c.fetchReady {
 		return c.fetchReady
 	}
-	if len(c.fetchQ)-c.fqHead >= c.cfg.FetchBufferEntries {
+	if c.fqLen >= c.cfg.FetchBufferEntries {
 		return EventNever // gated on dispatch draining the fetch queue
 	}
 	if c.unresolved >= c.cfg.MaxSpeculatedBr {
@@ -426,7 +426,7 @@ func (c *Core) fetchStallWrite(now uint64) (val, ok bool) {
 	if now < c.fetchReady {
 		return true, true
 	}
-	if len(c.fetchQ)-c.fqHead >= c.cfg.FetchBufferEntries {
+	if c.fqLen >= c.cfg.FetchBufferEntries {
 		return false, false
 	}
 	if c.unresolved >= c.cfg.MaxSpeculatedBr {

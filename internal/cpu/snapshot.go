@@ -231,8 +231,8 @@ func (c *Core) Snapshot() CoreState {
 			TLBMiss:   f&fTLBMiss != 0,
 		})
 	}
-	for i := c.fqHead; i < len(c.fetchQ); i++ {
-		f := &c.fetchQ[i]
+	for k := 0; k < c.fqLen; k++ {
+		f := &c.fetchQ[(c.fqHead+k)&c.fqMask]
 		s.FetchQ = append(s.FetchQ, FQEntryState{In: f.in, FetchDone: f.fetchDone, Mispred: f.mispred})
 	}
 	for i := c.wbHead; i < len(c.wbuf); i++ {
@@ -254,6 +254,10 @@ func (c *Core) Restore(s CoreState, byID map[int]*Context) error {
 	if n := s.TailSeq - s.HeadSeq; n != uint64(len(s.ROB)) || n > uint64(len(c.rob)) {
 		return fmt.Errorf("cpu: core %d snapshot window [%d,%d) inconsistent with %d entries (cap %d)",
 			c.id, s.HeadSeq, s.TailSeq, len(s.ROB), len(c.rob))
+	}
+	if len(s.FetchQ) > len(c.fetchQ) {
+		return fmt.Errorf("cpu: core %d snapshot fetch queue has %d entries, ring holds %d",
+			c.id, len(s.FetchQ), len(c.fetchQ))
 	}
 	c.nowCycle = s.NowCycle
 	if s.CtxID >= 0 {
@@ -310,11 +314,10 @@ func (c *Core) Restore(s CoreState, byID map[int]*Context) error {
 	c.fenceCount = s.FenceCount
 	c.rebuildSched(c.nowCycle) // derived state, not checkpointed
 
-	c.fetchQ = c.fetchQ[:0]
-	for _, f := range s.FetchQ {
-		c.fetchQ = append(c.fetchQ, fqEntry{in: f.In, fetchDone: f.FetchDone, mispred: f.Mispred})
+	for i, f := range s.FetchQ {
+		c.fetchQ[i] = fqEntry{in: f.In, fetchDone: f.FetchDone, mispred: f.Mispred}
 	}
-	c.fqHead = 0
+	c.fqHead, c.fqLen = 0, len(s.FetchQ)
 	c.curLine = s.CurLine
 	c.lineValid = s.LineValid
 	c.fetchReady = s.FetchReady
@@ -326,7 +329,6 @@ func (c *Core) Restore(s CoreState, byID map[int]*Context) error {
 	c.streamEnded = s.StreamEnded
 	c.stallInstr = s.StallInstr
 	c.poked = s.Poked
-	c.inScratch = trace.Instr{}
 
 	c.wbuf = c.wbuf[:0]
 	for _, w := range s.Wbuf {

@@ -48,17 +48,17 @@ func (c *Core) fetchStage(now uint64) {
 	}
 	lineShift := c.mem.L1I().LineShift()
 	for n := 0; n < c.cfg.IssueWidth; n++ {
-		if len(c.fetchQ)-c.fqHead >= c.cfg.FetchBufferEntries {
+		if c.fqLen >= c.cfg.FetchBufferEntries {
 			return
 		}
 		if c.unresolved >= c.cfg.MaxSpeculatedBr {
 			c.stallInstr = false
 			return
 		}
-		// The instruction buffer is a reused field: a local escapes to the
-		// heap through the Stream interface call, at one allocation per
-		// fetched instruction (the simulator's dominant allocation site).
-		in := &c.inScratch
+		// Decode straight into the ring's tail slot; it joins the queue
+		// only when fqLen counts it below.
+		fe := &c.fetchQ[(c.fqHead+c.fqLen)&c.fqMask]
+		in := &fe.in
 		*in = trace.Instr{}
 		if !c.ctx.Stream.Next(in) {
 			c.streamEnded = true
@@ -92,7 +92,8 @@ func (c *Core) fetchStage(now uint64) {
 				c.mem.PrefetchInstr(in.Target, now)
 			}
 		}
-		c.fetchQ = append(c.fetchQ, fqEntry{in: *in, fetchDone: avail, mispred: mis})
+		fe.fetchDone, fe.mispred = avail, mis
+		c.fqLen++
 		if mis {
 			// Trace-driven: no wrong-path fetch; stall until resolution.
 			c.stallInstr = false
@@ -108,7 +109,7 @@ func (c *Core) fetchStage(now uint64) {
 
 func (c *Core) dispatchStage(now uint64) {
 	for n := 0; n < c.cfg.IssueWidth; n++ {
-		if c.fqHead >= len(c.fetchQ) {
+		if c.fqLen == 0 {
 			break
 		}
 		fe := &c.fetchQ[c.fqHead]
@@ -159,11 +160,8 @@ func (c *Core) dispatchStage(now uint64) {
 			c.blockBranch = seq
 		}
 		c.tailSeq++
-		c.fqHead++
-	}
-	if c.fqHead >= len(c.fetchQ) {
-		c.fetchQ = c.fetchQ[:0]
-		c.fqHead = 0
+		c.fqHead = (c.fqHead + 1) & c.fqMask
+		c.fqLen--
 	}
 }
 
