@@ -32,6 +32,10 @@ const (
 
 const noNode = -1
 
+// MaxNodes is the largest machine the directory can track: each line's
+// sharer set is a 64-bit mask, and its owner fields hold a node in an int8.
+const MaxNodes = 64
+
 type dirEntry struct {
 	sharers    uint64 // bitmask of nodes with a cached copy
 	owner      int8   // node holding the line Modified, or noNode

@@ -17,6 +17,25 @@ func TestFirstReadGrantsExclusive(t *testing.T) {
 	}
 }
 
+func TestLargestNodeUsesTopSharerBit(t *testing.T) {
+	d := NewDirectory()
+	top := MaxNodes - 1
+	d.Read(0, 100)
+	d.Read(top, 100)
+	if got := d.entries[100].sharers; got != 1|1<<63 {
+		t.Errorf("sharers mask = %#x, want nodes 0 and %d", got, top)
+	}
+	if !d.IsSharer(top, 100) || d.Sharers(100) != 2 {
+		t.Errorf("node %d not tracked: sharers = %d", top, d.Sharers(100))
+	}
+	if res := d.Write(top, 100); len(res.Invalidates) != 1 || res.Invalidates[0] != 0 {
+		t.Errorf("write by node %d invalidated %v, want [0]", top, res.Invalidates)
+	}
+	if d.OwnerOf(100) != top {
+		t.Errorf("owner = %d, want %d", d.OwnerOf(100), top)
+	}
+}
+
 func TestSecondReadShares(t *testing.T) {
 	d := NewDirectory()
 	d.Read(0, 100)

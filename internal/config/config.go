@@ -13,6 +13,7 @@ import (
 	"fmt"
 
 	"repro/internal/cache"
+	"repro/internal/coherence"
 )
 
 // ConsistencyModel selects the hardware memory consistency model.
@@ -429,6 +430,9 @@ func Default() Config {
 func (c Config) Validate() error {
 	if c.Nodes <= 0 {
 		return fmt.Errorf("config: need at least one node, got %d", c.Nodes)
+	}
+	if c.Nodes > coherence.MaxNodes {
+		return fmt.Errorf("config: %d nodes exceed the coherence directory's limit of %d (a 64-bit sharer mask)", c.Nodes, coherence.MaxNodes)
 	}
 	if c.IssueWidth <= 0 {
 		return fmt.Errorf("config: issue width must be positive, got %d", c.IssueWidth)

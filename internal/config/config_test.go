@@ -24,6 +24,14 @@ func TestDefaultValidates(t *testing.T) {
 	}
 }
 
+func TestValidateAcceptsLargestMachine(t *testing.T) {
+	cfg := Default()
+	cfg.Nodes = 64
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("64 nodes rejected: %v", err)
+	}
+}
+
 func TestCacheGeometry(t *testing.T) {
 	c := CacheConfig{SizeBytes: 128 << 10, Assoc: 2, LineBytes: 64, HitCycles: 1, Ports: 1, MSHRs: 8}
 	if got, want := c.Sets(), 1024; got != want {
@@ -41,6 +49,7 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		want string
 	}{
 		{"no nodes", func(c *Config) { c.Nodes = 0 }, "node"},
+		{"too many nodes", func(c *Config) { c.Nodes = 65 }, "65 nodes exceed the coherence directory's limit of 64"},
 		{"zero issue", func(c *Config) { c.IssueWidth = 0 }, "issue"},
 		{"window < issue", func(c *Config) { c.WindowSize = 2 }, "window"},
 		{"zero memq", func(c *Config) { c.MemQueueSize = 0 }, "memory queue"},

@@ -277,7 +277,14 @@ func (c *Core) robNextEvent(now uint64) uint64 {
 // entry's event (a non-executing producer, or a consistency decision that
 // only changes when an older instruction completes or retires — both
 // already candidate events).
+//
+// A held load is EventNever outright: robNextEvent asks schedActsNext
+// first, which found that the oldest held load cannot act, and the
+// consistency model then holds every younger one as well.
 func (c *Core) entryIssueEvent(seq, i, now uint64) uint64 {
+	if c.isHeld(i) {
+		return EventNever
+	}
 	ready, _, blocked := c.operands(i) // cycle fetch and source operands are available
 	if blocked {
 		return EventNever

@@ -155,3 +155,64 @@ func TestMultiCoreRandomSharing(t *testing.T) {
 		}
 	}
 }
+
+// TestNextEventNeverLate ticks one core through random streams every
+// cycle, with the scheduler invariant on, and checks the next-event
+// contract directly: between a cycle and the bound NextEvent returned for
+// it, no tick may retire, dispatch, fetch, generate an address, access
+// the cache or issue a consistency prefetch. A narrow issue width and
+// longer ALU latencies vary which event ends each quiet span.
+func TestNextEventNeverLate(t *testing.T) {
+	models := []config.ConsistencyModel{config.RC, config.PC, config.SC}
+	impls := []config.ConsistencyImpl{config.ImplPlain, config.ImplPrefetch}
+	type state struct {
+		retired          uint64
+		waiting, rob, fq int
+		wbuf             int
+		entries          uint64 // hash of every window entry's issue progress
+	}
+	snap := func(c *Core) state {
+		s := state{c.Retired, c.waiting, c.robLen(), c.fqLen, c.wbufLen(), 0}
+		for seq := c.headSeq; seq < c.tailSeq; seq++ {
+			e := &c.rob[seq&c.robMask]
+			s.entries = s.entries*0x100000001B3 ^ (uint64(e.state) | e.addrDone<<8 | uint64(e.flags&(fIssuedMem|fPrefetch))<<56)
+		}
+		return s
+	}
+	for seed := uint64(1); seed <= 3; seed++ {
+		for _, m := range models {
+			for _, impl := range impls {
+				for _, lat := range []int{1, 3} {
+					cfg := config.Default()
+					cfg.Nodes = 1
+					cfg.Consistency = m
+					cfg.ConsistencyOpts = impl
+					cfg.IssueWidth = 2
+					cfg.IntLatency = lat
+					cfg.FPLatency = 4 * lat
+					cfg.DebugChecks = true
+					ms := memsys.MustNew(cfg)
+					c := New(cfg, 0, ms.Node(0), newTestLocks())
+					c.SwitchTo(&Context{ID: 0, Stream: trace.NewSliceStream(randomStream(seed+300, 1500))})
+					bound, prev := uint64(0), snap(c)
+					cycle := uint64(1)
+					for ; cycle < 2_000_000 && !c.NeedsSwitch(); cycle++ {
+						c.Tick(cycle)
+						cur := snap(c)
+						if cycle < bound && cur != prev {
+							t.Fatalf("seed %d %v/%v latency %d: core acted at cycle %d, NextEvent promised quiet until %d",
+								seed, m, impl, lat, cycle, bound)
+						}
+						prev = cur
+						if cycle >= bound {
+							bound = c.NextEvent(cycle)
+						}
+					}
+					if !c.NeedsSwitch() {
+						t.Fatalf("seed %d %v/%v latency %d: pipeline hung (%s)", seed, m, impl, lat, c.String())
+					}
+				}
+			}
+		}
+	}
+}

@@ -22,6 +22,12 @@ import (
 //     producer is executing): a bit in the soon set when that cycle is the
 //     next one, otherwise a key in the later list (robEntry.at).
 //
+// A load whose cache access the consistency model holds back moves from
+// the ready set into its held subset once it has issued its consistency
+// prefetch. The model holds every younger load while it holds an older
+// one, so the issue walk and robNextEvent check only the oldest held load
+// (see issueStage).
+//
 // Scheduler state is derived from the window entries: rollback, SwitchTo
 // and Restore rebuild it, and checkpoints do not carry it.
 
@@ -44,6 +50,7 @@ const (
 // per slot, together so a walk touches one cache line per word.
 type schedWord struct {
 	ready [4]uint64 // ready set, by class (cls*)
+	held  uint64    // ready loads the consistency model holds back
 	soon  [4]uint64 // timed entries whose inputs arrive at soonAt, by class
 	order [3]uint64 // program-order classes (ord*)
 }
@@ -63,9 +70,20 @@ func (c *Core) readyClass(i uint64) int {
 	return clsInt
 }
 
-// inReady reports whether entry i is in the ready set.
+// inReady reports whether entry i is in the ready set, held loads aside.
 func (c *Core) inReady(i uint64) bool {
 	return c.sw[i>>6].ready[c.readyClass(i)]&(1<<(i&63)) != 0
+}
+
+// isHeld reports whether entry i is a held load.
+func (c *Core) isHeld(i uint64) bool { return c.sw[i>>6].held&(1<<(i&63)) != 0 }
+
+// hold moves ready load i, which the consistency model holds back, into
+// the held set.
+func (c *Core) hold(i uint64) {
+	w, bit := &c.sw[i>>6], uint64(1)<<(i&63)
+	w.ready[clsMem] &^= bit
+	w.held |= bit
 }
 
 // operands returns the cycle entry i's fetch and source operands are all
@@ -131,11 +149,12 @@ func (c *Core) place(seq, now uint64) {
 	}
 }
 
-// unplace takes a ready or timed entry out of the scheduler (a later-list
-// key goes stale and is dropped by the next sweep).
+// unplace takes a ready, held or timed entry out of the scheduler (a
+// later-list key goes stale and is dropped by the next sweep).
 func (c *Core) unplace(i uint64) {
 	w, k, bit := i>>6, c.readyClass(i), uint64(1)<<(i&63)
 	c.sw[w].ready[k] &^= bit
+	c.sw[w].held &^= bit
 	if c.sw[w].soon[k]&bit != 0 {
 		c.sw[w].soon[k] &^= bit
 		c.soonN--
@@ -277,14 +296,16 @@ func (c *Core) ringNext(from, end uint64, word func(w *schedWord) uint64) (uint6
 }
 
 // nextReady returns the oldest ready entry at or after from whose
-// functional-unit class is enabled in en (all ones or zero per class):
-// ringNext over the enabled classes, written out for the issue walk.
+// functional-unit class is enabled in en (all ones or zero per class;
+// en[clsMem] enables held loads): ringNext over the enabled classes,
+// written out for the issue walk.
 func (c *Core) nextReady(from uint64, en *[4]uint64) (uint64, bool) {
 	for end := c.tailSeq; from < end; {
 		p := from & c.robMask
 		b := p & 63
-		r := &c.sw[p>>6].ready
-		if m := (r[clsInt]&en[clsInt] | r[clsFP]&en[clsFP] | r[clsAG]&en[clsAG] | r[clsMem]) >> b; m != 0 {
+		w := &c.sw[p>>6]
+		r := &w.ready
+		if m := (r[clsInt]&en[clsInt] | r[clsFP]&en[clsFP] | r[clsAG]&en[clsAG] | r[clsMem] | w.held&en[clsMem]) >> b; m != 0 {
 			s := from + uint64(bits.TrailingZeros64(m))
 			return s, s < end
 		}
@@ -361,6 +382,11 @@ func (c *Core) loadCanAct(seq, i, now uint64) bool {
 // one's inputs as the walk reaches it, and stop at the first one that
 // makes no progress, except a store whose address is still being
 // generated.
+//
+// Out-of-order cores walk held loads too, until the consistency model
+// holds one: it then holds every younger load this cycle, so the walk
+// masks the held set off and moves each younger ready load into it
+// without asking the model (after its consistency prefetch).
 func (c *Core) issueStage(now uint64) {
 	if c.waiting == 0 {
 		return
@@ -378,6 +404,7 @@ func (c *Core) issueStage(now uint64) {
 		return 0
 	}
 	en := [4]uint64{enabled(intFree), enabled(fpFree), enabled(agFree), ^uint64(0)}
+	holding := false // the model holds an older load this cycle
 	budget := c.cfg.IssueWidth
 	for seq := c.headSeq; budget > 0; seq++ {
 		var ok bool
@@ -421,7 +448,12 @@ func (c *Core) issueStage(now uint64) {
 				}
 				continue
 			}
-			if c.accessLoad(seq, i, now) {
+			if c.accessLoad(seq, i, now, holding) {
+				continue
+			}
+			if !inOrder {
+				c.hold(i)
+				holding, en[clsMem] = true, 0
 				continue
 			}
 		case trace.OpFPALU:
@@ -451,11 +483,12 @@ func (c *Core) issueStage(now uint64) {
 
 // accessLoad performs ready load seq's cache access under the consistency
 // model, returning false when the model holds it back this cycle (after
-// issuing the consistency prefetch, under that implementation).
-func (c *Core) accessLoad(seq, i, now uint64) bool {
+// issuing the consistency prefetch, under that implementation). held says
+// the model is known to hold it: it holds an older load.
+func (c *Core) accessLoad(seq, i, now uint64, held bool) bool {
 	e := &c.rob[i]
 	spec := false
-	if !c.loadAllowed(seq, now) {
+	if held || !c.loadAllowed(seq, now) {
 		switch c.cfg.ConsistencyOpts {
 		case config.ImplPlain:
 			return false
@@ -494,7 +527,8 @@ func (c *Core) accessLoad(seq, i, now uint64) bool {
 // that some waiting entry of an out-of-order core can make issue progress
 // at cycle now+1 — a case in which the full robNextEvent walk returns
 // now+1. A load whose cache access waits on a consistency decision is
-// left to the walk unless the decision lets it act.
+// left to the walk unless the decision lets it act. Of the held loads it
+// checks only the oldest: if the model holds that one, it holds them all.
 func (c *Core) schedActsNext(now uint64) bool {
 	if c.soonN > 0 && c.soonAt == now+1 {
 		return true
@@ -505,10 +539,14 @@ func (c *Core) schedActsNext(now uint64) bool {
 			return true
 		}
 	}
-	all := [4]uint64{^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)}
+	if s, ok := c.ringNext(c.headSeq, c.tailSeq, func(w *schedWord) uint64 { return w.held }); ok &&
+		c.loadCanAct(s, s&c.robMask, now) {
+		return true
+	}
+	unheld := [4]uint64{^uint64(0), ^uint64(0), ^uint64(0), 0}
 	for seq := c.headSeq; ; seq++ {
 		var ok bool
-		if seq, ok = c.nextReady(seq, &all); !ok {
+		if seq, ok = c.nextReady(seq, &unheld); !ok {
 			return false
 		}
 		i := seq & c.robMask
@@ -521,10 +559,12 @@ func (c *Core) schedActsNext(now uint64) bool {
 
 // checkSched asserts the scheduler invariant (cfg.DebugChecks): every
 // waiting entry of an out-of-order core is filed in exactly one of the
-// ready set, a wake list and the timed queue — in the ready set exactly
-// when its next step's inputs are available at cycle now, timed at the
-// cycle they will be — every waiting entry of an in-order core is in the
-// ready set, and no set holds anything else.
+// ready set, a wake list and the timed queue — in the ready set (held
+// loads included) exactly when its next step's inputs are available at
+// cycle now, timed at the cycle they will be — every waiting entry of an
+// in-order core is in the ready set and none is held, only loads whose
+// address is generated and whose consistency prefetch (if any) is issued
+// are held, and no set holds anything else.
 func (c *Core) checkSched(now uint64) {
 	onWake := make([]int, len(c.rob))   // by ring slot
 	inLater := make([]bool, len(c.rob)) // a live key at or above laterMin
@@ -543,33 +583,39 @@ func (c *Core) checkSched(now uint64) {
 	for seq := c.headSeq; seq < c.tailSeq; seq++ {
 		i := seq & c.robMask
 		e := &c.rob[i]
+		held := c.isHeld(i)
 		ready, soon, later := c.inReady(i), c.sw[i>>6].soon[c.readyClass(i)]&(1<<(i&63)) != 0, inLater[i]
-		places := onWake[i] + one[ready] + one[soon] + one[later]
-		filed, soonN = filed+one[ready]+one[soon], soonN+one[soon]
+		places := onWake[i] + one[ready] + one[held] + one[soon] + one[later]
+		filed, soonN = filed+one[ready]+one[held]+one[soon], soonN+one[soon]
+		ready = ready || held
 		t, _, blocked := c.stepInputs(i)
 		ok := places == 0
 		switch {
 		case e.state == stExec:
 		case c.cfg.InOrder:
-			ok = places == 1 && ready
+			ok = places == 1 && ready && !held
+		case held && (e.in.Op != trace.OpLoad || e.addrDone == 0 || c.cfg.ConsistencyOpts == config.ImplSpeculative ||
+			c.cfg.ConsistencyOpts == config.ImplPrefetch && e.flags&fPrefetch == 0):
+			ok = false
 		default:
 			ok = places == 1 && blocked == (onWake[i] == 1) && (blocked || ready == (t <= now) &&
 				(!soon || t == c.soonAt) && (!later || t == e.at))
 		}
 		if !ok {
-			panic(fmt.Sprintf("cpu%d: issue scheduler: seq %d (now %d, inputs at %d, blocked %v) filed ready %v soon %v later %v wake %d",
-				c.id, seq, now, t, blocked, ready, soon, later, onWake[i]))
+			panic(fmt.Sprintf("cpu%d: issue scheduler: seq %d (now %d, inputs at %d, blocked %v) filed ready %v held %v soon %v later %v wake %d",
+				c.id, seq, now, t, blocked, ready, held, soon, later, onWake[i]))
 		}
 	}
 	setBits, soonBits := 0, 0
 	for _, w := range c.sw {
+		setBits += bits.OnesCount64(w.held)
 		for k := range w.ready {
 			setBits += bits.OnesCount64(w.ready[k]) + bits.OnesCount64(w.soon[k])
 			soonBits += bits.OnesCount64(w.soon[k])
 		}
 	}
 	if setBits != filed || soonBits != soonN || soonN != c.soonN {
-		panic(fmt.Sprintf("cpu%d: issue scheduler: %d ready/soon bits for %d filed entries, %d soon bits, soon count %d",
+		panic(fmt.Sprintf("cpu%d: issue scheduler: %d ready/held/soon bits for %d filed entries, %d soon bits, soon count %d",
 			c.id, setBits, filed, soonBits, c.soonN))
 	}
 }

@@ -368,6 +368,7 @@ func (e *Emitter) Flush(addr uint64) {
 type Gen struct {
 	E      *Emitter
 	queue  []func(*Emitter)
+	head   int // next step to run; queue[:head] are cleared
 	refill func(*Gen) bool
 	done   bool
 
@@ -376,6 +377,10 @@ type Gen struct {
 	// generator, which replays every RNG draw and engine interaction in
 	// the identical order (see the workloads' RestoreWorkload).
 	Drawn uint64
+
+	// MaxBuffered is the most instructions one step has left in the
+	// emitter's buffer: the generator's footprint high-water mark.
+	MaxBuffered int
 }
 
 // NewGen wires an emitter to a refill function that enqueues the next batch
@@ -390,19 +395,19 @@ func (g *Gen) Enqueue(step func(*Emitter)) { g.queue = append(g.queue, step) }
 // Next implements trace.Stream.
 func (g *Gen) Next(in *trace.Instr) bool {
 	for !g.E.pop(in) {
-		if len(g.queue) == 0 {
-			if g.done || !g.refill(g) {
-				g.done = true
-				return false
-			}
-			if len(g.queue) == 0 {
+		if g.head == len(g.queue) {
+			g.queue, g.head = g.queue[:0], 0
+			if g.done || !g.refill(g) || len(g.queue) == 0 {
 				g.done = true
 				return false
 			}
 		}
-		step := g.queue[0]
-		g.queue = g.queue[1:]
+		// Clear the slot so an executed step is garbage at once.
+		step := g.queue[g.head]
+		g.queue[g.head] = nil
+		g.head++
 		step(g.E)
+		g.MaxBuffered = max(g.MaxBuffered, len(g.E.out))
 	}
 	g.Drawn++
 	return true

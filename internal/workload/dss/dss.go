@@ -50,9 +50,9 @@ type Workload struct {
 	rHdr  *workload.Routine
 	rAgg  *workload.Routine
 
-	// RowsScanned counts rows enqueued into the query servers' streams,
-	// summed over processes (telemetry probe; generation is lazy, so this
-	// tracks simulation progress to within one batch per process).
+	// RowsScanned counts the rows of every batch the query servers have
+	// started, summed over processes (telemetry probe; generation is lazy,
+	// so this tracks simulation progress to within one batch per process).
 	RowsScanned uint64
 
 	// procs tracks per-process generation state for checkpointing (see
@@ -102,7 +102,8 @@ func (w *Workload) ApproxInstrPerProcess() uint64 {
 type procState struct {
 	w        *Workload
 	proc     int
-	row      int
+	row      int    // next row to enqueue
+	batchEnd int    // end of the current batch's rows
 	accAddr  uint64 // private accumulator (hot)
 	exprBase uint64 // interpreted expression tree (hot private state)
 	waCur    uint64 // work-area cursor
@@ -125,7 +126,7 @@ func (w *Workload) Stream(proc int) trace.Stream {
 	e.BranchEvery = 14
 	e.PredictableSeasoning = true
 	e.Call(w.rScan)
-	p.gen = workload.NewGen(e, p.refillBatch)
+	p.gen = workload.NewGen(e, p.refill)
 	w.register(p)
 	return p.gen
 }
@@ -134,35 +135,35 @@ func (w *Workload) Stream(proc int) trace.Stream {
 // (for verification against ExpectedRevenue).
 func (p *procState) Revenue() int64 { return p.revenue }
 
-// refillBatch enqueues the next batch of rows.
-func (p *procState) refillBatch(g *workload.Gen) bool {
+// stepRows is the number of rows one generation step emits. A step is
+// expanded into the emitter's buffer all at once, so it bounds the
+// generator's footprint: four rows plus a block header buffer at most a
+// few hundred instructions.
+const stepRows = 4
+
+// refill enqueues the next step of the scan, a few rows of the current
+// batch, and after the batch's last rows the coordinator message that
+// ends it. Starting a batch counts all of its rows into RowsScanned.
+func (p *procState) refill(g *workload.Gen) bool {
 	w := p.w
-	if p.row >= w.cfg.RowsPerProcess {
-		return false
-	}
-	end := p.row + w.cfg.BatchRows
-	if end > w.cfg.RowsPerProcess {
-		end = w.cfg.RowsPerProcess
-	}
-	start := p.row
-	p.row = end
-	w.RowsScanned += uint64(end - start)
-	// Enqueue the scan in small chunks so the instruction buffer stays
-	// cache-resident at generation time.
-	const chunk = 64
-	for s := start; s < end; s += chunk {
-		s, c := s, s+chunk
-		if c > end {
-			c = end
+	if p.row == p.batchEnd {
+		if p.row >= w.cfg.RowsPerProcess {
+			return false
 		}
-		g.Enqueue(func(e *workload.Emitter) { p.scanRows(e, s, c) })
+		p.batchEnd = min(p.row+w.cfg.BatchRows, w.cfg.RowsPerProcess)
+		w.RowsScanned += uint64(p.batchEnd - p.row)
 	}
-	// Report the batch to the query coordinator: a brief blocking message
-	// that lets the other servers on the CPU run.
-	g.Enqueue(func(e *workload.Emitter) {
-		e.ALU(8, false)
-		e.Syscall(w.cfg.BatchLatency)
-	})
+	s, c := p.row, min(p.row+stepRows, p.batchEnd)
+	p.row = c
+	g.Enqueue(func(e *workload.Emitter) { p.scanRows(e, s, c) })
+	if c == p.batchEnd {
+		// Report the batch to the query coordinator: a brief blocking
+		// message that lets the other servers on the CPU run.
+		g.Enqueue(func(e *workload.Emitter) {
+			e.ALU(8, false)
+			e.Syscall(w.cfg.BatchLatency)
+		})
+	}
 	return true
 }
 

@@ -1,6 +1,7 @@
 package dss
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/trace"
@@ -77,5 +78,39 @@ func TestRevenueMatchesEngine(t *testing.T) {
 	sel := float64(qual) / float64(cfg.RowsPerProcess)
 	if sel < 0.005 || sel > 0.05 {
 		t.Errorf("selectivity %.3f outside Q6-like range", sel)
+	}
+}
+
+// TestRowsScannedCountsWholeBatches checks that a batch's rows are
+// counted when the batch starts, however few rows each generation step
+// emits, and that every batch ends with the coordinator message.
+func TestRowsScannedCountsWholeBatches(t *testing.T) {
+	cfg := DefaultConfig(1)
+	cfg.Processes = 1
+	cfg.RowsPerProcess = 3_000
+	cfg.BatchRows = 700
+	w := New(cfg)
+	s := w.Stream(0)
+	var in trace.Instr
+	var counts []uint64
+	syscalls := 0
+	for s.Next(&in) {
+		if n := len(counts); n == 0 || counts[n-1] != w.RowsScanned {
+			counts = append(counts, w.RowsScanned)
+		}
+		if in.Op == trace.OpSyscall {
+			syscalls++
+			if in.Latency != cfg.BatchLatency {
+				t.Errorf("coordinator message blocks %d cycles, want %d", in.Latency, cfg.BatchLatency)
+			}
+		}
+	}
+	// The first instruction, the call into the scan loop, precedes any batch.
+	want := []uint64{0, 700, 1400, 2100, 2800, 3000}
+	if !slices.Equal(counts, want) {
+		t.Fatalf("RowsScanned took values %v, want %v", counts, want)
+	}
+	if syscalls != len(want)-1 {
+		t.Errorf("%d coordinator messages for %d batches", syscalls, len(want)-1)
 	}
 }

@@ -114,3 +114,42 @@ func TestStreamsAreDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// maxStepInstrs bounds the instructions one generation step may buffer.
+// Streams are generated lazily as the simulated machine consumes them, so
+// the generator's footprint must stay small next to the machine's.
+const maxStepInstrs = 1024
+
+// TestGenerationBound drains full OLTP and DSS streams and checks that no
+// step left more than maxStepInstrs instructions in the emitter's buffer.
+func TestGenerationBound(t *testing.T) {
+	check := func(name string, procs int, stream func(int) trace.Stream) {
+		t.Helper()
+		most := 0
+		var in trace.Instr
+		for p := 0; p < procs; p++ {
+			g := stream(p).(*workload.Gen)
+			for g.Next(&in) {
+			}
+			most = max(most, g.MaxBuffered)
+		}
+		t.Logf("%s: largest step buffered %d instructions", name, most)
+		if most > maxStepInstrs {
+			t.Errorf("%s: a step buffered %d instructions, bound %d", name, most, maxStepInstrs)
+		}
+	}
+
+	ocfg := oltp.DefaultConfig(1)
+	ocfg.Processes = 4
+	ocfg.TransactionsPerProcess = 2
+	ow := oltp.New(ocfg)
+	check("oltp", ocfg.Processes, ow.Stream)
+
+	// Default batches (8,192 rows) are longer than the scan: the whole
+	// partition is one batch.
+	dcfg := dss.DefaultConfig(1)
+	dcfg.Processes = 4
+	dcfg.RowsPerProcess = 4_000
+	dw := dss.New(dcfg)
+	check("dss", dcfg.Processes, dw.Stream)
+}
