@@ -58,6 +58,7 @@ func (c *Context) InCriticalSection() bool { return c.csDepth > 0 }
 const (
 	stWaiting uint8 = iota // in window, not yet executing
 	stExec                 // executing or memory outstanding; complete valid
+	stFetched              // in the fetch queue, past the window's tail
 )
 
 // noProd marks "no producer" in the rename table (sequence numbers start
@@ -79,13 +80,15 @@ const (
 	fTLBMiss
 )
 
-// robEntry is one in-flight instruction. Its sequence number is not
-// stored: it is the loop variable everywhere one is needed.
+// robEntry is one in-flight instruction, from fetch to retirement. Its
+// sequence number is not stored: it is the loop variable everywhere one is
+// needed.
 type robEntry struct {
-	in        trace.Instr // decoded instruction (written once at dispatch)
+	in        trace.Instr // decoded instruction (written once, at fetch)
 	state     uint8
 	flags     uint8
 	class     memsys.Class
+	cls       uint8 // ready-set class of the next step (stepClass), kept with addrDone
 	fetchDone uint64
 	prod1     uint64 // producer sequence numbers (noProd = ready)
 	prod2     uint64
@@ -97,12 +100,6 @@ type robEntry struct {
 	at       uint64 // cycle of the entry's key in later (0 = none)
 	wake     uint64 // first consumer waiting for this entry to issue (0 = none)
 	wakeNext uint64 // next consumer on the same wake list
-}
-
-type fqEntry struct {
-	in        trace.Instr
-	fetchDone uint64
-	mispred   bool
 }
 
 type wbufEntry struct {
@@ -135,7 +132,10 @@ type Core struct {
 	ctx *Context
 	trc *tracing.Tracer // nil = tracing disabled (pure-observer event hooks)
 
-	// The reorder buffer is a ring of entries, index = seq & robMask.
+	// The reorder buffer is a ring of entries, index = seq & robMask. The
+	// window is [headSeq, tailSeq); the fetch queue is the fqLen slots that
+	// follow it, so fetch decodes each instruction into the slot it will
+	// occupy in the window.
 	rob        []robEntry
 	robMask    uint64 // ring capacity - 1; capacity rounded to a power of two
 	ringBits   uint   // log2 of the ring capacity
@@ -150,14 +150,13 @@ type Core struct {
 	sw       []schedWord // ready, soon and program-order bit sets per ring word
 	soonAt   uint64      // cycle the soon set's entries become ready
 	soonN    int         // entries in the soon set
+	soonW    uint64      // words that may hold soon bits: bit w%64 stands for word w
 	later    []uint64    // other timed entries: cycle<<ringBits | ring slot
 	laterMin uint64      // at or below every live key in later
 
-	fetchQ       []fqEntry // ring, capacity the next power of two >= FetchBufferEntries
-	fqMask       int
-	fqHead       int // ring index of the oldest fetched instruction
-	fqLen        int // instructions in the fetch queue
+	fqLen        int // instructions in the fetch queue (slots from tailSeq on)
 	curLine      uint64
+	lineShift    uint // log2 of the L1I line size
 	lineValid    bool
 	fetchReady   uint64 // icache stall: no fetch before this cycle
 	blockBranch  uint64 // seq of unresolved mispredicted branch (0 = none)
@@ -169,8 +168,9 @@ type Core struct {
 	stallInstr   bool // last fetch stall was the icache/iTLB
 	poked        bool // async wake: a line invalidation marked a violation
 
-	wbuf   []wbufEntry
-	wbHead int // index of the oldest buffered store (pop without realloc)
+	wbuf       []wbufEntry
+	wbHead     int // index of the oldest buffered store (pop without realloc)
+	wbUnissued int // buffered stores not yet issued to memory
 
 	// Debug-mode (cfg.DebugChecks) memory-ordering watermarks: perform-time
 	// stamps that must be monotone under the consistency model's rules.
@@ -229,25 +229,18 @@ func New(cfg config.Config, id int, mem *memsys.Hierarchy, locks LockManager) *C
 		}),
 		locks: locks,
 	}
-	// The ROB ring is indexed by sequence number modulo its capacity on
-	// every pipeline-stage touch; rounding the backing array up to a power
-	// of two turns that modulo into a mask (the division was the hottest
-	// instruction in the whole simulator). Occupancy is still bounded by
-	// cfg.WindowSize at dispatch.
-	robCap := 1
-	for robCap < cfg.WindowSize {
-		robCap <<= 1
-	}
+	// The ring holds the window and the fetch queue behind it, and is
+	// indexed by sequence number modulo its capacity on every pipeline-stage
+	// touch; rounding the backing array up to a power of two turns that
+	// modulo into a mask. Occupancy is still bounded by cfg.WindowSize at
+	// dispatch and by cfg.FetchBufferEntries at fetch.
+	robCap := 1 << bits.Len(uint(cfg.WindowSize+cfg.FetchBufferEntries-1))
 	c.rob = make([]robEntry, robCap)
 	c.robMask = uint64(robCap - 1)
 	c.ringBits = uint(bits.TrailingZeros(uint(robCap)))
 	c.sw = make([]schedWord, (robCap+63)/64)
-	// The fetch queue is a ring rounded up the same way; occupancy is
-	// bounded by cfg.FetchBufferEntries at fetch.
-	fqCap := 1 << bits.Len(uint(cfg.FetchBufferEntries-1))
-	c.fetchQ = make([]fqEntry, fqCap)
-	c.fqMask = fqCap - 1
 	c.laterMin = EventNever
+	c.lineShift = mem.L1I().LineShift()
 	c.headSeq, c.tailSeq = 1, 1
 	if p, ok := locks.(LockProber); ok {
 		c.prober = p
@@ -331,7 +324,7 @@ func (c *Core) SwitchTo(ctx *Context) {
 	}
 	c.ctx = ctx
 	c.lineValid = false
-	c.fqHead, c.fqLen = 0, 0
+	c.fqLen = 0
 	c.fetchReady = 0
 	c.resumeAt = 0
 	c.blockBranch = 0

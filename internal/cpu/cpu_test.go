@@ -253,24 +253,26 @@ func TestInOrderClampsWindow(t *testing.T) {
 	cfg.Nodes = 1
 	ms := memsys.MustNew(cfg)
 	c := New(cfg, 0, ms.Node(0), newTestLocks())
-	// The ring holds the clamped window rounded up to a power of two.
-	if w := c.cfg.WindowSize; w > 2*cfg.IssueWidth+8 || len(c.rob) >= 2*w {
-		t.Errorf("in-order window not clamped: window %d, ring %d", w, len(c.rob))
+	// The ring holds the clamped window and fetch buffer rounded up to a
+	// power of two.
+	if w, f := c.cfg.WindowSize, c.cfg.FetchBufferEntries; w > 2*cfg.IssueWidth+8 || f > 2*cfg.IssueWidth || len(c.rob) >= 2*(w+f) {
+		t.Errorf("in-order window not clamped: window %d, fetch buffer %d, ring %d", w, f, len(c.rob))
 	}
 }
 
-// TestFetchQueueRing: the fetch queue is a fixed ring of the next power of
-// two at or above FetchBufferEntries. It never holds more than that many
-// instructions, its backing array never grows, and Restore rejects a
-// snapshot whose queue the ring cannot hold.
+// TestFetchQueueRing: the fetch queue is the ring slots past the window's
+// tail, and the ring is the next power of two at or above the window plus
+// FetchBufferEntries. The queue never holds more than FetchBufferEntries
+// instructions, the ring never grows, and Restore rejects a snapshot
+// whose queue the fetch buffer cannot hold.
 func TestFetchQueueRing(t *testing.T) {
 	cfg := config.Default()
 	cfg.Nodes = 1
 	cfg.FetchBufferEntries = 5
 	ms := memsys.MustNew(cfg)
 	c := New(cfg, 0, ms.Node(0), newTestLocks())
-	if len(c.fetchQ) != 8 {
-		t.Fatalf("ring holds %d entries, want 8", len(c.fetchQ))
+	if len(c.rob) != 128 {
+		t.Fatalf("ring holds %d entries, want 128", len(c.rob))
 	}
 	// Long loop bodies of missing loads fill the window before the
 	// speculated-branch limit stops fetch, so the queue backs up.
@@ -292,11 +294,11 @@ func TestFetchQueueRing(t *testing.T) {
 			full++
 		}
 	}
-	if full == 0 || len(c.fetchQ) != 8 || c.Retired != uint64(len(ins)) {
-		t.Fatalf("full on %d cycles, ring %d, retired %d of %d", full, len(c.fetchQ), c.Retired, len(ins))
+	if full == 0 || len(c.rob) != 128 || c.Retired != uint64(len(ins)) {
+		t.Fatalf("full on %d cycles, ring %d, retired %d of %d", full, len(c.rob), c.Retired, len(ins))
 	}
 	s := c.Snapshot()
-	s.FetchQ = make([]FQEntryState, len(c.fetchQ)+1)
+	s.FetchQ = make([]FQEntryState, cfg.FetchBufferEntries+1)
 	if err := c.Restore(s, nil); err == nil {
 		t.Error("Restore accepted more fetch-queue entries than the ring holds")
 	}

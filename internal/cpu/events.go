@@ -310,7 +310,7 @@ func (c *Core) dispatchNextEvent(now uint64) uint64 {
 	if c.robLen() >= c.cfg.WindowSize {
 		return EventNever // gated on retirement freeing a window slot
 	}
-	fe := &c.fetchQ[c.fqHead]
+	fe := &c.rob[c.tailSeq&c.robMask]
 	if fe.in.Op.IsMem() && c.memInROB >= c.cfg.MemQueueSize {
 		return EventNever // gated on a memory op retiring
 	}

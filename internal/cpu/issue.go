@@ -55,14 +55,16 @@ type schedWord struct {
 	order [3]uint64 // program-order classes (ord*)
 }
 
-// readyClass is the ready-set class of waiting entry i's next step.
-func (c *Core) readyClass(i uint64) int {
-	e := &c.rob[i]
-	switch e.in.Op {
+// stepClass is the ready-set class of the next step of a waiting entry
+// with opcode op whose address generation completes at addrDone (0 = not
+// yet). Each entry caches it in robEntry.cls wherever addrDone is set:
+// dispatch, address generation, rollback and Restore.
+func stepClass(op trace.Op, addrDone uint64) uint8 {
+	switch op {
 	case trace.OpFPALU:
 		return clsFP
 	case trace.OpLoad, trace.OpStore:
-		if e.addrDone == 0 {
+		if addrDone == 0 {
 			return clsAG
 		}
 		return clsMem
@@ -72,7 +74,7 @@ func (c *Core) readyClass(i uint64) int {
 
 // inReady reports whether entry i is in the ready set, held loads aside.
 func (c *Core) inReady(i uint64) bool {
-	return c.sw[i>>6].ready[c.readyClass(i)]&(1<<(i&63)) != 0
+	return c.sw[i>>6].ready[c.rob[i].cls]&(1<<(i&63)) != 0
 }
 
 // isHeld reports whether entry i is a held load.
@@ -89,13 +91,20 @@ func (c *Core) hold(i uint64) {
 // operands returns the cycle entry i's fetch and source operands are all
 // available, or blocked with the ring slot of a producer that has not
 // issued (a retired producer's result is available).
+//
+// Producers are older than the entry, so one at or past headSeq is live
+// (noProd, 0, never is: sequence numbers start at 1).
 func (c *Core) operands(i uint64) (t, prod uint64, blocked bool) {
 	e := &c.rob[i]
 	t = e.fetchDone
-	for _, p := range [2]uint64{e.prod1, e.prod2} {
-		if p == noProd || !c.live(p) {
-			continue
+	if p := e.prod1; p >= c.headSeq {
+		j := p & c.robMask
+		if c.rob[j].state != stExec {
+			return 0, j, true
 		}
+		t = maxU(t, c.rob[j].complete)
+	}
+	if p := e.prod2; p >= c.headSeq {
 		j := p & c.robMask
 		if c.rob[j].state != stExec {
 			return 0, j, true
@@ -107,17 +116,14 @@ func (c *Core) operands(i uint64) (t, prod uint64, blocked bool) {
 
 // stepInputs is operands for waiting entry i's next step: a load's cache
 // access waits only for its address, and a store's completion also for
-// its address.
+// its address (addrDone is 0 but for loads and stores).
 func (c *Core) stepInputs(i uint64) (t, prod uint64, blocked bool) {
 	e := &c.rob[i]
-	if e.in.Op == trace.OpLoad && e.addrDone != 0 {
+	if e.addrDone != 0 && e.in.Op == trace.OpLoad {
 		return maxU(e.fetchDone, e.addrDone), 0, false
 	}
 	t, prod, blocked = c.operands(i)
-	if e.in.Op == trace.OpStore {
-		t = maxU(t, e.addrDone)
-	}
-	return t, prod, blocked
+	return maxU(t, e.addrDone), prod, blocked
 }
 
 // place files waiting entry seq by when its next step's inputs are
@@ -128,18 +134,25 @@ func (c *Core) place(seq, now uint64) {
 	i := seq & c.robMask
 	e := &c.rob[i]
 	if c.cfg.InOrder {
-		c.sw[i>>6].ready[c.readyClass(i)] |= 1 << (i & 63)
+		c.sw[i>>6].ready[e.cls] |= 1 << (i & 63)
 		return
 	}
-	t, j, blocked := c.stepInputs(i)
+	// stepInputs, written out: place runs for every entry at dispatch and
+	// for every consumer its producer wakes.
+	t, j, blocked := maxU(e.fetchDone, e.addrDone), uint64(0), false
+	if e.addrDone == 0 || e.in.Op != trace.OpLoad {
+		t, j, blocked = c.operands(i)
+		t = maxU(t, e.addrDone)
+	}
 	switch {
 	case blocked:
 		e.wakeNext = c.rob[j].wake
 		c.rob[j].wake = seq
 	case t <= now:
-		c.sw[i>>6].ready[c.readyClass(i)] |= 1 << (i & 63)
+		c.sw[i>>6].ready[e.cls] |= 1 << (i & 63)
 	case t == now+1 && (c.soonN == 0 || c.soonAt == t):
-		c.sw[i>>6].soon[c.readyClass(i)] |= 1 << (i & 63)
+		c.sw[i>>6].soon[e.cls] |= 1 << (i & 63)
+		c.soonW |= 1 << (i >> 6 & 63)
 		c.soonAt = t
 		c.soonN++
 	default:
@@ -152,7 +165,7 @@ func (c *Core) place(seq, now uint64) {
 // unplace takes a ready, held or timed entry out of the scheduler (a
 // later-list key goes stale and is dropped by the next sweep).
 func (c *Core) unplace(i uint64) {
-	w, k, bit := i>>6, c.readyClass(i), uint64(1)<<(i&63)
+	w, k, bit := i>>6, c.rob[i].cls, uint64(1)<<(i&63)
 	c.sw[w].ready[k] &^= bit
 	c.sw[w].held &^= bit
 	if c.sw[w].soon[k]&bit != 0 {
@@ -166,7 +179,9 @@ func (c *Core) unplace(i uint64) {
 // refiles the consumers waiting for it to issue.
 func (c *Core) started(i, complete, now uint64) {
 	e := &c.rob[i]
-	c.unplace(i)
+	w, bit := &c.sw[i>>6], uint64(1)<<(i&63)
+	w.ready[e.cls] &^= bit
+	w.held &^= bit
 	e.state = stExec
 	c.waiting--
 	e.complete = complete
@@ -199,7 +214,7 @@ func (c *Core) retimed(seq, now uint64) {
 // rebuildSched refiles every window entry at cycle now, in O(window).
 func (c *Core) rebuildSched(now uint64) {
 	clear(c.sw)
-	c.soonN = 0
+	c.soonN, c.soonW = 0, 0
 	c.later, c.laterMin = c.later[:0], EventNever
 	for seq := c.headSeq; seq < c.tailSeq; seq++ {
 		i := seq & c.robMask
@@ -219,14 +234,16 @@ func (c *Core) rebuildSched(now uint64) {
 // minimum is due; the sweep drops stale keys and recomputes the minimum.
 func (c *Core) wakeTimed(now uint64) {
 	if c.soonN > 0 && c.soonAt <= now {
-		for w := range c.sw {
-			r, s := &c.sw[w].ready, &c.sw[w].soon
-			for k := range s {
-				r[k] |= s[k]
+		for m := c.soonW; m != 0; m &= m - 1 {
+			for w := bits.TrailingZeros64(m); w < len(c.sw); w += 64 {
+				r, s := &c.sw[w].ready, &c.sw[w].soon
+				for k := range s {
+					r[k] |= s[k]
+				}
+				*s = [4]uint64{}
 			}
-			*s = [4]uint64{}
 		}
-		c.soonN = 0
+		c.soonN, c.soonW = 0, 0
 	}
 	if c.laterMin > now {
 		return
@@ -238,7 +255,7 @@ func (c *Core) wakeTimed(now uint64) {
 		case c.rob[i].at != t: // stale
 		case t <= now:
 			c.rob[i].at = 0
-			c.sw[i>>6].ready[c.readyClass(i)] |= 1 << (i & 63)
+			c.sw[i>>6].ready[c.rob[i].cls] |= 1 << (i & 63)
 		default:
 			keep = append(keep, key)
 			next = min(next, t)
@@ -295,17 +312,21 @@ func (c *Core) ringNext(from, end uint64, word func(w *schedWord) uint64) (uint6
 	return 0, false
 }
 
+// readyBits returns ring word w's ready entries whose functional-unit
+// class is enabled in en (all ones or zero per class; en[clsMem] enables
+// held loads).
+func readyBits(w *schedWord, en *[4]uint64) uint64 {
+	r := &w.ready
+	return r[clsInt]&en[clsInt] | r[clsFP]&en[clsFP] | r[clsAG]&en[clsAG] | r[clsMem] | w.held&en[clsMem]
+}
+
 // nextReady returns the oldest ready entry at or after from whose
-// functional-unit class is enabled in en (all ones or zero per class;
-// en[clsMem] enables held loads): ringNext over the enabled classes,
-// written out for the issue walk.
+// functional-unit class is enabled in en: ringNext over readyBits.
 func (c *Core) nextReady(from uint64, en *[4]uint64) (uint64, bool) {
 	for end := c.tailSeq; from < end; {
 		p := from & c.robMask
 		b := p & 63
-		w := &c.sw[p>>6]
-		r := &w.ready
-		if m := (r[clsInt]&en[clsInt] | r[clsFP]&en[clsFP] | r[clsAG]&en[clsAG] | r[clsMem] | w.held&en[clsMem]) >> b; m != 0 {
+		if m := readyBits(&c.sw[p>>6], en) >> b; m != 0 {
 			s := from + uint64(bits.TrailingZeros64(m))
 			return s, s < end
 		}
@@ -406,78 +427,114 @@ func (c *Core) issueStage(now uint64) {
 	en := [4]uint64{enabled(intFree), enabled(fpFree), enabled(agFree), ^uint64(0)}
 	holding := false // the model holds an older load this cycle
 	budget := c.cfg.IssueWidth
-	for seq := c.headSeq; budget > 0; seq++ {
-		var ok bool
-		if seq, ok = c.nextReady(seq, &en); !ok {
-			return
-		}
-		i := seq & c.robMask
-		e := &c.rob[i]
-		if inOrder {
-			if t, _, blocked := c.stepInputs(i); blocked || t > now {
-				if t, _, blocked := c.operands(i); e.in.Op == trace.OpStore &&
-					e.addrDone > now && !blocked && t <= now {
-					continue // a pending store address does not stop in-order issue
-				}
+
+	// The walk pops ready entries from one ring word's combined mask at a
+	// time. It rereads the word only when en changes (a unit runs out or a
+	// load is held) or an issued entry's result is already available, the
+	// cases in which the word's remaining bits can change.
+	for seq, end := c.headSeq, c.tailSeq; seq < end; {
+		p := seq & c.robMask
+		w := &c.sw[p>>6]
+		b := p & 63
+		base, next := seq-b, seq+min(64-b, c.robMask+1-p)
+		m := readyBits(w, &en) >> b << b
+		for m != 0 {
+			if budget == 0 {
 				return
 			}
-		}
-		switch op := e.in.Op; op {
-		case trace.OpLoad, trace.OpStore:
-			if e.addrDone == 0 {
-				if agFree == 0 {
+			b = uint64(bits.TrailingZeros64(m))
+			m &= m - 1
+			seq := base + b
+			if seq >= end {
+				return
+			}
+			i := p&^63 | b
+			e := &c.rob[i]
+			if inOrder {
+				if t, _, blocked := c.stepInputs(i); blocked || t > now {
+					if t, _, blocked := c.operands(i); e.in.Op == trace.OpStore &&
+						e.addrDone > now && !blocked && t <= now {
+						continue // a pending store address does not stop in-order issue
+					}
+					return
+				}
+			}
+			reread := false
+			switch op := e.in.Op; op {
+			case trace.OpLoad, trace.OpStore:
+				if e.addrDone == 0 {
+					if agFree == 0 {
+						if inOrder {
+							return
+						}
+						break
+					}
+					agFree--
+					budget--
+					if agFree == 0 {
+						en[clsAG], reread = enabled(0), !inOrder
+					}
+					c.unplace(i)
+					e.addrDone, e.cls = now+1, clsMem
+					c.place(seq, now)
 					break
 				}
-				agFree--
-				budget--
-				en[clsAG] = enabled(agFree)
-				c.unplace(i)
-				e.addrDone = now + 1
-				c.place(seq, now)
-				continue
-			}
-			if op == trace.OpStore {
-				// Stores execute (address + data ready) here; the memory
-				// access happens at retirement per the consistency model.
-				c.started(i, e.addrDone, now)
-				if c.cfg.ConsistencyOpts != config.ImplPlain && e.flags&fPrefetch == 0 {
-					// Hardware prefetch from the window: request ownership
-					// early for stores blocked by consistency/retirement.
-					c.mem.Prefetch(e.in.Addr, e.in.PC, now, true, c.inCS())
-					e.flags |= fPrefetch
+				if op == trace.OpStore {
+					// Stores execute (address + data ready) here; the memory
+					// access happens at retirement per the consistency model.
+					reread = e.wake != 0 // its consumers are ready now
+					c.started(i, e.addrDone, now)
+					if c.cfg.ConsistencyOpts != config.ImplPlain && e.flags&fPrefetch == 0 {
+						// Hardware prefetch from the window: request ownership
+						// early for stores blocked by consistency/retirement.
+						c.mem.Prefetch(e.in.Addr, e.in.PC, now, true, c.inCS())
+						e.flags |= fPrefetch
+					}
+					break
 				}
-				continue
-			}
-			if c.accessLoad(seq, i, now, holding) {
-				continue
-			}
-			if !inOrder {
+				if c.accessLoad(seq, i, now, holding) {
+					reread = e.complete <= now
+					break
+				}
+				if inOrder {
+					return
+				}
 				c.hold(i)
-				holding, en[clsMem] = true, 0
-				continue
+				holding, en[clsMem], reread = true, 0, true
+			case trace.OpFPALU:
+				if fpFree == 0 {
+					if inOrder {
+						return
+					}
+					break
+				}
+				fpFree--
+				budget--
+				c.started(i, now+uint64(c.cfg.FPLatency), now)
+				if fpFree == 0 {
+					en[clsFP], reread = enabled(0), !inOrder
+				}
+				reread = reread || e.complete <= now
+			default: // integer ALU and branches
+				if intFree == 0 {
+					if inOrder {
+						return
+					}
+					break
+				}
+				intFree--
+				budget--
+				c.started(i, now+uint64(c.cfg.IntLatency), now)
+				if intFree == 0 {
+					en[clsInt], reread = enabled(0), !inOrder
+				}
+				reread = reread || e.complete <= now
 			}
-		case trace.OpFPALU:
-			if fpFree == 0 {
-				break
+			if reread {
+				m = readyBits(w, &en) >> b >> 1 << b << 1
 			}
-			fpFree--
-			budget--
-			en[clsFP] = enabled(fpFree)
-			c.started(i, now+uint64(c.cfg.FPLatency), now)
-			continue
-		default: // integer ALU and branches
-			if intFree == 0 {
-				break
-			}
-			intFree--
-			budget--
-			en[clsInt] = enabled(intFree)
-			c.started(i, now+uint64(c.cfg.IntLatency), now)
-			continue
 		}
-		if inOrder {
-			return
-		}
+		seq = next
 	}
 }
 
@@ -564,7 +621,12 @@ func (c *Core) schedActsNext(now uint64) bool {
 // cycle now, timed at the cycle they will be — every waiting entry of an
 // in-order core is in the ready set and none is held, only loads whose
 // address is generated and whose consistency prefetch (if any) is issued
-// are held, and no set holds anything else.
+// are held, and no set holds anything else. Each waiting entry's cached
+// class is the one its opcode and address time give; exactly the fqLen
+// slots past the window's tail hold fetched instructions, and no slot
+// outside the window is in any set; the write buffer's unissued-store
+// count is right; and each TLB translation the hierarchy holds is the
+// page table's.
 func (c *Core) checkSched(now uint64) {
 	onWake := make([]int, len(c.rob))   // by ring slot
 	inLater := make([]bool, len(c.rob)) // a live key at or above laterMin
@@ -583,8 +645,12 @@ func (c *Core) checkSched(now uint64) {
 	for seq := c.headSeq; seq < c.tailSeq; seq++ {
 		i := seq & c.robMask
 		e := &c.rob[i]
+		if e.state == stWaiting && e.cls != stepClass(e.in.Op, e.addrDone) {
+			panic(fmt.Sprintf("cpu%d: issue scheduler: seq %d (now %d) %v with address at %d has class %d, want %d",
+				c.id, seq, now, e.in.Op, e.addrDone, e.cls, stepClass(e.in.Op, e.addrDone)))
+		}
 		held := c.isHeld(i)
-		ready, soon, later := c.inReady(i), c.sw[i>>6].soon[c.readyClass(i)]&(1<<(i&63)) != 0, inLater[i]
+		ready, soon, later := c.inReady(i), c.sw[i>>6].soon[e.cls]&(1<<(i&63)) != 0, inLater[i]
 		places := onWake[i] + one[ready] + one[held] + one[soon] + one[later]
 		filed, soonN = filed+one[ready]+one[held]+one[soon], soonN+one[soon]
 		ready = ready || held
@@ -606,6 +672,23 @@ func (c *Core) checkSched(now uint64) {
 				c.id, seq, now, t, blocked, ready, held, soon, later, onWake[i]))
 		}
 	}
+	for k := uint64(c.robLen()); k < uint64(len(c.rob)); k++ {
+		seq := c.tailSeq + k - uint64(c.robLen())
+		i := seq & c.robMask
+		w, bit := &c.sw[i>>6], uint64(1)<<(i&63)
+		var in uint64
+		for cls := range w.ready {
+			in |= w.ready[cls] | w.soon[cls]
+		}
+		for ord := range w.order {
+			in |= w.order[ord]
+		}
+		if fetched := c.rob[i].state == stFetched; fetched != (seq < c.tailSeq+uint64(c.fqLen)) ||
+			(in|w.held)&bit != 0 || inLater[i] {
+			panic(fmt.Sprintf("cpu%d: window [%d,%d), fetch queue %d: slot of seq %d fetched %v, in a set %v, timed %v",
+				c.id, c.headSeq, c.tailSeq, c.fqLen, seq, fetched, (in|w.held)&bit != 0, inLater[i]))
+		}
+	}
 	setBits, soonBits := 0, 0
 	for _, w := range c.sw {
 		setBits += bits.OnesCount64(w.held)
@@ -617,5 +700,17 @@ func (c *Core) checkSched(now uint64) {
 	if setBits != filed || soonBits != soonN || soonN != c.soonN {
 		panic(fmt.Sprintf("cpu%d: issue scheduler: %d ready/held/soon bits for %d filed entries, %d soon bits, soon count %d",
 			c.id, setBits, filed, soonBits, c.soonN))
+	}
+	unissued := 0
+	for _, w := range c.wbuf[c.wbHead:] {
+		if !w.isWMB && !w.isFlush && !w.issued {
+			unissued++
+		}
+	}
+	if unissued != c.wbUnissued {
+		panic(fmt.Sprintf("cpu%d: write buffer holds %d unissued stores, count says %d", c.id, unissued, c.wbUnissued))
+	}
+	if err := c.mem.CheckTLBs(); err != nil {
+		panic(fmt.Sprintf("cpu%d: %v", c.id, err))
 	}
 }

@@ -115,6 +115,7 @@ func (l plainLatch) release(c *Core, e *robEntry, now uint64) (bool, stats.Categ
 		return false, stats.Write
 	}
 	c.wbuf = append(c.wbuf, wbufEntry{addr: e.in.Addr, pc: e.in.PC, inCS: true, release: true, flushAfter: l.hints})
+	c.wbUnissued++
 	c.ctx.csDepth--
 	return true, 0
 }

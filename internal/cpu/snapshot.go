@@ -87,7 +87,8 @@ type ROBEntryState struct {
 	TLBMiss   bool
 }
 
-// FQEntryState mirrors fqEntry.
+// FQEntryState is one fetch-queue entry: the fetch-stage fields of a ring
+// slot past the window's tail.
 type FQEntryState struct {
 	In        trace.Instr
 	FetchDone uint64
@@ -232,8 +233,8 @@ func (c *Core) Snapshot() CoreState {
 		})
 	}
 	for k := 0; k < c.fqLen; k++ {
-		f := &c.fetchQ[(c.fqHead+k)&c.fqMask]
-		s.FetchQ = append(s.FetchQ, FQEntryState{In: f.in, FetchDone: f.fetchDone, Mispred: f.mispred})
+		f := &c.rob[(c.tailSeq+uint64(k))&c.robMask]
+		s.FetchQ = append(s.FetchQ, FQEntryState{In: f.in, FetchDone: f.fetchDone, Mispred: f.flags&fMispred != 0})
 	}
 	for i := c.wbHead; i < len(c.wbuf); i++ {
 		w := &c.wbuf[i]
@@ -251,13 +252,13 @@ func (c *Core) Snapshot() CoreState {
 // themselves must have been restored (and their streams re-attached)
 // first.
 func (c *Core) Restore(s CoreState, byID map[int]*Context) error {
-	if n := s.TailSeq - s.HeadSeq; n != uint64(len(s.ROB)) || n > uint64(len(c.rob)) {
-		return fmt.Errorf("cpu: core %d snapshot window [%d,%d) inconsistent with %d entries (cap %d)",
-			c.id, s.HeadSeq, s.TailSeq, len(s.ROB), len(c.rob))
+	if n := s.TailSeq - s.HeadSeq; n != uint64(len(s.ROB)) || n > uint64(c.cfg.WindowSize) {
+		return fmt.Errorf("cpu: core %d snapshot window [%d,%d) inconsistent with %d entries (window %d)",
+			c.id, s.HeadSeq, s.TailSeq, len(s.ROB), c.cfg.WindowSize)
 	}
-	if len(s.FetchQ) > len(c.fetchQ) {
-		return fmt.Errorf("cpu: core %d snapshot fetch queue has %d entries, ring holds %d",
-			c.id, len(s.FetchQ), len(c.fetchQ))
+	if len(s.FetchQ) > c.cfg.FetchBufferEntries {
+		return fmt.Errorf("cpu: core %d snapshot fetch queue has %d entries, buffer holds %d",
+			c.id, len(s.FetchQ), c.cfg.FetchBufferEntries)
 	}
 	c.nowCycle = s.NowCycle
 	if s.CtxID >= 0 {
@@ -305,6 +306,7 @@ func (c *Core) Restore(s CoreState, byID map[int]*Context) error {
 		e.prod2 = es.Prod2
 		e.complete = es.Complete
 		e.addrDone = es.AddrDone
+		e.cls = stepClass(es.In.Op, es.AddrDone)
 		e.lineAddr = es.LineAddr
 		e.class = memsys.Class(es.Class)
 	}
@@ -314,10 +316,14 @@ func (c *Core) Restore(s CoreState, byID map[int]*Context) error {
 	c.fenceCount = s.FenceCount
 	c.rebuildSched(c.nowCycle) // derived state, not checkpointed
 
-	for i, f := range s.FetchQ {
-		c.fetchQ[i] = fqEntry{in: f.In, fetchDone: f.FetchDone, mispred: f.Mispred}
+	for k, f := range s.FetchQ {
+		e := &c.rob[(s.TailSeq+uint64(k))&c.robMask]
+		e.in, e.state, e.fetchDone = f.In, stFetched, f.FetchDone
+		if f.Mispred {
+			e.flags = fMispred
+		}
 	}
-	c.fqHead, c.fqLen = 0, len(s.FetchQ)
+	c.fqLen = len(s.FetchQ)
 	c.curLine = s.CurLine
 	c.lineValid = s.LineValid
 	c.fetchReady = s.FetchReady
@@ -330,8 +336,11 @@ func (c *Core) Restore(s CoreState, byID map[int]*Context) error {
 	c.stallInstr = s.StallInstr
 	c.poked = s.Poked
 
-	c.wbuf = c.wbuf[:0]
+	c.wbuf, c.wbUnissued = c.wbuf[:0], 0
 	for _, w := range s.Wbuf {
+		if !w.IsWMB && !w.IsFlush && !w.Issued {
+			c.wbUnissued++
+		}
 		c.wbuf = append(c.wbuf, wbufEntry{
 			addr: w.Addr, pc: w.PC, done: w.Done,
 			isWMB: w.IsWMB, isFlush: w.IsFlush, issued: w.Issued,

@@ -94,3 +94,45 @@ func TestNoViolationWithoutConflict(t *testing.T) {
 		t.Errorf("spurious violations=%d rollbacks=%d", c.Violations, c.Rollbacks)
 	}
 }
+
+// TestRollbackSchedulerInvariant runs four cores sharing data under SC
+// with speculative loads and the invariant checker on, so remote stores
+// squash speculative loads and the rollbacks refile the window: every
+// rolled-back entry must come back with the ready-set class its address
+// state gives, every cycle.
+func TestRollbackSchedulerInvariant(t *testing.T) {
+	cfg := config.Default()
+	cfg.Consistency = config.SC
+	cfg.ConsistencyOpts = config.ImplSpeculative
+	cfg.DebugChecks = true
+	ms := memsys.MustNew(cfg)
+	locks := newTestLocks()
+	var cores []*Core
+	for n := 0; n < 4; n++ {
+		c := New(cfg, n, ms.Node(n), locks)
+		c.SwitchTo(&Context{ID: n, Stream: trace.NewSliceStream(randomStream(uint64(n+100), 600))})
+		cores = append(cores, c)
+	}
+	for cycle := uint64(1); cycle < 5_000_000; cycle++ {
+		running := false
+		for _, c := range cores {
+			c.Tick(cycle)
+			if !c.NeedsSwitch() {
+				running = true
+			}
+		}
+		if !running {
+			break
+		}
+	}
+	var rollbacks uint64
+	for n, c := range cores {
+		if !c.NeedsSwitch() {
+			t.Fatalf("core %d did not finish (%s)", n, c.String())
+		}
+		rollbacks += c.Rollbacks
+	}
+	if rollbacks == 0 {
+		t.Fatal("no rollbacks: the test does not exercise rollback refiling")
+	}
+}

@@ -46,7 +46,7 @@ func (c *Core) fetchStage(now uint64) {
 		c.stallInstr = true
 		return
 	}
-	lineShift := c.mem.L1I().LineShift()
+	lineShift := c.lineShift
 	for n := 0; n < c.cfg.IssueWidth; n++ {
 		if c.fqLen >= c.cfg.FetchBufferEntries {
 			return
@@ -55,9 +55,9 @@ func (c *Core) fetchStage(now uint64) {
 			c.stallInstr = false
 			return
 		}
-		// Decode straight into the ring's tail slot; it joins the queue
-		// only when fqLen counts it below.
-		fe := &c.fetchQ[(c.fqHead+c.fqLen)&c.fqMask]
+		// Decode straight into the ring slot the instruction will occupy
+		// in the window; it joins the queue only when fqLen counts it below.
+		fe := &c.rob[(c.tailSeq+uint64(c.fqLen))&c.robMask]
 		in := &fe.in
 		*in = trace.Instr{}
 		if !c.ctx.Stream.Next(in) {
@@ -92,7 +92,10 @@ func (c *Core) fetchStage(now uint64) {
 				c.mem.PrefetchInstr(in.Target, now)
 			}
 		}
-		fe.fetchDone, fe.mispred = avail, mis
+		fe.state, fe.fetchDone, fe.flags = stFetched, avail, 0
+		if mis {
+			fe.flags = fMispred
+		}
 		c.fqLen++
 		if mis {
 			// Trace-driven: no wrong-path fetch; stall until resolution.
@@ -112,58 +115,84 @@ func (c *Core) dispatchStage(now uint64) {
 		if c.fqLen == 0 {
 			break
 		}
-		fe := &c.fetchQ[c.fqHead]
-		if fe.fetchDone > now {
+		seq := c.tailSeq
+		i := seq & c.robMask
+		e := &c.rob[i]
+		if e.fetchDone > now {
 			break
 		}
 		if c.robLen() >= c.cfg.WindowSize {
 			break
 		}
-		isMem := fe.in.Op.IsMem()
-		if isMem && c.memInROB >= c.cfg.MemQueueSize {
+		op := e.in.Op
+		k := opKinds[op]
+		if k&kMem != 0 && c.memInROB >= c.cfg.MemQueueSize {
 			break
 		}
-		seq := c.tailSeq
-		i := seq & c.robMask
-		e := &c.rob[i]
-		*e = robEntry{in: fe.in, state: stWaiting, fetchDone: fe.fetchDone, prod1: noProd, prod2: noProd}
-		if fe.mispred {
-			e.flags = fMispred
-		}
-		if s := fe.in.Src1; s != trace.NoReg {
+		// Fetch wrote the instruction, fetchDone and the mispredict flag;
+		// the rest of the entry starts here.
+		e.state, e.class, e.cls = stWaiting, 0, k&kCls
+		e.complete, e.addrDone, e.lineAddr = 0, 0, 0
+		e.at, e.wake = 0, 0
+		e.prod1, e.prod2 = noProd, noProd
+		if s := e.in.Src1; s != trace.NoReg {
 			e.prod1 = c.rename[s]
 		}
-		if s := fe.in.Src2; s != trace.NoReg {
+		if s := e.in.Src2; s != trace.NoReg {
 			e.prod2 = c.rename[s]
 		}
-		if d := fe.in.Dest; d != trace.NoReg {
+		if d := e.in.Dest; d != trace.NoReg {
 			c.rename[d] = seq
 		}
-		if isMem {
+		if k&kMem != 0 {
 			c.memInROB++
 		}
-		if execAtRetire(fe.in.Op) {
+		c.orderAdd(i)
+		if k&kAtRetire != 0 {
 			// Mark it executed so it does not block in-order issue.
 			e.state = stExec
-			e.complete = fe.fetchDone
-		}
-		switch fe.in.Op {
-		case trace.OpMemBar, trace.OpLockAcquire:
-			c.fenceCount++
-		}
-		c.orderAdd(i)
-		if e.state != stExec {
+			e.complete = e.fetchDone
+			if op == trace.OpMemBar || op == trace.OpLockAcquire {
+				c.fenceCount++
+			}
+		} else {
 			c.waiting++
 			c.place(seq, now)
 		}
-		if fe.mispred {
+		if e.flags&fMispred != 0 {
 			c.blockBranch = seq
 		}
 		c.tailSeq++
-		c.fqHead = (c.fqHead + 1) & c.fqMask
 		c.fqLen--
 	}
 }
+
+// opKinds tabulates, by opcode, what dispatch and retirement test of
+// every instruction: the first step's ready-set class (kCls bits) and
+// the k* properties.
+var opKinds = func() (t [256]uint8) {
+	for op := range t {
+		o := trace.Op(op)
+		t[op] = stepClass(o, 0)
+		if o.IsMem() {
+			t[op] |= kMem
+		}
+		if o.IsBranch() {
+			t[op] |= kBranch
+		}
+		if execAtRetire(o) {
+			t[op] |= kAtRetire
+		}
+	}
+	return t
+}()
+
+const (
+	kCls      uint8 = 3      // mask of the first step's ready-set class
+	kMem      uint8 = 1 << 2 // takes a memory-queue entry (trace.Op.IsMem)
+	kBranch   uint8 = 1 << 3 // speculated branch (trace.Op.IsBranch)
+	kAtRetire uint8 = 1 << 4 // executes at retirement (execAtRetire)
+)
 
 // execAtRetire reports whether op executes at retirement: fences, locks
 // and hints.
@@ -201,7 +230,8 @@ func (c *Core) retireStage(now uint64) {
 			break
 		}
 		op := e.in.Op
-		if op.IsMem() {
+		k := opKinds[op]
+		if k&kMem != 0 {
 			c.memInROB--
 		}
 		switch op {
@@ -211,7 +241,7 @@ func (c *Core) retireStage(now uint64) {
 		case trace.OpLoad, trace.OpStore:
 			c.orderDrop(i)
 		}
-		if op.IsBranch() {
+		if k&kBranch != 0 {
 			c.unresolved--
 			if seq == c.blockBranch {
 				c.resumeAt = e.complete + uint64(c.cfg.BranchRestart)
@@ -331,6 +361,7 @@ func (c *Core) tryRetire(e *robEntry, now uint64) (bool, stats.Category) {
 			return false, stats.Write
 		}
 		c.wbuf = append(c.wbuf, wbufEntry{addr: e.in.Addr, pc: e.in.PC, inCS: c.inCS()})
+		c.wbUnissued++
 		return true, 0
 
 	case trace.OpLockAcquire:
@@ -420,6 +451,7 @@ func (c *Core) rollback(fromSeq, now uint64) {
 		e.addrDone = 0
 		e.lineAddr = 0
 		e.class = 0
+		e.cls = stepClass(e.in.Op, 0)
 		if execAtRetire(e.in.Op) {
 			e.state = stExec
 			e.complete = e.fetchDone
@@ -440,8 +472,10 @@ func (c *Core) drainWbuf(now uint64) {
 	if c.wbufLen() == 0 {
 		return
 	}
-	switch c.cfg.Consistency {
-	case config.RC:
+	// Only a store not yet issued to memory needs the scan; the stores
+	// already issued just wait at the front to perform.
+	switch issue := c.wbUnissued > 0; {
+	case issue && c.cfg.Consistency == config.RC:
 		allPriorDone := true
 		for i := c.wbHead; i < len(c.wbuf); i++ {
 			w := &c.wbuf[i]
@@ -457,6 +491,7 @@ func (c *Core) drainWbuf(now uint64) {
 			if !w.issued {
 				res := c.mem.DataWrite(w.addr, w.pc, now, w.inCS)
 				w.issued = true
+				c.wbUnissued--
 				w.done = res.Done
 				if c.ctx.tx != nil {
 					c.trackWrite(res.LineAddr)
@@ -466,7 +501,7 @@ func (c *Core) drainWbuf(now uint64) {
 				allPriorDone = false
 			}
 		}
-	case config.PC:
+	case issue && c.cfg.Consistency == config.PC:
 		for i := c.wbHead; i < len(c.wbuf); i++ {
 			w := &c.wbuf[i]
 			if w.isWMB || w.isFlush {
@@ -475,6 +510,7 @@ func (c *Core) drainWbuf(now uint64) {
 			if !w.issued {
 				res := c.mem.DataWrite(w.addr, w.pc, now, w.inCS)
 				w.issued = true
+				c.wbUnissued--
 				w.done = res.Done
 				if c.cfg.DebugChecks {
 					c.dbgCheckStoreFIFO(now, w.done, w.pc)
@@ -494,7 +530,7 @@ func (c *Core) drainWbuf(now uint64) {
 	// seen all prior stores perform; it executes now, off the critical
 	// path.
 	for c.wbufLen() > 0 {
-		w := c.wbuf[c.wbHead]
+		w := &c.wbuf[c.wbHead]
 		switch {
 		case w.isWMB:
 		case w.isFlush:

@@ -25,19 +25,20 @@ func acquireAt(busy *uint64, t, occ uint64) uint64 {
 // busOccupancy is the cycles a request holds the split-transaction bus.
 const busOccupancy = 4
 
-// translate maps vaddr through the page table and the appropriate TLB,
-// reporting a TLB miss (perfect TLBs never miss).
+// translate maps vaddr through the appropriate TLB, reporting a TLB miss;
+// only a miss reads the page table. Perfect TLBs never miss and always
+// read it.
 func (h *Hierarchy) translate(vaddr uint64, instr bool) (paddr uint64, home int, miss bool) {
-	paddr, home = h.sys.pt.Translate(vaddr, h.node)
 	t, perfect := h.dtlb, h.sys.cfg.PerfectDTLB
 	if instr {
 		t, perfect = h.itlb, h.sys.cfg.PerfectITLB
 	}
 	if perfect {
+		paddr, home = h.sys.pt.Translate(vaddr, h.node)
 		return paddr, home, false
 	}
-	vpn := h.sys.pt.VPN(vaddr)
-	return paddr, home, !t.Lookup(vpn)
+	paddr, home, hit := t.Translate(h.sys.pt, vaddr, h.node)
+	return paddr, home, !hit
 }
 
 // DataRead services a load issued at cycle now by the instruction at pc.

@@ -359,6 +359,18 @@ func (h *Hierarchy) SetTracer(t *tracing.Tracer) { h.trc = t }
 // SetInvalidationHook registers the processor's violation detector.
 func (h *Hierarchy) SetInvalidationHook(f InvalidationHook) { h.invalHook = f }
 
+// CheckTLBs reports a TLB entry whose held translation is not the page
+// table's (debug invariant).
+func (h *Hierarchy) CheckTLBs() error {
+	if err := h.itlb.Check(h.sys.pt); err != nil {
+		return fmt.Errorf("memsys: node %d iTLB: %w", h.node, err)
+	}
+	if err := h.dtlb.Check(h.sys.pt); err != nil {
+		return fmt.Errorf("memsys: node %d dTLB: %w", h.node, err)
+	}
+	return nil
+}
+
 // FlushTLBs invalidates both TLBs (context switch).
 func (h *Hierarchy) FlushTLBs() {
 	h.itlb.Flush()

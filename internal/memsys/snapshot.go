@@ -149,6 +149,12 @@ func (s *System) Restore(st SystemState) error {
 		if err := h.dtlb.Restore(hs.DTLB); err != nil {
 			return err
 		}
+		if err := h.itlb.Refill(s.pt); err != nil {
+			return err
+		}
+		if err := h.dtlb.Refill(s.pt); err != nil {
+			return err
+		}
 		if err := h.sbuf.Restore(hs.SBuf); err != nil {
 			return err
 		}

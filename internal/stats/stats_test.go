@@ -178,10 +178,11 @@ func TestCategoryRoundTrip(t *testing.T) {
 	}
 }
 
-// TestHTMCategories pins down the HTM abort/stall categories: traceview
-// and benchdiff parse category names from trace aggregates, so each new
-// name must round-trip through ParseCategory rather than fall into
-// "other", and the aggregate helpers must include them.
+// TestHTMCategories pins down the HTM abort/stall categories: the
+// tracing package (traceview, Chrome trace import and stall profiles)
+// parses category names from trace aggregates, so each new name must
+// round-trip through ParseCategory rather than fall into "other", and the
+// aggregate helpers must include them.
 func TestHTMCategories(t *testing.T) {
 	for name, want := range map[string]Category{
 		"htm_conflict": HTMConflict,

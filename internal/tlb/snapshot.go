@@ -74,7 +74,8 @@ func (t *TLB) Snapshot() TLBState {
 }
 
 // Restore refills the TLB from a snapshot taken on a TLB of the same
-// size.
+// size. The held translations are not in the snapshot: a TLB filled by
+// Translate takes them back from the restored page table with Refill.
 func (t *TLB) Restore(s TLBState) error {
 	if len(s.Entries) != len(t.entries) {
 		return fmt.Errorf("tlb: snapshot has %d entries, configured %d", len(s.Entries), len(t.entries))
@@ -85,5 +86,23 @@ func (t *TLB) Restore(s TLBState) error {
 	t.stamp = s.Stamp
 	t.Accesses = s.Accesses
 	t.Misses = s.Misses
+	return nil
+}
+
+// Refill sets each valid entry's held translation from page table pt. A
+// valid entry for a page pt has not mapped is an error: Translate maps a
+// page before any TLB holds it.
+func (t *TLB) Refill(pt *PageTable) error {
+	for i := range t.entries {
+		e := &t.entries[i]
+		if !e.valid {
+			continue
+		}
+		pte, ok := pt.entries[e.vpn]
+		if !ok {
+			return fmt.Errorf("tlb: snapshot holds page %#x, which the page table does not map", e.vpn)
+		}
+		e.pte = pte
+	}
 	return nil
 }

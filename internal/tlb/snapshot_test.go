@@ -107,3 +107,69 @@ func TestRestoreRejectsGeometry(t *testing.T) {
 		t.Error("page table restore accepted a snapshot with the wrong page shift")
 	}
 }
+
+// TestTranslateHeldAcrossRestore: a TLB hit returns the translation the
+// entry was filled with, which is the page table's; a restored TLB takes
+// its translations back from the restored page table with Refill; Check
+// reports a held translation the table does not have; and Refill rejects
+// a valid entry for a page the table never mapped.
+func TestTranslateHeldAcrossRestore(t *testing.T) {
+	pt, _ := NewPageTable(8 << 10)
+	tl, _ := New(4)
+	vaddrs := []uint64{0x12345, 0x7_0000, 0x12345 + 8, 0x9_1000, 0x7_0010, 0x5_0000, 0x12345}
+	type res struct {
+		paddr uint64
+		home  int
+		hit   bool
+	}
+	run := func(tl *TLB, pt *PageTable, vs []uint64) []res {
+		var out []res
+		for k, v := range vs {
+			p, h, hit := tl.Translate(pt, v, k%3)
+			if wp, wh := pt.Translate(v, 0); p != wp || h != wh {
+				t.Fatalf("%#x: TLB gives %#x home %d, page table %#x home %d", v, p, h, wp, wh)
+			}
+			out = append(out, res{p, h, hit})
+		}
+		if err := tl.Check(pt); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	first := run(tl, pt, vaddrs[:4])
+	if first[0].hit || !first[2].hit {
+		t.Fatalf("hits %v: want a miss then a hit on the same page", first)
+	}
+	want := run(tl, pt, vaddrs[4:])
+
+	// Split the same sequence at the same point through a snapshot.
+	ptA, _ := NewPageTable(8 << 10)
+	tlA, _ := New(4)
+	run(tlA, ptA, vaddrs[:4])
+	pt2, _ := NewPageTable(8 << 10)
+	tl2, _ := New(4)
+	if err := pt2.Restore(ptA.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	if err := tl2.Restore(tlA.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	if err := tl2.Refill(pt2); err != nil {
+		t.Fatal(err)
+	}
+	got := run(tl2, pt2, vaddrs[4:])
+	for k := range want {
+		if got[k] != want[k] {
+			t.Fatalf("restored run %v, uninterrupted %v", got, want)
+		}
+	}
+
+	tl2.entries[0].pte.PPN++
+	if tl2.Check(pt2) == nil {
+		t.Error("Check accepted a held translation the page table does not have")
+	}
+	empty, _ := NewPageTable(8 << 10)
+	if tl2.Refill(empty) == nil {
+		t.Error("Refill accepted a valid entry for an unmapped page")
+	}
+}

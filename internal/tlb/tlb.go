@@ -76,7 +76,11 @@ func (pt *PageTable) HomeOfPhys(paddr uint64) (home int, ok bool) {
 func (pt *PageTable) Pages() int { return len(pt.entries) }
 
 // TLB is a fully associative translation buffer with true-LRU replacement.
-// Each simulated processor owns separate instruction and data TLBs.
+// Each simulated processor owns separate instruction and data TLBs. An
+// entry filled by Translate holds the page-table entry it was filled
+// with, so a hit does not consult the page table (a mapping never changes
+// once made). Lookup probes and fills by page number alone, for TLBs used
+// without a page table; the two must not be mixed on one TLB.
 type TLB struct {
 	entries []tlbEntry
 	stamp   uint64
@@ -88,6 +92,7 @@ type TLB struct {
 type tlbEntry struct {
 	vpn   uint64
 	stamp uint64
+	pte   PTE // the translation filled by Translate
 	valid bool
 }
 
@@ -102,13 +107,35 @@ func New(entries int) (*TLB, error) {
 // Lookup probes the TLB for vpn, inserting it on a miss (evicting the LRU
 // entry), and reports whether it hit.
 func (t *TLB) Lookup(vpn uint64) bool {
+	_, hit := t.probe(vpn)
+	return hit
+}
+
+// Translate maps vaddr through the TLB, and on a miss through page table
+// pt (first-touch homing at node) before filling, reporting whether the
+// TLB hit.
+func (t *TLB) Translate(pt *PageTable, vaddr uint64, node int) (paddr uint64, home int, hit bool) {
+	vpn := vaddr >> pt.pageShift
+	off := vaddr & (1<<pt.pageShift - 1)
+	e, hit := t.probe(vpn)
+	if !hit {
+		paddr, home = pt.Translate(vaddr, node)
+		e.pte = PTE{PPN: paddr >> pt.pageShift, Home: home}
+		return paddr, home, false
+	}
+	return e.pte.PPN<<pt.pageShift | off, e.pte.Home, true
+}
+
+// probe looks vpn up, refreshing its LRU stamp on a hit and filling the
+// LRU way on a miss, and returns the entry either way.
+func (t *TLB) probe(vpn uint64) (*tlbEntry, bool) {
 	t.Accesses++
 	t.stamp++
 	for i := range t.entries {
 		e := &t.entries[i]
 		if e.valid && e.vpn == vpn {
 			e.stamp = t.stamp
-			return true
+			return e, true
 		}
 	}
 	t.Misses++
@@ -127,7 +154,22 @@ func (t *TLB) Lookup(vpn uint64) bool {
 		}
 	}
 	t.entries[victim] = tlbEntry{vpn: vpn, stamp: t.stamp, valid: true}
-	return false
+	return &t.entries[victim], false
+}
+
+// Check reports the first valid entry whose held translation is not page
+// table pt's (debug invariant for TLBs filled by Translate).
+func (t *TLB) Check(pt *PageTable) error {
+	for i := range t.entries {
+		e := &t.entries[i]
+		if !e.valid {
+			continue
+		}
+		if want, ok := pt.entries[e.vpn]; !ok || e.pte != want {
+			return fmt.Errorf("tlb: way %d holds page %#x -> %+v, page table has %+v (mapped %v)", i, e.vpn, e.pte, want, ok)
+		}
+	}
+	return nil
 }
 
 // Flush invalidates all entries (used on context switches).
