@@ -232,6 +232,7 @@ func (s *System) captureCheckpoint(ck *CheckpointOptions, warmed bool, lastRetir
 	if ck.Workload == nil {
 		return errors.New("core: CheckpointOptions.Workload is required")
 	}
+	s.settleAll()
 	st, err := s.machineState(warmed, lastRetired, lastProgress, tel, tracer, ck.Workload)
 	if err != nil {
 		return err

@@ -167,6 +167,26 @@ type System struct {
 	cycle      uint64
 	statsStart uint64
 	nextProc   int
+
+	// Deferred skip runs (see run): skipFrom[i] is the first cycle of core
+	// i's skip run not yet applied to its counters (0 = none), and pos is
+	// the index of the core the run loop is ticking within the current
+	// cycle (len(cores) between cycles).
+	skipFrom []uint64
+	pos      int
+	skips    []SkipStats
+}
+
+// SkipStats is the simulator's own account of how one core's cycles were
+// advanced in the last run: by a full Tick or by FastForward, and in how
+// many skip runs (stretches of consecutive skipped cycles; a telemetry
+// sample, checkpoint or warm-up reset splits a run). Ticked+Skipped is
+// the number of cycles the run covered. The counts are not part of
+// stats.Report.
+type SkipStats struct {
+	Ticked  uint64
+	Skipped uint64
+	Runs    uint64
 }
 
 // NewSystem builds a machine for cfg.
@@ -185,8 +205,25 @@ func NewSystem(cfg config.Config) (*System, error) {
 		locks: NewLockTable(),
 	}
 	for n := 0; n < cfg.Nodes; n++ {
-		s.cores = append(s.cores, cpu.New(cfg, n, s.mem.Node(n), s.locks))
+		c := cpu.New(cfg, n, s.mem.Node(n), s.locks)
+		// Another core's store can abort this core's transaction mid-cycle.
+		// The per-cycle loop would have advanced this core through the
+		// current cycle if it comes earlier in tick order, else through the
+		// previous one; a deferred skip run is applied that far first, so
+		// the abort sees the counters, nowCycle and trace spans it would
+		// have seen.
+		c.SetAbortHook(func() {
+			to := s.cycle
+			if n >= s.pos {
+				to--
+			}
+			s.settle(n, to)
+		})
+		s.cores = append(s.cores, c)
 	}
+	s.pos = len(s.cores)
+	s.skipFrom = make([]uint64, len(s.cores))
+	s.skips = make([]SkipStats, len(s.cores))
 	return s, nil
 }
 
@@ -207,6 +244,11 @@ func (s *System) Config() config.Config { return s.cfg }
 
 // Cycle returns the current simulated cycle.
 func (s *System) Cycle() uint64 { return s.cycle }
+
+// SkipStats returns, per core, how the last run advanced its cycles.
+func (s *System) SkipStats() []SkipStats {
+	return append([]SkipStats(nil), s.skips...)
+}
 
 // AddProcess pins a server process running stream to cpuID's run queue and
 // returns its context.
@@ -378,27 +420,42 @@ func (s *System) run(opt RunOptions, resume *MachineState) (rep *stats.Report, e
 		// Close open spans on every exit path (including recovered panics
 		// and cycle-limit/watchdog/cancel errors) so partial traces are
 		// still well-formed.
-		defer func() { opt.Tracer.Finish(s.cycle) }()
+		defer func() {
+			s.settleAll()
+			opt.Tracer.Finish(s.cycle)
+		}()
 	}
 	prevRet := lastRetired
-	// Per-core steady-cycle skip: wake[i] is a cached bound below which core
-	// i provably repeats the same retire-free cycle, so its Tick can be
-	// replaced by the O(1) single-cycle FastForward. The bound is computed
-	// only on retire-free ticks (on busy cores the bookkeeping would be pure
-	// overhead) and is invalidated by the two cross-core channels that can
-	// make a core's next interesting cycle earlier than predicted: a line
-	// invalidation marking one of its speculative loads violated (TakePoked)
-	// and any lock release (LockTable.gen). Everything else that times a
-	// core — its own pipeline, its own scheduler queue, fixed memory
-	// latencies — is already folded into NextEvent.
-	wake := make([]uint64, len(s.cores))
-	coreRet := make([]uint64, len(s.cores))
+	// Per-core skip runs: wake[i] is a cached bound below which core i
+	// provably repeats the same retire-free cycle, so its Tick can be
+	// replaced by FastForward. The bound is computed only on ticks that
+	// neither retire nor move the front end (on busy cores the NextEvent
+	// call would be pure overhead) and is invalidated by the two cross-core
+	// channels that can make a core's next interesting cycle earlier than
+	// predicted: a line invalidation marking one of its speculative loads
+	// violated or aborting its transaction (TakePoked), and any lock
+	// release (LockTable.gen). Everything else that times a core — its own
+	// pipeline, its own scheduler queue, fixed memory latencies — is
+	// already folded into NextEvent.
+	//
+	// A skip run costs two FastForward calls, not one per cycle: its first
+	// cycle is applied at once, so a stall span the tracer commits on a
+	// change of category or PC is committed at the same point in the event
+	// order as in the per-cycle loop; the rest is recorded in skipFrom and
+	// applied by settle when the run ends or something reads the counters.
+	ff := !opt.DisableFastForward
+	n := len(s.cores)
+	wake := make([]uint64, n)
+	coreRet := make([]uint64, n)
+	live := make([]bool, n) // core has a process or a queued one (as of its last tick)
 	for i, c := range s.cores {
 		coreRet[i] = c.Retired
 	}
+	clear(s.skips)
 	lockGen := s.locks.gen
 	for {
 		s.cycle++
+		now := s.cycle
 		allDone := true
 		for i, c := range s.cores {
 			if s.locks.gen != lockGen {
@@ -410,27 +467,42 @@ func (s *System) run(opt RunOptions, resume *MachineState) (rep *stats.Report, e
 					wake[k] = 0
 				}
 			}
-			if !opt.DisableFastForward && wake[i] > s.cycle && !c.TakePoked() {
-				s.sch.FastForward(i, c, s.cycle, s.cycle)
-				c.FastForward(s.cycle, s.cycle)
+			if wake[i] > now && !c.TakePoked() {
+				if s.skipFrom[i] == 0 {
+					s.startRun(i, now)
+				}
 			} else {
-				s.sch.Tick(i, c, s.cycle)
-				c.Tick(s.cycle)
+				if s.skipFrom[i] != 0 {
+					s.settle(i, now-1)
+				}
+				s.pos = i // only a tick can invalidate another core's lines
+				stamp := c.PipeStamp()
+				s.sch.Tick(i, c, now)
+				c.Tick(now)
+				s.skips[i].Ticked++
 				if rr := c.Retired; rr != coreRet[i] {
 					coreRet[i] = rr
 					wake[i] = 0
-				} else if !opt.DisableFastForward {
-					w := s.sch.NextEvent(i, c, s.cycle)
-					if cw := c.NextEvent(s.cycle); cw < w {
-						w = cw
+				} else if ff {
+					if c.PipeStamp() != stamp {
+						// Fetch, dispatch or issue acted: the core is busy,
+						// and its bound would almost always be now+1.
+						wake[i] = 0
+					} else {
+						w := s.sch.NextEvent(i, c, now)
+						if cw := c.NextEvent(now); cw < w {
+							w = cw
+						}
+						wake[i] = w
 					}
-					wake[i] = w
 				}
+				live[i] = c.Context() != nil || s.sch.Pending(i)
 			}
-			if c.Context() != nil || s.sch.Pending(i) {
+			if live[i] {
 				allDone = false
 			}
 		}
+		s.pos = n
 		ret := s.totalRetired()
 		if !warmed && ret >= opt.WarmupInstructions {
 			s.ResetStats()
@@ -490,7 +562,7 @@ func (s *System) run(opt RunOptions, resume *MachineState) (rep *stats.Report, e
 		// A retire-free cycle is the fast-forward trigger: only then is it
 		// worth asking every component for its next event. (The skip itself
 		// is correct regardless; this is purely a cost gate.)
-		if !opt.DisableFastForward && ret == prevRet {
+		if ff && ret == prevRet {
 			if s.locks.gen != lockGen {
 				// A core later in this cycle's order released a lock after the
 				// earlier cores' bounds were refreshed: a spinner's next
@@ -506,6 +578,7 @@ func (s *System) run(opt RunOptions, resume *MachineState) (rep *stats.Report, e
 		}
 		prevRet = ret
 	}
+	s.settleAll()
 	s.mem.Finalize(s.cycle)
 	if tel != nil {
 		tel.flush(s)
@@ -515,9 +588,9 @@ func (s *System) run(opt RunOptions, resume *MachineState) (rep *stats.Report, e
 
 // fastForward jumps s.cycle to just before the machine-wide next event
 // when every component proves the intervening cycles are steady (constant
-// per-cycle bookkeeping, zero state mutation), bulk-applying that
-// bookkeeping so the run is bit-identical to ticking every cycle. The jump
-// is also capped so that every externally timed check in Run — telemetry
+// per-cycle bookkeeping, zero state mutation), leaving every core in a
+// skip run whose bookkeeping settle applies later, so the run is
+// bit-identical to ticking every cycle. The jump is also capped so that every externally timed check in Run — telemetry
 // sample boundaries, the watchdog trip, the MaxCycles trip, the context
 // poll cadence — still happens on exactly the cycle it would have.
 func (s *System) fastForward(opt *RunOptions, window, lastProgress uint64, tel *telemetryState, wake []uint64, ckInterval uint64) {
@@ -583,12 +656,59 @@ func (s *System) fastForward(opt *RunOptions, window, lastProgress uint64, tel *
 	}
 	// Cycles now+1 .. limit-1 are steady; cycle limit is ticked normally by
 	// the next loop iteration (it may retire, sample, trip a check, ...).
-	from, to := now+1, limit-1
-	for i, c := range s.cores {
-		s.sch.FastForward(i, c, from, to)
-		c.FastForward(from, to)
+	// Every core is now in a skip run through limit-1: the jump is the
+	// per-cycle loop's skip path taken by all cores at once, so a core
+	// that ticked this cycle starts its run exactly as the loop would
+	// have (first cycle applied at once), and a deferred run just extends.
+	for i := range s.cores {
+		if s.skipFrom[i] == 0 {
+			s.startRun(i, now+1)
+		}
 	}
-	s.cycle = to
+	s.cycle = limit - 1
+}
+
+// startRun begins core i's skip run at cycle t: the first cycle is
+// applied at once, the rest is deferred to settle.
+func (s *System) startRun(i int, t uint64) {
+	c := s.cores[i]
+	s.sch.FastForward(i, c, t, t)
+	c.FastForward(t, t)
+	s.skipFrom[i] = t + 1
+	s.skips[i].Skipped++
+	s.skips[i].Runs++
+}
+
+// settle applies core i's deferred skip run through cycle to (the last
+// cycle the per-cycle loop would have advanced it to) and ends the run.
+func (s *System) settle(i int, to uint64) {
+	from := s.skipFrom[i]
+	if from == 0 {
+		return
+	}
+	s.skipFrom[i] = 0
+	if to < from {
+		return
+	}
+	c := s.cores[i]
+	s.sch.FastForward(i, c, from, to)
+	c.FastForward(from, to)
+	s.skips[i].Skipped += to - from + 1
+}
+
+// settleAll brings every core's counters, nowCycle and trace spans up to
+// date. It is called before anything reads or resets them: the warm-up
+// reset, a due telemetry sample, a checkpoint capture, a report, and the
+// run's end. Mid-cycle (a recovered panic) a core the loop has not
+// reached yet is settled through the previous cycle only.
+func (s *System) settleAll() {
+	for i := range s.skipFrom {
+		to := s.cycle
+		if i >= s.pos {
+			to--
+		}
+		s.settle(i, to)
+	}
 }
 
 // recoverPanic converts a recovered panic into a *diag.PanicError. The
@@ -678,6 +798,7 @@ func (s *System) totalRetired() uint64 {
 
 // ResetStats discards statistics accumulated so far (used for warm-up).
 func (s *System) ResetStats() {
+	s.settleAll()
 	for _, c := range s.cores {
 		c.ResetStats()
 	}
@@ -689,6 +810,7 @@ func (s *System) ResetStats() {
 
 // buildReport aggregates machine-wide statistics.
 func (s *System) buildReport(label string) *stats.Report {
+	s.settleAll()
 	r := &stats.Report{Label: label, Cycles: s.cycle - s.statsStart}
 
 	var condBr, condMis uint64

@@ -88,6 +88,7 @@ func (s *System) newTelemetry(opt RunOptions) *telemetryState {
 // interval boundary.
 func (ts *telemetryState) maybeSample(s *System) {
 	if s.cycle >= ts.nextAt {
+		s.settleAll()
 		ts.sample(s)
 		ts.nextAt = s.cycle + ts.interval
 	}

@@ -128,6 +128,7 @@ type Core struct {
 	viewer        LockViewer // optional non-mutating availability view (nil = none)
 	htmCfg        htm.Config
 	nowCycle      uint64 // current cycle, for async-hook event timestamps
+	onAbort       func() // called before a line invalidation aborts the running transaction
 
 	ctx *Context
 	trc *tracing.Tracer // nil = tracing disabled (pure-observer event hooks)
@@ -177,6 +178,9 @@ type Core struct {
 	dbgLastPerform   uint64 // SC: last perform time of any memory op
 	dbgLastLoadBind  uint64 // PC: last cycle a load bound its value
 	dbgLastStoreDone uint64 // PC: perform time of the last buffered store
+	// checkSched's per-ring-slot scratch, allocated once when checks are on.
+	dbgOnWake  []int  // wake-list memberships
+	dbgInLater []bool // a live key at or above laterMin
 
 	// Statistics.
 	Bk         stats.Breakdown
@@ -239,6 +243,10 @@ func New(cfg config.Config, id int, mem *memsys.Hierarchy, locks LockManager) *C
 	c.robMask = uint64(robCap - 1)
 	c.ringBits = uint(bits.TrailingZeros(uint(robCap)))
 	c.sw = make([]schedWord, (robCap+63)/64)
+	if cfg.DebugChecks {
+		c.dbgOnWake = make([]int, robCap)
+		c.dbgInLater = make([]bool, robCap)
+	}
 	c.laterMin = EventNever
 	c.lineShift = mem.L1I().LineShift()
 	c.headSeq, c.tailSeq = 1, 1
@@ -352,9 +360,27 @@ func (c *Core) onInvalidation(lineAddr uint64, eviction bool) {
 		}
 	}
 	if c.ctx != nil && c.ctx.tx != nil && c.ctx.tx.OnInvalidation(lineAddr, eviction) {
+		if c.onAbort != nil {
+			c.onAbort()
+		}
 		c.htmAborted(c.ctx.tx, lineAddr)
 		c.poked = true
 	}
+}
+
+// SetAbortHook installs f, called when a line invalidation is about to
+// abort this core's hardware transaction, before the abort touches the
+// core's counters, nowCycle or the tracer. core.Run uses it to bring a
+// lazily fast-forwarded core up to date first.
+func (c *Core) SetAbortHook(f func()) { c.onAbort = f }
+
+// PipeStamp fingerprints the pipeline's front end: the dispatch tail, the
+// fetch-queue length and the count of window entries not yet executing.
+// Across a tick that retires nothing, a changed stamp means fetch,
+// dispatch or issue acted (or a rollback squashed), so the core is busy
+// and core.Run skips asking it for a NextEvent bound.
+func (c *Core) PipeStamp() uint64 {
+	return c.tailSeq<<32 ^ uint64(c.fqLen)<<16 ^ uint64(c.waiting)
 }
 
 // TakePoked reports and clears the asynchronous-wake flag: another core's

@@ -628,8 +628,9 @@ func (c *Core) schedActsNext(now uint64) bool {
 // count is right; and each TLB translation the hierarchy holds is the
 // page table's.
 func (c *Core) checkSched(now uint64) {
-	onWake := make([]int, len(c.rob))   // by ring slot
-	inLater := make([]bool, len(c.rob)) // a live key at or above laterMin
+	onWake, inLater := c.dbgOnWake, c.dbgInLater
+	clear(onWake)
+	clear(inLater)
 	for seq := c.headSeq; seq < c.tailSeq; seq++ {
 		for s := c.rob[seq&c.robMask].wake; s != 0 && c.live(s); s = c.rob[s&c.robMask].wakeNext {
 			onWake[s&c.robMask]++
@@ -640,7 +641,6 @@ func (c *Core) checkSched(now uint64) {
 			inLater[i] = true
 		}
 	}
-	one := map[bool]int{true: 1}
 	filed, soonN := 0, 0
 	for seq := c.headSeq; seq < c.tailSeq; seq++ {
 		i := seq & c.robMask
@@ -651,8 +651,8 @@ func (c *Core) checkSched(now uint64) {
 		}
 		held := c.isHeld(i)
 		ready, soon, later := c.inReady(i), c.sw[i>>6].soon[e.cls]&(1<<(i&63)) != 0, inLater[i]
-		places := onWake[i] + one[ready] + one[held] + one[soon] + one[later]
-		filed, soonN = filed+one[ready]+one[held]+one[soon], soonN+one[soon]
+		places := onWake[i] + b2i(ready) + b2i(held) + b2i(soon) + b2i(later)
+		filed, soonN = filed+b2i(ready)+b2i(held)+b2i(soon), soonN+b2i(soon)
 		ready = ready || held
 		t, _, blocked := c.stepInputs(i)
 		ok := places == 0
@@ -672,21 +672,25 @@ func (c *Core) checkSched(now uint64) {
 				c.id, seq, now, t, blocked, ready, held, soon, later, onWake[i]))
 		}
 	}
+	inWord, in := ^uint64(0), uint64(0) // union of every set's bits in word inWord
 	for k := uint64(c.robLen()); k < uint64(len(c.rob)); k++ {
 		seq := c.tailSeq + k - uint64(c.robLen())
 		i := seq & c.robMask
-		w, bit := &c.sw[i>>6], uint64(1)<<(i&63)
-		var in uint64
-		for cls := range w.ready {
-			in |= w.ready[cls] | w.soon[cls]
+		if i>>6 != inWord {
+			w := &c.sw[i>>6]
+			inWord, in = i>>6, w.held
+			for cls := range w.ready {
+				in |= w.ready[cls] | w.soon[cls]
+			}
+			for ord := range w.order {
+				in |= w.order[ord]
+			}
 		}
-		for ord := range w.order {
-			in |= w.order[ord]
-		}
+		bit := uint64(1) << (i & 63)
 		if fetched := c.rob[i].state == stFetched; fetched != (seq < c.tailSeq+uint64(c.fqLen)) ||
-			(in|w.held)&bit != 0 || inLater[i] {
+			in&bit != 0 || inLater[i] {
 			panic(fmt.Sprintf("cpu%d: window [%d,%d), fetch queue %d: slot of seq %d fetched %v, in a set %v, timed %v",
-				c.id, c.headSeq, c.tailSeq, c.fqLen, seq, fetched, (in|w.held)&bit != 0, inLater[i]))
+				c.id, c.headSeq, c.tailSeq, c.fqLen, seq, fetched, in&bit != 0, inLater[i]))
 		}
 	}
 	setBits, soonBits := 0, 0
@@ -713,4 +717,12 @@ func (c *Core) checkSched(now uint64) {
 	if err := c.mem.CheckTLBs(); err != nil {
 		panic(fmt.Sprintf("cpu%d: %v", c.id, err))
 	}
+}
+
+// b2i is 1 for true and 0 for false.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }

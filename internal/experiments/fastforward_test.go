@@ -46,6 +46,12 @@ type ffResult struct {
 
 func ffRun(t *testing.T, oltpWorkload, traced bool, faults config.FaultConfig, lp config.LatchPolicy, disableFF bool) ffResult {
 	t.Helper()
+	return ffRunConfig(t, config.Default(), oltpWorkload, traced, faults, lp, disableFF)
+}
+
+// ffRunConfig is ffRun on the machine configuration cfg.
+func ffRunConfig(t *testing.T, cfg config.Config, oltpWorkload, traced bool, faults config.FaultConfig, lp config.LatchPolicy, disableFF bool) ffResult {
+	t.Helper()
 	sc := ffScale()
 	sc.DisableFastForward = disableFF
 	sc.Faults = faults
@@ -63,7 +69,6 @@ func ffRun(t *testing.T, oltpWorkload, traced bool, faults config.FaultConfig, l
 		sc.Tracer = trc
 	}
 
-	cfg := config.Default()
 	var rep *stats.Report
 	var err error
 	if oltpWorkload {
@@ -175,4 +180,34 @@ func TestFastForwardEquivalenceTraced(t *testing.T) {
 	if onT, offT := on.analysis.Totals(), off.analysis.Totals(); onT != offT {
 		t.Errorf("trace aggregate totals differ:\nff-on  %v\nff-off %v", onT, offT)
 	}
+}
+
+// The two invalidation channels that end a core's skip run from another
+// core's tick, each with the tracer attached: under the htm latch policy
+// an invalidation aborts a transaction (its abort event and the victim's
+// stall span must land where the per-cycle loop puts them), and under SC
+// with speculative loads it marks a load violated and pokes the core.
+func TestFastForwardEquivalenceTracedHTM(t *testing.T) {
+	on := testFastForwardEquivalenceTraced(t, config.Default(), config.LatchHTM)
+	if on.rep.HTMConflictAborts == 0 {
+		t.Fatal("degenerate run: no transaction aborted by an invalidation")
+	}
+}
+
+func TestFastForwardEquivalenceTracedSpec(t *testing.T) {
+	cfg := config.Default()
+	cfg.Consistency = config.SC
+	cfg.ConsistencyOpts = config.ImplSpeculative
+	testFastForwardEquivalenceTraced(t, cfg, config.LatchPlain)
+}
+
+func testFastForwardEquivalenceTraced(t *testing.T, cfg config.Config, lp config.LatchPolicy) ffResult {
+	t.Helper()
+	on := ffRunConfig(t, cfg, true, true, config.FaultConfig{}, lp, false)
+	off := ffRunConfig(t, cfg, true, true, config.FaultConfig{}, lp, true)
+	assertIdentical(t, on, off)
+	if onT, offT := on.analysis.Totals(), off.analysis.Totals(); onT != offT {
+		t.Errorf("trace aggregate totals differ:\nff-on  %v\nff-off %v", onT, offT)
+	}
+	return on
 }
