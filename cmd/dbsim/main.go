@@ -158,17 +158,7 @@ func main() {
 	cfg.HTM.BackoffCycles = *htmBackoff
 	cfg.DebugChecks = *debugChecks
 	if *faultMesh > 0 || *faultNACK > 0 || *faultStall > 0 {
-		cfg.Faults = config.FaultConfig{
-			Enabled:        true,
-			Seed:           *faultSeed,
-			MeshDelayProb:  *faultMesh,
-			MeshDelayMax:   20,
-			NACKProb:       *faultNACK,
-			NACKMaxRetries: 4,
-			NACKBackoff:    50,
-			MemStallProb:   *faultStall,
-			MemStallCycles: 100,
-		}
+		cfg.Faults = config.FaultProfile(*faultSeed, *faultMesh, *faultNACK, *faultStall)
 	}
 	if err := cfg.Validate(); err != nil {
 		fatalUsage("%v", err)

@@ -107,7 +107,7 @@ func main() {
 		spanLogPath = flag.String("span-log", "", "with -remote: append the client's job span to this JSONL span log (stitch with sweeptrace)")
 
 		parallel     = flag.Int("parallel", 1, "worker pool size (points run concurrently; outcomes stay deterministic)")
-		serial       = flag.Bool("serial", false, "run each figure's simulations serially (default: a per-figure pool of up to GOMAXPROCS workers)")
+		serial       = flag.Bool("serial", false, "run each figure's simulations one at a time (a one-worker per-figure pool; default: up to GOMAXPROCS workers)")
 		journalPath  = flag.String("journal", "", "durable JSONL run journal, appended as each point completes")
 		resume       = flag.Bool("resume", false, "skip points with a terminal record in -journal")
 		ckDir        = flag.String("checkpoint-dir", "", "checkpoint running points under this directory; interrupted or retried points resume from their last capture instead of restarting")
@@ -154,17 +154,7 @@ func main() {
 		sc.LatchPolicy = lp
 	}
 	if *faultMesh > 0 || *faultNACK > 0 || *faultStall > 0 {
-		sc.Faults = config.FaultConfig{
-			Enabled:        true,
-			Seed:           *faultSeed,
-			MeshDelayProb:  *faultMesh,
-			MeshDelayMax:   20,
-			NACKProb:       *faultNACK,
-			NACKMaxRetries: 4,
-			NACKBackoff:    50,
-			MemStallProb:   *faultStall,
-			MemStallCycles: 100,
-		}
+		sc.Faults = config.FaultProfile(*faultSeed, *faultMesh, *faultNACK, *faultStall)
 		if err := sc.Faults.Validate(); err != nil {
 			fatalUsage("%v", err)
 		}

@@ -222,6 +222,24 @@ type FaultConfig struct {
 	MemStallCycles int
 }
 
+// FaultProfile is the enabled fault profile with the given seed and
+// mesh-delay, NACK and memory-stall probabilities, and fixed magnitudes
+// (delays up to 20 cycles, 4 NACK retries backing off 50 cycles, 100-cycle
+// memory stalls). The dbsim and sweep -fault-* flags build it.
+func FaultProfile(seed uint64, meshProb, nackProb, stallProb float64) FaultConfig {
+	return FaultConfig{
+		Enabled:        true,
+		Seed:           seed,
+		MeshDelayProb:  meshProb,
+		MeshDelayMax:   20,
+		NACKProb:       nackProb,
+		NACKMaxRetries: 4,
+		NACKBackoff:    50,
+		MemStallProb:   stallProb,
+		MemStallCycles: 100,
+	}
+}
+
 // Validate reports the first fault-injection inconsistency found.
 func (f FaultConfig) Validate() error {
 	if !f.Enabled {

@@ -129,36 +129,6 @@ func (t *LockTable) restore(s LockTableState) {
 	t.handoffs = s.Handoffs
 }
 
-// TelemetrySnapState mirrors telemetrySnap (the cumulative counters at
-// the previous sample, which the next sample's deltas are taken against).
-type TelemetrySnapState struct {
-	Cycle   uint64
-	Retired []uint64
-	Bk      []stats.Breakdown
-	RobOcc  [][5]uint64
-
-	Idle uint64
-
-	LockTries, LockWaits, LockSpins       uint64
-	LockAcquires, LockContended, LockHand uint64
-
-	HTMBegins, HTMCommits, HTMFallbacks   uint64
-	HTMConflict, HTMCapacity, HTMExplicit uint64
-
-	Instr           uint64
-	L1IM, L1DM, L2M uint64
-	SBHits, SBMiss  uint64
-	L1DOcc, L2Occ   []uint64
-
-	DirReads, DirReadsDirty    uint64
-	DirWrites, DirWritesShared uint64
-	DirUpgrades, DirWritebacks uint64
-	DirFlushes, DirMigratory   uint64
-	MeshMsgs, MeshFlits        uint64
-	MeshLatency, MeshQueue     uint64
-	Probes                     []uint64
-}
-
 // TelemetryRunState carries the sampling collector across a restore:
 // cursor state plus every sample published so far, which the resumed
 // run re-publishes into its (fresh) sinks so the final series is

@@ -16,8 +16,8 @@ type telemetryState struct {
 	nextAt   uint64 // next sample cycle
 	seq      int
 
-	prev    telemetrySnap
-	scratch telemetrySnap // recycled buffers for the next snapshot
+	prev    TelemetrySnapState
+	scratch TelemetrySnapState // recycled buffers for the next snapshot
 
 	// recording retains every published sample (checkpointing armed):
 	// a restored run re-publishes them into its fresh sinks so the
@@ -26,35 +26,50 @@ type telemetryState struct {
 	record    []telemetry.Sample
 }
 
-// telemetrySnap is the cumulative-counter snapshot taken at the previous
-// sample; deltas against it form the next Sample. Counters can move
-// backwards across a warm-up statistics reset, so every delta is clamped
-// at zero.
-type telemetrySnap struct {
-	cycle   uint64
-	retired []uint64
-	bk      []stats.Breakdown
-	robOcc  [][5]uint64
+// TelemetrySnapState is the cumulative-counter snapshot taken at the
+// previous sample; deltas against it form the next Sample. Counters can
+// move backwards across a warm-up statistics reset, so every delta is
+// clamped at zero. The collector keeps it between samples, and a
+// checkpoint carries a clone of it (TelemetryRunState.Prev).
+type TelemetrySnapState struct {
+	Cycle   uint64
+	Retired []uint64
+	Bk      []stats.Breakdown
+	RobOcc  [][5]uint64
 
-	idle uint64
+	Idle uint64
 
-	lockTries, lockWaits, lockSpins       uint64
-	lockAcquires, lockContended, lockHand uint64
+	LockTries, LockWaits, LockSpins       uint64
+	LockAcquires, LockContended, LockHand uint64
 
-	htmBegins, htmCommits, htmFallbacks   uint64
-	htmConflict, htmCapacity, htmExplicit uint64
+	HTMBegins, HTMCommits, HTMFallbacks   uint64
+	HTMConflict, HTMCapacity, HTMExplicit uint64
 
-	instr                      uint64
-	l1iM, l1dM, l2M            uint64
-	sbHits, sbMisses           uint64
-	l1dOcc, l2Occ              []uint64
-	dirReads, dirReadsDirty    uint64
-	dirWrites, dirWritesShared uint64
-	dirUpgrades, dirWritebacks uint64
-	dirFlushes, dirMigratory   uint64
-	meshMsgs, meshFlits        uint64
-	meshLatency, meshQueue     uint64
-	probes                     []uint64
+	Instr           uint64
+	L1IM, L1DM, L2M uint64
+	SBHits, SBMiss  uint64
+	L1DOcc, L2Occ   []uint64
+
+	DirReads, DirReadsDirty    uint64
+	DirWrites, DirWritesShared uint64
+	DirUpgrades, DirWritebacks uint64
+	DirFlushes, DirMigratory   uint64
+	MeshMsgs, MeshFlits        uint64
+	MeshLatency, MeshQueue     uint64
+	Probes                     []uint64
+}
+
+// clone copies the snapshot's slices, so a checkpoint image never shares
+// the collector's recycled buffers.
+func (sn *TelemetrySnapState) clone() TelemetrySnapState {
+	c := *sn
+	c.Retired = append([]uint64(nil), sn.Retired...)
+	c.Bk = append([]stats.Breakdown(nil), sn.Bk...)
+	c.RobOcc = append([][5]uint64(nil), sn.RobOcc...)
+	c.L1DOcc = append([]uint64(nil), sn.L1DOcc...)
+	c.L2Occ = append([]uint64(nil), sn.L2Occ...)
+	c.Probes = append([]uint64(nil), sn.Probes...)
+	return c
 }
 
 // newTelemetry attaches a collector for opt.Telemetry, or returns nil
@@ -79,7 +94,7 @@ func (s *System) newTelemetry(opt RunOptions) *telemetryState {
 	}
 	ts.prev = s.telemetrySnapshot(&ts.prev)
 	for _, p := range opt.Telemetry.Probes() {
-		ts.prev.probes = append(ts.prev.probes, p.Read())
+		ts.prev.Probes = append(ts.prev.Probes, p.Read())
 	}
 	return ts
 }
@@ -97,7 +112,7 @@ func (ts *telemetryState) maybeSample(s *System) {
 // flush publishes the final partial interval (no-op when the last sample
 // already covers the current cycle).
 func (ts *telemetryState) flush(s *System) {
-	if s.cycle > ts.prev.cycle {
+	if s.cycle > ts.prev.Cycle {
 		ts.sample(s)
 	}
 }
@@ -105,92 +120,92 @@ func (ts *telemetryState) flush(s *System) {
 // telemetrySnapshot reads every cumulative counter the samples are
 // derived from. buf is recycled between samples to keep the steady-state
 // allocation rate near zero.
-func (s *System) telemetrySnapshot(buf *telemetrySnap) telemetrySnap {
-	var snap telemetrySnap
+func (s *System) telemetrySnapshot(buf *TelemetrySnapState) TelemetrySnapState {
+	var snap TelemetrySnapState
 	if buf != nil {
 		snap = *buf
 	}
-	snap.cycle = s.cycle
-	snap.retired = snap.retired[:0]
-	snap.bk = snap.bk[:0]
-	snap.robOcc = snap.robOcc[:0]
-	snap.lockTries, snap.lockWaits, snap.lockSpins = 0, 0, 0
-	snap.htmBegins, snap.htmCommits, snap.htmFallbacks = 0, 0, 0
-	snap.htmConflict, snap.htmCapacity, snap.htmExplicit = 0, 0, 0
+	snap.Cycle = s.cycle
+	snap.Retired = snap.Retired[:0]
+	snap.Bk = snap.Bk[:0]
+	snap.RobOcc = snap.RobOcc[:0]
+	snap.LockTries, snap.LockWaits, snap.LockSpins = 0, 0, 0
+	snap.HTMBegins, snap.HTMCommits, snap.HTMFallbacks = 0, 0, 0
+	snap.HTMConflict, snap.HTMCapacity, snap.HTMExplicit = 0, 0, 0
 	for _, c := range s.cores {
-		snap.retired = append(snap.retired, c.Retired)
-		snap.bk = append(snap.bk, c.Bk)
-		snap.robOcc = append(snap.robOcc, c.ROBOcc)
-		snap.lockTries += c.LockTries
-		snap.lockWaits += c.LockWaits
-		snap.lockSpins += c.LockSpins
-		snap.htmBegins += c.HTMBegins
-		snap.htmCommits += c.HTMCommits
-		snap.htmFallbacks += c.HTMFallbacks
-		snap.htmConflict += c.HTMConflictAborts
-		snap.htmCapacity += c.HTMCapacityAborts
-		snap.htmExplicit += c.HTMExplicitAborts
+		snap.Retired = append(snap.Retired, c.Retired)
+		snap.Bk = append(snap.Bk, c.Bk)
+		snap.RobOcc = append(snap.RobOcc, c.ROBOcc)
+		snap.LockTries += c.LockTries
+		snap.LockWaits += c.LockWaits
+		snap.LockSpins += c.LockSpins
+		snap.HTMBegins += c.HTMBegins
+		snap.HTMCommits += c.HTMCommits
+		snap.HTMFallbacks += c.HTMFallbacks
+		snap.HTMConflict += c.HTMConflictAborts
+		snap.HTMCapacity += c.HTMCapacityAborts
+		snap.HTMExplicit += c.HTMExplicitAborts
 	}
-	snap.lockAcquires, snap.lockContended, snap.lockHand = s.locks.Counters()
+	snap.LockAcquires, snap.LockContended, snap.LockHand = s.locks.Counters()
 
-	snap.idle = 0
+	snap.Idle = 0
 	for i := 0; i < s.cfg.Nodes; i++ {
-		snap.idle += s.sch.IdleCycles[i] + s.sch.SwitchCycles[i]
+		snap.Idle += s.sch.IdleCycles[i] + s.sch.SwitchCycles[i]
 	}
 
-	snap.instr, snap.l1iM, snap.l1dM, snap.l2M = 0, 0, 0, 0
-	snap.sbHits, snap.sbMisses = 0, 0
-	snap.l1dOcc = snap.l1dOcc[:0]
-	snap.l2Occ = snap.l2Occ[:0]
-	if cap(snap.l1dOcc) < s.cfg.L1D.MSHRs+1 {
-		snap.l1dOcc = make([]uint64, 0, s.cfg.L1D.MSHRs+1)
+	snap.Instr, snap.L1IM, snap.L1DM, snap.L2M = 0, 0, 0, 0
+	snap.SBHits, snap.SBMiss = 0, 0
+	snap.L1DOcc = snap.L1DOcc[:0]
+	snap.L2Occ = snap.L2Occ[:0]
+	if cap(snap.L1DOcc) < s.cfg.L1D.MSHRs+1 {
+		snap.L1DOcc = make([]uint64, 0, s.cfg.L1D.MSHRs+1)
 	}
-	if cap(snap.l2Occ) < s.cfg.L2.MSHRs+1 {
-		snap.l2Occ = make([]uint64, 0, s.cfg.L2.MSHRs+1)
+	if cap(snap.L2Occ) < s.cfg.L2.MSHRs+1 {
+		snap.L2Occ = make([]uint64, 0, s.cfg.L2.MSHRs+1)
 	}
-	snap.l1dOcc = snap.l1dOcc[:s.cfg.L1D.MSHRs+1]
-	snap.l2Occ = snap.l2Occ[:s.cfg.L2.MSHRs+1]
-	for i := range snap.l1dOcc {
-		snap.l1dOcc[i] = 0
+	snap.L1DOcc = snap.L1DOcc[:s.cfg.L1D.MSHRs+1]
+	snap.L2Occ = snap.L2Occ[:s.cfg.L2.MSHRs+1]
+	for i := range snap.L1DOcc {
+		snap.L1DOcc[i] = 0
 	}
-	for i := range snap.l2Occ {
-		snap.l2Occ[i] = 0
+	for i := range snap.L2Occ {
+		snap.L2Occ[i] = 0
 	}
-	for _, r := range snap.retired {
-		snap.instr += r
+	for _, r := range snap.Retired {
+		snap.Instr += r
 	}
 	for n := 0; n < s.cfg.Nodes; n++ {
 		h := s.mem.Node(n)
-		snap.l1iM += h.L1I().ReadMisses + h.L1I().WriteMisses - h.IFetchSBHits
-		snap.l1dM += h.L1D().ReadMisses + h.L1D().WriteMisses
-		snap.l2M += h.L2().ReadMisses + h.L2().WriteMisses
+		snap.L1IM += h.L1I().ReadMisses + h.L1I().WriteMisses - h.IFetchSBHits
+		snap.L1DM += h.L1D().ReadMisses + h.L1D().WriteMisses
+		snap.L2M += h.L2().ReadMisses + h.L2().WriteMisses
 		if sb := h.StreamBuffer(); sb != nil {
-			snap.sbHits += sb.Hits
-			snap.sbMisses += sb.Misses
+			snap.SBHits += sb.Hits
+			snap.SBMiss += sb.Misses
 		}
 		// Raw per-occupancy cycle counters, read as-is: forcing a settle
 		// here would retire in-flight MSHR entries early and is the kind
 		// of side effect a pure observer must not have. The histograms
 		// lag at most one memory-system event.
 		occ, _ := h.L1DMSHRs().RawOccupancy()
-		for i := 0; i < len(occ) && i < len(snap.l1dOcc); i++ {
-			snap.l1dOcc[i] += occ[i]
+		for i := 0; i < len(occ) && i < len(snap.L1DOcc); i++ {
+			snap.L1DOcc[i] += occ[i]
 		}
 		occ, _ = h.L2MSHRs().RawOccupancy()
-		for i := 0; i < len(occ) && i < len(snap.l2Occ); i++ {
-			snap.l2Occ[i] += occ[i]
+		for i := 0; i < len(occ) && i < len(snap.L2Occ); i++ {
+			snap.L2Occ[i] += occ[i]
 		}
 	}
 
 	dir := s.mem.Directory()
-	snap.dirReads, snap.dirReadsDirty = dir.Reads, dir.ReadsDirty
-	snap.dirWrites, snap.dirWritesShared = dir.Writes, dir.WritesShared
-	snap.dirUpgrades, snap.dirWritebacks = dir.Upgrades, dir.Writebacks
-	snap.dirFlushes, snap.dirMigratory = dir.Flushes, dir.MigratoryTransfers
+	snap.DirReads, snap.DirReadsDirty = dir.Reads, dir.ReadsDirty
+	snap.DirWrites, snap.DirWritesShared = dir.Writes, dir.WritesShared
+	snap.DirUpgrades, snap.DirWritebacks = dir.Upgrades, dir.Writebacks
+	snap.DirFlushes, snap.DirMigratory = dir.Flushes, dir.MigratoryTransfers
 
 	net := s.mem.Net()
-	snap.meshMsgs, snap.meshFlits = net.Messages, net.FlitsCarried
-	snap.meshLatency, snap.meshQueue = net.TotalLatency, net.QueueCycles
+	snap.MeshMsgs, snap.MeshFlits = net.Messages, net.FlitsCarried
+	snap.MeshLatency, snap.MeshQueue = net.TotalLatency, net.QueueCycles
 
 	return snap
 }
@@ -208,56 +223,56 @@ func dsub(cur, prev uint64) uint64 {
 func (ts *telemetryState) sample(s *System) {
 	cur := s.telemetrySnapshot(&ts.scratch)
 	prev := &ts.prev
-	cycles := dsub(cur.cycle, prev.cycle)
+	cycles := dsub(cur.Cycle, prev.Cycle)
 	if cycles == 0 {
 		return
 	}
 
 	sm := &telemetry.Sample{
 		Seq:    ts.seq,
-		Cycle:  cur.cycle,
+		Cycle:  cur.Cycle,
 		Cycles: cycles,
 		Tags:   ts.pipe.Tags,
 
-		Instructions: dsub(cur.instr, prev.instr),
-		Idle:         dsub(cur.idle, prev.idle),
+		Instructions: dsub(cur.Instr, prev.Instr),
+		Idle:         dsub(cur.Idle, prev.Idle),
 
-		StreamBufHits:   dsub(cur.sbHits, prev.sbHits),
-		StreamBufMisses: dsub(cur.sbMisses, prev.sbMisses),
+		StreamBufHits:   dsub(cur.SBHits, prev.SBHits),
+		StreamBufMisses: dsub(cur.SBMiss, prev.SBMiss),
 
 		Dir: telemetry.DirSample{
-			Reads:              dsub(cur.dirReads, prev.dirReads),
-			ReadsDirty:         dsub(cur.dirReadsDirty, prev.dirReadsDirty),
-			Writes:             dsub(cur.dirWrites, prev.dirWrites),
-			WritesShared:       dsub(cur.dirWritesShared, prev.dirWritesShared),
-			Upgrades:           dsub(cur.dirUpgrades, prev.dirUpgrades),
-			Writebacks:         dsub(cur.dirWritebacks, prev.dirWritebacks),
-			Flushes:            dsub(cur.dirFlushes, prev.dirFlushes),
-			MigratoryTransfers: dsub(cur.dirMigratory, prev.dirMigratory),
+			Reads:              dsub(cur.DirReads, prev.DirReads),
+			ReadsDirty:         dsub(cur.DirReadsDirty, prev.DirReadsDirty),
+			Writes:             dsub(cur.DirWrites, prev.DirWrites),
+			WritesShared:       dsub(cur.DirWritesShared, prev.DirWritesShared),
+			Upgrades:           dsub(cur.DirUpgrades, prev.DirUpgrades),
+			Writebacks:         dsub(cur.DirWritebacks, prev.DirWritebacks),
+			Flushes:            dsub(cur.DirFlushes, prev.DirFlushes),
+			MigratoryTransfers: dsub(cur.DirMigratory, prev.DirMigratory),
 		},
 		Mesh: telemetry.MeshSample{
-			Messages:    dsub(cur.meshMsgs, prev.meshMsgs),
-			Flits:       dsub(cur.meshFlits, prev.meshFlits),
-			QueueCycles: dsub(cur.meshQueue, prev.meshQueue),
+			Messages:    dsub(cur.MeshMsgs, prev.MeshMsgs),
+			Flits:       dsub(cur.MeshFlits, prev.MeshFlits),
+			QueueCycles: dsub(cur.MeshQueue, prev.MeshQueue),
 		},
 		Locks: telemetry.LockSample{
-			Tries:      dsub(cur.lockTries, prev.lockTries),
-			Waits:      dsub(cur.lockWaits, prev.lockWaits),
-			SpinCycles: dsub(cur.lockSpins, prev.lockSpins),
-			Acquires:   dsub(cur.lockAcquires, prev.lockAcquires),
-			Contended:  dsub(cur.lockContended, prev.lockContended),
-			Handoffs:   dsub(cur.lockHand, prev.lockHand),
+			Tries:      dsub(cur.LockTries, prev.LockTries),
+			Waits:      dsub(cur.LockWaits, prev.LockWaits),
+			SpinCycles: dsub(cur.LockSpins, prev.LockSpins),
+			Acquires:   dsub(cur.LockAcquires, prev.LockAcquires),
+			Contended:  dsub(cur.LockContended, prev.LockContended),
+			Handoffs:   dsub(cur.LockHand, prev.LockHand),
 		},
 		HTM: telemetry.HTMSample{
-			Begins:         dsub(cur.htmBegins, prev.htmBegins),
-			Commits:        dsub(cur.htmCommits, prev.htmCommits),
-			ConflictAborts: dsub(cur.htmConflict, prev.htmConflict),
-			CapacityAborts: dsub(cur.htmCapacity, prev.htmCapacity),
-			ExplicitAborts: dsub(cur.htmExplicit, prev.htmExplicit),
-			Fallbacks:      dsub(cur.htmFallbacks, prev.htmFallbacks),
+			Begins:         dsub(cur.HTMBegins, prev.HTMBegins),
+			Commits:        dsub(cur.HTMCommits, prev.HTMCommits),
+			ConflictAborts: dsub(cur.HTMConflict, prev.HTMConflict),
+			CapacityAborts: dsub(cur.HTMCapacity, prev.HTMCapacity),
+			ExplicitAborts: dsub(cur.HTMExplicit, prev.HTMExplicit),
+			Fallbacks:      dsub(cur.HTMFallbacks, prev.HTMFallbacks),
 		},
 	}
-	if lat := dsub(cur.meshLatency, prev.meshLatency); sm.Mesh.Messages > 0 {
+	if lat := dsub(cur.MeshLatency, prev.MeshLatency); sm.Mesh.Messages > 0 {
 		sm.Mesh.AvgLatency = float64(lat) / float64(sm.Mesh.Messages)
 	}
 
@@ -267,18 +282,18 @@ func (ts *telemetryState) sample(s *System) {
 	}
 	if sm.Instructions > 0 {
 		k := float64(sm.Instructions) / 1000
-		sm.L1IMisses = float64(dsub(cur.l1iM, prev.l1iM)) / k
-		sm.L1DMisses = float64(dsub(cur.l1dM, prev.l1dM)) / k
-		sm.L2Misses = float64(dsub(cur.l2M, prev.l2M)) / k
+		sm.L1IMisses = float64(dsub(cur.L1IM, prev.L1IM)) / k
+		sm.L1DMisses = float64(dsub(cur.L1DM, prev.L1DM)) / k
+		sm.L2Misses = float64(dsub(cur.L2M, prev.L2M)) / k
 	}
 
-	sm.L1DMSHROcc = histDelta(cur.l1dOcc, prev.l1dOcc)
-	sm.L2MSHROcc = histDelta(cur.l2Occ, prev.l2Occ)
+	sm.L1DMSHROcc = histDelta(cur.L1DOcc, prev.L1DOcc)
+	sm.L2MSHROcc = histDelta(cur.L2Occ, prev.L2Occ)
 	rob := telemetry.Histogram{Buckets: make([]uint64, 5)}
-	for i, occ := range cur.robOcc {
+	for i, occ := range cur.RobOcc {
 		var po [5]uint64
-		if i < len(prev.robOcc) {
-			po = prev.robOcc[i]
+		if i < len(prev.RobOcc) {
+			po = prev.RobOcc[i]
 		}
 		for b := 0; b < 5; b++ {
 			rob.Buckets[b] += dsub(occ[b], po[b])
@@ -288,8 +303,8 @@ func (ts *telemetryState) sample(s *System) {
 
 	for i, c := range s.cores {
 		var pr uint64
-		if i < len(prev.retired) {
-			pr = prev.retired[i]
+		if i < len(prev.Retired) {
+			pr = prev.Retired[i]
 		}
 		cs := telemetry.CoreSample{
 			ID:        i,
@@ -302,25 +317,25 @@ func (ts *telemetryState) sample(s *System) {
 			cs.ContextID = ctx.ID
 		}
 		var pb stats.Breakdown
-		if i < len(prev.bk) {
-			pb = prev.bk[i]
+		if i < len(prev.Bk) {
+			pb = prev.Bk[i]
 		}
-		delta := cur.bk[i].Sub(&pb)
+		delta := cur.Bk[i].Sub(&pb)
 		sm.Breakdown.Add(&delta)
 		sm.Cores = append(sm.Cores, cs)
 	}
 
-	cur.probes = cur.probes[:0]
+	cur.Probes = cur.Probes[:0]
 	if probes := ts.pipe.Probes(); len(probes) > 0 {
 		sm.Probes = make(map[string]uint64, len(probes))
 		for i, p := range probes {
 			v := p.Read()
 			var pv uint64
-			if i < len(prev.probes) {
-				pv = prev.probes[i]
+			if i < len(prev.Probes) {
+				pv = prev.Probes[i]
 			}
 			sm.Probes[p.Name] = dsub(v, pv)
-			cur.probes = append(cur.probes, v)
+			cur.Probes = append(cur.Probes, v)
 		}
 	}
 
@@ -338,7 +353,7 @@ func (ts *telemetryState) checkpoint() *TelemetryRunState {
 	rs := &TelemetryRunState{
 		Seq:     ts.seq,
 		NextAt:  ts.nextAt,
-		Prev:    snapState(&ts.prev),
+		Prev:    ts.prev.clone(),
 		Samples: append([]telemetry.Sample(nil), ts.record...),
 	}
 	return rs
@@ -356,83 +371,7 @@ func (ts *telemetryState) restore(rs *TelemetryRunState) {
 	ts.recording = true
 	ts.seq = rs.Seq
 	ts.nextAt = rs.NextAt
-	ts.prev = snapFromState(&rs.Prev)
-}
-
-// snapState converts the internal snapshot to its checkpoint DTO.
-func snapState(sn *telemetrySnap) TelemetrySnapState {
-	return TelemetrySnapState{
-		Cycle:         sn.cycle,
-		Retired:       append([]uint64(nil), sn.retired...),
-		Bk:            append([]stats.Breakdown(nil), sn.bk...),
-		RobOcc:        append([][5]uint64(nil), sn.robOcc...),
-		Idle:          sn.idle,
-		LockTries:     sn.lockTries,
-		LockWaits:     sn.lockWaits,
-		LockSpins:     sn.lockSpins,
-		LockAcquires:  sn.lockAcquires,
-		LockContended: sn.lockContended,
-		LockHand:      sn.lockHand,
-		HTMBegins:     sn.htmBegins,
-		HTMCommits:    sn.htmCommits,
-		HTMFallbacks:  sn.htmFallbacks,
-		HTMConflict:   sn.htmConflict,
-		HTMCapacity:   sn.htmCapacity,
-		HTMExplicit:   sn.htmExplicit,
-		Instr:         sn.instr,
-		L1IM:          sn.l1iM,
-		L1DM:          sn.l1dM,
-		L2M:           sn.l2M,
-		SBHits:        sn.sbHits,
-		SBMiss:        sn.sbMisses,
-		L1DOcc:        append([]uint64(nil), sn.l1dOcc...),
-		L2Occ:         append([]uint64(nil), sn.l2Occ...),
-		DirReads:      sn.dirReads, DirReadsDirty: sn.dirReadsDirty,
-		DirWrites: sn.dirWrites, DirWritesShared: sn.dirWritesShared,
-		DirUpgrades: sn.dirUpgrades, DirWritebacks: sn.dirWritebacks,
-		DirFlushes: sn.dirFlushes, DirMigratory: sn.dirMigratory,
-		MeshMsgs: sn.meshMsgs, MeshFlits: sn.meshFlits,
-		MeshLatency: sn.meshLatency, MeshQueue: sn.meshQueue,
-		Probes: append([]uint64(nil), sn.probes...),
-	}
-}
-
-// snapFromState inverts snapState.
-func snapFromState(st *TelemetrySnapState) telemetrySnap {
-	return telemetrySnap{
-		cycle:         st.Cycle,
-		retired:       append([]uint64(nil), st.Retired...),
-		bk:            append([]stats.Breakdown(nil), st.Bk...),
-		robOcc:        append([][5]uint64(nil), st.RobOcc...),
-		idle:          st.Idle,
-		lockTries:     st.LockTries,
-		lockWaits:     st.LockWaits,
-		lockSpins:     st.LockSpins,
-		lockAcquires:  st.LockAcquires,
-		lockContended: st.LockContended,
-		lockHand:      st.LockHand,
-		htmBegins:     st.HTMBegins,
-		htmCommits:    st.HTMCommits,
-		htmFallbacks:  st.HTMFallbacks,
-		htmConflict:   st.HTMConflict,
-		htmCapacity:   st.HTMCapacity,
-		htmExplicit:   st.HTMExplicit,
-		instr:         st.Instr,
-		l1iM:          st.L1IM,
-		l1dM:          st.L1DM,
-		l2M:           st.L2M,
-		sbHits:        st.SBHits,
-		sbMisses:      st.SBMiss,
-		l1dOcc:        append([]uint64(nil), st.L1DOcc...),
-		l2Occ:         append([]uint64(nil), st.L2Occ...),
-		dirReads:      st.DirReads, dirReadsDirty: st.DirReadsDirty,
-		dirWrites: st.DirWrites, dirWritesShared: st.DirWritesShared,
-		dirUpgrades: st.DirUpgrades, dirWritebacks: st.DirWritebacks,
-		dirFlushes: st.DirFlushes, dirMigratory: st.DirMigratory,
-		meshMsgs: st.MeshMsgs, meshFlits: st.MeshFlits,
-		meshLatency: st.MeshLatency, meshQueue: st.MeshQueue,
-		probes: append([]uint64(nil), st.Probes...),
-	}
+	ts.prev = rs.Prev.clone()
 }
 
 // histDelta returns the clamped elementwise delta of two raw occupancy

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"os"
@@ -11,9 +10,6 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/config"
 	"repro/internal/core"
-	"repro/internal/stats"
-	"repro/internal/telemetry"
-	"repro/internal/tracing"
 )
 
 // The checkpoint golden tests are the tentpole guarantee of mid-run
@@ -24,68 +20,39 @@ import (
 // (plain locking, paper-style hints, HTM elision), since each policy
 // exercises a different slice of the serialized machine state.
 
-const ckTestInterval = 50_000 // cycles between captures; several per run at ffScale
+const (
+	ckTestInterval = 50_000 // cycles between captures; several per run at ffScale
+	ckTestSpec     = "ck-golden-test"
+)
 
-// ckArm runs one arm of a checkpoint equivalence test.
-//   - capture != "": checkpoint to that file every ckTestInterval cycles,
-//     canceling the run after interruptAfter captures (0 = run to the end).
-//   - restore != "": resume from that checkpoint file.
-func ckArm(t *testing.T, oltpWorkload bool, cfg config.Config, capture, restore string, interruptAfter int) (ffResult, error) {
-	t.Helper()
-	sc := ffScale()
-	var jsonl bytes.Buffer
-	sc.Telemetry = func(label string) *telemetry.Pipeline {
-		pipe := telemetry.New(ckTestInterval)
-		pipe.Attach(telemetry.NewJSONLSink(nopWriteCloser{&jsonl}), nil)
-		return pipe
+// ckAt returns a checkpoint factory that captures to path every
+// ckTestInterval cycles under spec hash spec.
+func ckAt(path, spec string) func(string) *core.CheckpointOptions {
+	return func(string) *core.CheckpointOptions {
+		return &core.CheckpointOptions{Path: path, Interval: ckTestInterval, SpecHash: spec}
 	}
-	trc := tracing.New(tracing.Options{})
-	sc.Tracer = trc
+}
 
+// interrupt runs the arm checkpointing to path, cancels it after its
+// interruptAfter-th capture, and returns the run's error (nil when it ran
+// to completion before that capture). The latest checkpoint stays behind.
+func (a arm) interrupt(path string, interruptAfter int) error {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	sc.Context = ctx
-	if capture != "" {
-		captures := 0
-		sc.Checkpoint = func(label string) *core.CheckpointOptions {
-			return &core.CheckpointOptions{
-				Path:     capture,
-				Interval: ckTestInterval,
-				SpecHash: "ck-golden-test",
-				OnCapture: func(cycle uint64, path string) {
-					captures++
-					if interruptAfter > 0 && captures == interruptAfter {
-						cancel()
-					}
-				},
+	a.ctx = ctx
+	captures := 0
+	a.checkpoint = func(label string) *core.CheckpointOptions {
+		ck := ckAt(path, ckTestSpec)(label)
+		ck.OnCapture = func(uint64, string) {
+			captures++
+			if captures == interruptAfter {
+				cancel()
 			}
 		}
+		return ck
 	}
-	if restore != "" {
-		sc.Restore = restore
-		sc.RestoreFallback = func(label string, err error) {
-			t.Errorf("restore of %s fell back to from-scratch: %v", restore, err)
-		}
-	}
-
-	var rep *stats.Report
-	var err error
-	if oltpWorkload {
-		rep, err = RunOLTP(cfg, sc, "ck-equivalence", 0)
-	} else {
-		rep, err = RunDSS(cfg, sc, "ck-equivalence")
-	}
-	if err != nil {
-		return ffResult{}, err
-	}
-	res := ffResult{rep: rep, jsonl: jsonl.Bytes()}
-	var buf bytes.Buffer
-	if err := trc.WriteChrome(&buf); err != nil {
-		t.Fatal(err)
-	}
-	res.trace = buf.Bytes()
-	res.analysis = trc.Analysis()
-	return res, nil
+	_, err := a.run()
+	return err
 }
 
 // ckGolden runs the three arms — uninterrupted baseline, interrupted
@@ -94,18 +61,15 @@ func ckArm(t *testing.T, oltpWorkload bool, cfg config.Config, capture, restore 
 func ckGolden(t *testing.T, oltpWorkload bool, cfg config.Config) {
 	t.Helper()
 	ckPath := filepath.Join(t.TempDir(), "run.ckpt")
-
-	baseline, err := ckArm(t, oltpWorkload, cfg, "", "", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := arm{oltp: oltpWorkload, cfg: cfg, traced: true}
+	baseline := a.baseline(t)
 
 	// Interrupt after the second capture; the run dies mid-flight with a
 	// cancellation error and leaves its latest checkpoint behind.
-	if _, err := ckArm(t, oltpWorkload, cfg, ckPath, "", 2); err == nil {
+	if err := a.interrupt(ckPath, 2); err == nil {
 		t.Fatal("interrupted arm ran to completion; shrink ckTestInterval")
 	}
-	st, err := core.LoadCheckpoint(ckPath, "ck-golden-test")
+	st, err := core.LoadCheckpoint(ckPath, ckTestSpec)
 	if err != nil {
 		t.Fatalf("loading interrupted checkpoint: %v", err)
 	}
@@ -113,13 +77,16 @@ func ckGolden(t *testing.T, oltpWorkload bool, cfg config.Config) {
 		t.Fatal("interrupted checkpoint captured at cycle 0")
 	}
 
-	resumed, err := ckArm(t, oltpWorkload, cfg, ckPath, ckPath, 0)
-	if err != nil {
-		t.Fatal(err)
+	resume := a
+	resume.checkpoint = ckAt(ckPath, ckTestSpec)
+	resume.restore = ckPath
+	resume.restoreFallback = func(label string, err error) {
+		t.Errorf("restore of %s fell back to from-scratch: %v", ckPath, err)
 	}
+	resumed := resume.mustRun(t)
 	assertIdentical(t, baseline, resumed)
-	if bt, rt := baseline.analysis.Totals(), resumed.analysis.Totals(); bt != rt {
-		t.Errorf("trace aggregate totals differ:\nbaseline %v\nresumed  %v", bt, rt)
+	if baseline.totals != resumed.totals {
+		t.Errorf("trace aggregate totals differ:\nbaseline %v\nresumed  %v", baseline.totals, resumed.totals)
 	}
 	if baseline.rep.Instructions == 0 {
 		t.Fatal("degenerate run: no instructions retired")
@@ -140,30 +107,10 @@ func TestCheckpointByteIdentity(t *testing.T) {
 			{"htm", config.LatchHTM},
 		} {
 			t.Run(w.name+"/"+pol.name, func(t *testing.T) {
-				cfg := config.Default()
-				cfg.LatchPolicy = pol.policy
-				ckGolden(t, w.oltp, cfg)
+				ckGolden(t, w.oltp, withLatch(pol.policy))
 			})
 		}
 	}
-}
-
-// ckFallbackBaseline runs the DSS workload plain (no checkpointing, no
-// tracer) under the fallback arms' run label.
-func ckFallbackBaseline(t *testing.T, cfg config.Config) ffResult {
-	t.Helper()
-	sc := ffScale()
-	var jsonl bytes.Buffer
-	sc.Telemetry = func(label string) *telemetry.Pipeline {
-		pipe := telemetry.New(ckTestInterval)
-		pipe.Attach(telemetry.NewJSONLSink(nopWriteCloser{&jsonl}), nil)
-		return pipe
-	}
-	rep, err := RunDSS(cfg, sc, "ck-fallback")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ffResult{rep: rep, jsonl: jsonl.Bytes()}
 }
 
 // TestCheckpointRestoreFallback: a missing, truncated, corrupted, or
@@ -175,10 +122,8 @@ func TestCheckpointRestoreFallback(t *testing.T) {
 	dir := t.TempDir()
 	ckPath := filepath.Join(dir, "run.ckpt")
 
-	// Untraced baseline under the same run label as the fallback arms
-	// (the label is stamped on every telemetry sample).
-	baseline := ckFallbackBaseline(t, cfg)
-	if _, err := ckArm(t, false, cfg, ckPath, "", 2); err == nil {
+	baseline := arm{cfg: cfg}.baseline(t)
+	if err := (arm{cfg: cfg, traced: true}).interrupt(ckPath, 2); err == nil {
 		t.Fatal("interrupted arm ran to completion")
 	}
 	valid, err := os.ReadFile(ckPath)
@@ -236,39 +181,23 @@ func TestCheckpointRestoreFallback(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "bad.ckpt")
 			tc.prep(t, path)
 
-			sc := ffScale()
-			var jsonl bytes.Buffer
-			sc.Telemetry = func(label string) *telemetry.Pipeline {
-				pipe := telemetry.New(ckTestInterval)
-				pipe.Attach(telemetry.NewJSONLSink(nopWriteCloser{&jsonl}), nil)
-				return pipe
-			}
-			spec := "ck-golden-test"
+			spec := ckTestSpec
 			if tc.name == "spec-mismatch" {
 				spec = "some-other-spec"
 			}
-			sc.Checkpoint = func(label string) *core.CheckpointOptions {
-				return &core.CheckpointOptions{
-					Path:     filepath.Join(t.TempDir(), "new.ckpt"),
-					Interval: ckTestInterval,
-					SpecHash: spec,
-				}
-			}
-			sc.Restore = path
 			var fallbackErr error
-			sc.RestoreFallback = func(label string, err error) { fallbackErr = err }
-
-			rep, err := RunDSS(cfg, sc, "ck-fallback")
-			if err != nil {
-				t.Fatal(err)
-			}
+			got := arm{
+				cfg:             cfg,
+				checkpoint:      ckAt(filepath.Join(t.TempDir(), "new.ckpt"), spec),
+				restore:         path,
+				restoreFallback: func(label string, err error) { fallbackErr = err },
+			}.mustRun(t)
 			if fallbackErr == nil {
 				t.Fatal("restore did not fall back")
 			}
 			if !tc.check(fallbackErr) {
 				t.Errorf("fallback error is not %s: %v", tc.errName, fallbackErr)
 			}
-			got := ffResult{rep: rep, jsonl: jsonl.Bytes()}
 			assertIdentical(t, baseline, got)
 		})
 	}

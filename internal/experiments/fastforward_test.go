@@ -2,10 +2,14 @@ package experiments
 
 import (
 	"bytes"
+	"context"
+	"crypto/sha256"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/core"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
 	"repro/internal/tracing"
@@ -33,62 +37,138 @@ type nopWriteCloser struct{ *bytes.Buffer }
 
 func (nopWriteCloser) Close() error { return nil }
 
-// ffRun is one arm of an equivalence test: run the workload with the
-// given latch policy and fast-forward setting, capturing the report, the
-// telemetry JSONL bytes, and (when traced) the exported Chrome trace
-// bytes.
+// ffResult is what one arm of an equivalence test produced: the report,
+// the telemetry JSONL bytes, and (when traced) the exported Chrome trace
+// and the trace aggregate totals. The trace is kept as its length and
+// SHA-256 digest: a traced ffScale export is 58–68 MB, too much to hold
+// for every shared baseline.
 type ffResult struct {
 	rep      *stats.Report
 	jsonl    []byte
-	trace    []byte
-	analysis *tracing.Analysis
+	trace    [sha256.Size]byte
+	traceLen int
+	totals   stats.Breakdown
 }
 
-func ffRun(t *testing.T, oltpWorkload, traced bool, faults config.FaultConfig, lp config.LatchPolicy, disableFF bool) ffResult {
-	t.Helper()
-	return ffRunConfig(t, config.Default(), oltpWorkload, traced, faults, lp, disableFF)
+// arm is one run of an equivalence test (fast-forward, checkpoint or
+// SimThreads): the workload on machine cfg at ffScale, with telemetry
+// every armTelemetryInterval cycles into a buffer and an optional tracer,
+// checkpoint factory, restore file and context. Every arm runs under the
+// one run label armLabel (stamped on each telemetry sample), so arms of
+// different suites that simulate the same machine produce the same bytes.
+type arm struct {
+	oltp      bool
+	cfg       config.Config
+	faults    config.FaultConfig
+	traced    bool
+	disableFF bool
+
+	ctx             context.Context
+	checkpoint      func(label string) *core.CheckpointOptions
+	restore         string
+	restoreFallback func(label string, err error)
 }
 
-// ffRunConfig is ffRun on the machine configuration cfg.
-func ffRunConfig(t *testing.T, cfg config.Config, oltpWorkload, traced bool, faults config.FaultConfig, lp config.LatchPolicy, disableFF bool) ffResult {
-	t.Helper()
+const (
+	armLabel             = "equivalence"
+	armTelemetryInterval = 50_000
+)
+
+// run runs the arm. It reports errors instead of failing the test so it
+// can run on goroutines other than the test's own, and so interrupted
+// arms can return their cancellation.
+func (a arm) run() (ffResult, error) {
 	sc := ffScale()
-	sc.DisableFastForward = disableFF
-	sc.Faults = faults
-	sc.LatchPolicy = lp
+	sc.Faults = a.faults
+	sc.DisableFastForward = a.disableFF
+	sc.Context = a.ctx
+	sc.Checkpoint = a.checkpoint
+	sc.Restore = a.restore
+	sc.RestoreFallback = a.restoreFallback
 
 	var jsonl bytes.Buffer
 	sc.Telemetry = func(label string) *telemetry.Pipeline {
-		pipe := telemetry.New(50_000)
+		pipe := telemetry.New(armTelemetryInterval)
 		pipe.Attach(telemetry.NewJSONLSink(nopWriteCloser{&jsonl}), nil)
 		return pipe
 	}
 	var trc *tracing.Tracer
-	if traced {
+	if a.traced {
 		trc = tracing.New(tracing.Options{})
 		sc.Tracer = trc
 	}
 
-	var rep *stats.Report
+	var res ffResult
 	var err error
-	if oltpWorkload {
-		rep, err = RunOLTP(cfg, sc, "ff-equivalence", 0)
+	if a.oltp {
+		res.rep, err = RunOLTP(a.cfg, sc, armLabel, 0)
 	} else {
-		rep, err = RunDSS(cfg, sc, "ff-equivalence")
+		res.rep, err = RunDSS(a.cfg, sc, armLabel)
 	}
+	if err != nil {
+		return res, err
+	}
+	res.jsonl = jsonl.Bytes()
+	if a.traced {
+		var buf bytes.Buffer
+		if err := trc.WriteChrome(&buf); err != nil {
+			return res, err
+		}
+		res.trace, res.traceLen = sha256.Sum256(buf.Bytes()), buf.Len()
+		res.totals = trc.Analysis().Totals()
+	}
+	return res, nil
+}
+
+// mustRun runs the arm and fails the test on error.
+func (a arm) mustRun(t *testing.T) ffResult {
+	t.Helper()
+	res, err := a.run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := ffResult{rep: rep, jsonl: jsonl.Bytes()}
-	if traced {
-		var buf bytes.Buffer
-		if err := trc.WriteChrome(&buf); err != nil {
-			t.Fatal(err)
-		}
-		res.trace = buf.Bytes()
-		res.analysis = trc.Analysis()
+	return res
+}
+
+// baselineKey identifies a baseline: the arm fields that change what a
+// fast-forward-on, uncheckpointed run produces.
+type baselineKey struct {
+	oltp   bool
+	cfg    config.Config
+	faults config.FaultConfig
+	traced bool
+}
+
+var baselines = struct {
+	sync.Mutex
+	m map[baselineKey]ffResult
+}{m: make(map[baselineKey]ffResult)}
+
+// baseline returns the fast-forward-on, uncheckpointed run of the arm's
+// machine, workload, fault profile and tracer setting. Every suite
+// compares its arms against these, so each one is simulated once per test
+// binary and shared. Callers must not modify the result.
+func (a arm) baseline(t *testing.T) ffResult {
+	t.Helper()
+	if a.disableFF || a.ctx != nil || a.checkpoint != nil || a.restore != "" {
+		t.Fatal("baseline arms run fast-forward on, without checkpointing or a context")
+	}
+	key := baselineKey{oltp: a.oltp, cfg: a.cfg, faults: a.faults, traced: a.traced}
+	baselines.Lock()
+	defer baselines.Unlock()
+	res, ok := baselines.m[key]
+	if !ok {
+		res = a.mustRun(t)
+		baselines.m[key] = res
 	}
 	return res
+}
+
+// withLatch returns the default machine under latch policy lp.
+func withLatch(lp config.LatchPolicy) config.Config {
+	cfg := config.Default()
+	cfg.LatchPolicy = lp
+	return cfg
 }
 
 func assertIdentical(t *testing.T, on, off ffResult) {
@@ -108,9 +188,20 @@ func assertIdentical(t *testing.T, on, off ffResult) {
 	if !bytes.Equal(on.jsonl, off.jsonl) {
 		t.Errorf("telemetry JSONL series differ (%d vs %d bytes)", len(on.jsonl), len(off.jsonl))
 	}
-	if !bytes.Equal(on.trace, off.trace) {
-		t.Errorf("exported traces differ (%d vs %d bytes)", len(on.trace), len(off.trace))
+	if on.traceLen != off.traceLen || on.trace != off.trace {
+		t.Errorf("exported traces differ (%d vs %d bytes)", on.traceLen, off.traceLen)
 	}
+}
+
+// ffEquivalence runs the arm with fast-forward on (its shared baseline)
+// and off, and asserts the two are identical.
+func ffEquivalence(t *testing.T, a arm) (on, off ffResult) {
+	t.Helper()
+	on = a.baseline(t)
+	a.disableFF = true
+	off = a.mustRun(t)
+	assertIdentical(t, on, off)
+	return on, off
 }
 
 func TestFastForwardEquivalenceOLTP(t *testing.T) {
@@ -142,9 +233,7 @@ func TestFastForwardEquivalenceDSSHTM(t *testing.T) {
 
 func testFastForwardEquivalence(t *testing.T, oltpWorkload bool, lp config.LatchPolicy) {
 	t.Helper()
-	on := ffRun(t, oltpWorkload, false, config.FaultConfig{}, lp, false)
-	off := ffRun(t, oltpWorkload, false, config.FaultConfig{}, lp, true)
-	assertIdentical(t, on, off)
+	on, _ := ffEquivalence(t, arm{oltp: oltpWorkload, cfg: withLatch(lp)})
 	if on.rep.Instructions == 0 {
 		t.Fatal("degenerate run: no instructions retired")
 	}
@@ -165,21 +254,14 @@ func TestFastForwardEquivalenceFaults(t *testing.T) {
 		MemStallProb:   0.05,
 		MemStallCycles: 60,
 	}
-	on := ffRun(t, true, false, f, config.LatchPlain, false)
-	off := ffRun(t, true, false, f, config.LatchPlain, true)
-	assertIdentical(t, on, off)
+	ffEquivalence(t, arm{oltp: true, cfg: config.Default(), faults: f})
 }
 
 // TestFastForwardEquivalenceTraced runs with the event tracer attached:
 // the bulk-applied stall spans and lock-contention windows must yield a
 // byte-identical export and identical aggregates.
 func TestFastForwardEquivalenceTraced(t *testing.T) {
-	on := ffRun(t, true, true, config.FaultConfig{}, config.LatchPlain, false)
-	off := ffRun(t, true, true, config.FaultConfig{}, config.LatchPlain, true)
-	assertIdentical(t, on, off)
-	if onT, offT := on.analysis.Totals(), off.analysis.Totals(); onT != offT {
-		t.Errorf("trace aggregate totals differ:\nff-on  %v\nff-off %v", onT, offT)
-	}
+	testFastForwardEquivalenceTraced(t, config.Default(), config.LatchPlain)
 }
 
 // The two invalidation channels that end a core's skip run from another
@@ -203,11 +285,10 @@ func TestFastForwardEquivalenceTracedSpec(t *testing.T) {
 
 func testFastForwardEquivalenceTraced(t *testing.T, cfg config.Config, lp config.LatchPolicy) ffResult {
 	t.Helper()
-	on := ffRunConfig(t, cfg, true, true, config.FaultConfig{}, lp, false)
-	off := ffRunConfig(t, cfg, true, true, config.FaultConfig{}, lp, true)
-	assertIdentical(t, on, off)
-	if onT, offT := on.analysis.Totals(), off.analysis.Totals(); onT != offT {
-		t.Errorf("trace aggregate totals differ:\nff-on  %v\nff-off %v", onT, offT)
+	cfg.LatchPolicy = lp
+	on, off := ffEquivalence(t, arm{oltp: true, cfg: cfg, traced: true})
+	if on.totals != off.totals {
+		t.Errorf("trace aggregate totals differ:\nff-on  %v\nff-off %v", on.totals, off.totals)
 	}
 	return on
 }

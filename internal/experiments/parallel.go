@@ -16,37 +16,23 @@ type figPoint struct {
 	run   func(sc Scale) (*stats.Report, error)
 }
 
-// runPoints executes a figure's points and returns their reports in input
-// order. Points run through the internal/runner worker pool with
-// sc.Parallel workers (0 = min(GOMAXPROCS, number of points); 1 = serial).
-// A figure with a Tracer attached always runs serially: the tracer is
-// shared mutable state whose event order must stay deterministic. Each
-// point builds its own core.System, so parallel execution is bit-identical
-// to serial — the orchestration tests assert it.
+// runPoints executes a figure's points through the internal/runner worker
+// pool and returns their reports in input order. The pool has sc.Parallel
+// workers (0 = GOMAXPROCS; 1 = one point at a time). A figure with a
+// Tracer attached runs on one worker: the tracer is shared mutable state
+// whose event order must stay deterministic. Each point builds its own
+// core.System, so parallel execution is bit-identical to one-at-a-time
+// execution — the orchestration tests assert it.
 //
-// Errors keep serial semantics: the first failing point in input order is
-// returned, regardless of completion order.
+// A failing point does not stop the others; the first failing point in
+// input order is returned, regardless of completion order.
 func runPoints(sc Scale, pts []figPoint) ([]*stats.Report, error) {
 	workers := sc.Parallel
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(pts) {
-		workers = len(pts)
-	}
 	if sc.Tracer != nil {
 		workers = 1
-	}
-	if workers <= 1 {
-		reports := make([]*stats.Report, 0, len(pts))
-		for _, p := range pts {
-			rep, err := p.run(sc)
-			if err != nil {
-				return nil, err
-			}
-			reports = append(reports, rep)
-		}
-		return reports, nil
 	}
 
 	reports := make([]*stats.Report, len(pts))

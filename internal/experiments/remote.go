@@ -1,11 +1,9 @@
 package experiments
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 
-	"repro/internal/config"
 	"repro/internal/runner"
 )
 
@@ -24,10 +22,11 @@ func (sc Scale) SpecJSON(id string) (json.RawMessage, error) {
 
 // PointFromSpec reconstructs a runnable orchestration point from a
 // marshaled PointSpec — the remote worker's inverse of Points: sweepd
-// ships the spec bytes, the worker rebuilds the experiment and scale they
-// denote and runs them under its own supervision pool. The rebuilt point
-// hashes to the same content address as the spec bytes, so the record the
-// worker reports lands on the ledger entry the server expects.
+// ships the spec bytes, the worker decodes the experiment and scale they
+// denote and runs them under its own supervision pool. The scale carries
+// every PointSpec field, so the rebuilt point's spec hashes to the same
+// content address as the spec bytes and the record the worker reports
+// lands on the ledger entry the server expects.
 func PointFromSpec(raw json.RawMessage) (runner.Point, error) {
 	var ps PointSpec
 	if err := json.Unmarshal(raw, &ps); err != nil {
@@ -43,7 +42,7 @@ func PointFromSpec(raw json.RawMessage) (runner.Point, error) {
 	if exp == nil {
 		return runner.Point{}, fmt.Errorf("experiments: unknown experiment %q in spec", ps.Experiment)
 	}
-	sc := Scale{
+	return point(*exp, Scale{
 		OLTPTransactions: ps.OLTPTransactions,
 		OLTPWarmupTx:     ps.OLTPWarmupTx,
 		DSSRows:          ps.DSSRows,
@@ -52,21 +51,5 @@ func PointFromSpec(raw json.RawMessage) (runner.Point, error) {
 		DisableWatchdog:  ps.DisableWatchdog,
 		Faults:           ps.Faults,
 		LatchPolicy:      ps.LatchPolicy,
-	}
-	e := *exp
-	return runner.Point{
-		ID:        e.ID,
-		Spec:      ps,
-		MaxCycles: sc.MaxCycles * maxRunsPerExperiment,
-		Faulty:    sc.Faults.Enabled,
-		Run: func(ctx context.Context, att runner.Attempt) (any, error) {
-			esc := sc
-			esc.Context = ctx
-			if att.DisableFaults {
-				esc.Faults = config.FaultConfig{}
-			}
-			armCheckpoints(&esc, e.ID, att.CheckpointPath)
-			return e.Run(esc)
-		},
-	}, nil
+	}, nil), nil
 }

@@ -16,6 +16,7 @@ import (
 	"repro/internal/runner"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
+	"repro/internal/trace"
 	"repro/internal/tracing"
 	"repro/internal/workload/dss"
 	"repro/internal/workload/oltp"
@@ -109,11 +110,11 @@ type Scale struct {
 
 	// Parallel is the number of worker goroutines each multi-point figure
 	// uses to run its points (through the internal/runner pool). 0 means
-	// min(GOMAXPROCS, number of points); 1 forces serial execution.
-	// Parallelism is bit-identical to serial execution (each point is an
-	// independent deterministic simulation), so it does not participate in
-	// the spec hash. Figures with a Tracer attached always run serially:
-	// the tracer is shared mutable state.
+	// GOMAXPROCS; 1 runs one point at a time. Parallelism is bit-identical
+	// to one-at-a-time execution (each point is an independent
+	// deterministic simulation), so it does not participate in the spec
+	// hash. Figures with a Tracer attached always run on one worker: the
+	// tracer is shared mutable state.
 	Parallel int
 
 	// DisableFastForward turns off the event-driven idle-cycle skip in
@@ -123,29 +124,14 @@ type Scale struct {
 	DisableFastForward bool
 }
 
-// pipelineFor resolves the per-run telemetry pipeline (nil when disabled).
-func (sc *Scale) pipelineFor(label string) *telemetry.Pipeline {
-	if sc.Telemetry == nil {
-		return nil
-	}
-	return sc.Telemetry(label)
-}
-
-// checkpointFor resolves the per-run checkpoint options (nil when disabled).
-func (sc *Scale) checkpointFor(label string) *core.CheckpointOptions {
-	if sc.Checkpoint == nil {
-		return nil
-	}
-	return sc.Checkpoint(label)
-}
-
 // resumeState arms workload checkpointing and, when Scale.Restore names a
 // checkpoint file, loads and validates it. Load failures (missing,
 // truncated, corrupt, wrong spec) are reported through RestoreFallback and
 // return a nil state so the caller runs from scratch — a half-written
 // checkpoint must never poison a sweep point, only cost re-simulation.
-func (sc *Scale) resumeState(label string, ck *core.CheckpointOptions, w core.WorkloadCheckpointer) (*core.MachineState, error) {
+func (sc *Scale) resumeState(label string, ck *core.CheckpointOptions, w simWorkload) (*core.MachineState, error) {
 	if ck != nil {
+		w.EnableCheckpointing()
 		ck.Workload = w
 	}
 	path := sc.Restore
@@ -186,114 +172,107 @@ var QuickScale = Scale{
 
 // RunOLTP simulates the OLTP workload on machine cfg and returns the report.
 func RunOLTP(cfg config.Config, sc Scale, label string, hints oltp.HintLevel) (*stats.Report, error) {
-	if sc.Faults.Enabled {
-		cfg.Faults = sc.Faults
-	}
-	if sc.LatchPolicy != config.LatchPlain {
-		cfg.LatchPolicy = sc.LatchPolicy
-	}
 	wcfg := oltp.DefaultConfig(cfg.Nodes)
 	wcfg.TransactionsPerProcess = sc.OLTPTransactions + sc.OLTPWarmupTx
 	wcfg.Hints = hints
 	w := oltp.New(wcfg)
-	sys, err := core.NewSystem(cfg)
-	if err != nil {
-		return nil, err
-	}
-	for p := 0; p < wcfg.Processes; p++ {
-		sys.AddProcess(p%cfg.Nodes, w.Stream(p))
-	}
-	pipe := sc.pipelineFor(label)
-	if pipe != nil {
-		pipe.SetTag("workload", "oltp")
-		pipe.SetTag("label", label)
-		pipe.RegisterProbe("txns_committed", func() uint64 { return w.Transactions })
-		defer func() { _ = pipe.Close() }()
-	}
-	if sc.Tracer != nil {
-		sc.Tracer.SetResolver(w.Resolve)
-	}
-	ck := sc.checkpointFor(label)
-	if ck != nil {
-		w.EnableCheckpointing()
-	}
-	resume, err := sc.resumeState(label, ck, w)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: OLTP %q: %w", label, err)
-	}
-	warmup := uint64(sc.OLTPWarmupTx) * uint64(wcfg.Processes) * w.ApproxInstrPerTx()
-	opt := core.RunOptions{
-		Label:              label,
-		WarmupInstructions: warmup,
-		MaxCycles:          sc.MaxCycles,
-		Context:            sc.Context,
-		WatchdogWindow:     sc.WatchdogWindow,
-		DisableWatchdog:    sc.DisableWatchdog,
-		Telemetry:          pipe,
-		Tracer:             sc.Tracer,
-		DisableFastForward: sc.DisableFastForward,
-		Checkpoint:         ck,
-	}
-	var rep *stats.Report
-	if resume != nil {
-		rep, err = sys.RestoreAndRun(opt, resume)
-	} else {
-		rep, err = sys.Run(opt)
-	}
-	if err != nil {
-		return rep, fmt.Errorf("experiments: OLTP %q: %w", label, err)
-	}
-	if err := w.Err(); err != nil {
-		return rep, fmt.Errorf("experiments: OLTP %q: workload failed: %w", label, err)
-	}
-	if err := w.TPCB().CheckConsistency(); err != nil {
-		return rep, fmt.Errorf("experiments: OLTP %q: %w", label, err)
-	}
-	return rep, nil
+	return run(cfg, sc, label, simulation{
+		tag:       "oltp",
+		processes: wcfg.Processes,
+		workload:  w,
+		probe:     "txns_committed",
+		probeRead: func() uint64 { return w.Transactions },
+		warmup:    uint64(sc.OLTPWarmupTx) * uint64(wcfg.Processes) * w.ApproxInstrPerTx(),
+		check: func() error {
+			if err := w.Err(); err != nil {
+				return fmt.Errorf("workload failed: %w", err)
+			}
+			return w.TPCB().CheckConsistency()
+		},
+	})
 }
 
 // RunDSS simulates the DSS workload on machine cfg and returns the report.
 func RunDSS(cfg config.Config, sc Scale, label string) (*stats.Report, error) {
+	wcfg := dss.DefaultConfig(cfg.Nodes)
+	wcfg.RowsPerProcess = sc.DSSRows
+	w := dss.New(wcfg)
+	return run(cfg, sc, label, simulation{
+		tag:       "dss",
+		processes: wcfg.Processes,
+		workload:  w,
+		probe:     "rows_scanned",
+		probeRead: func() uint64 { return w.RowsScanned },
+		// Warm up over the first ~30% of the scan (one pass of the
+		// per-process work area through the L2).
+		warmup: uint64(wcfg.Processes) * w.ApproxInstrPerProcess() * 3 / 10,
+	})
+}
+
+// simWorkload is what a run needs of a generated workload.
+type simWorkload interface {
+	Stream(proc int) trace.Stream
+	Resolve(pc uint64) (string, bool)
+	EnableCheckpointing()
+	core.WorkloadCheckpointer
+}
+
+// simulation is one run as RunOLTP or RunDSS hands it to run.
+type simulation struct {
+	tag       string // telemetry "workload" tag; upper-cased in errors
+	processes int    // server processes, placed round-robin on the CPUs
+	workload  simWorkload
+	probe     string // telemetry probe name
+	probeRead func() uint64
+	warmup    uint64       // instructions excluded from statistics
+	check     func() error // post-run workload checks (nil = none)
+}
+
+// run simulates sim on machine cfg under sc: it overlays the scale's
+// fault and latch profiles, builds the machine, attaches the observers
+// and checkpointing, and runs (or resumes) to completion.
+func run(cfg config.Config, sc Scale, label string, sim simulation) (*stats.Report, error) {
 	if sc.Faults.Enabled {
 		cfg.Faults = sc.Faults
 	}
 	if sc.LatchPolicy != config.LatchPlain {
 		cfg.LatchPolicy = sc.LatchPolicy
 	}
-	wcfg := dss.DefaultConfig(cfg.Nodes)
-	wcfg.RowsPerProcess = sc.DSSRows
-	w := dss.New(wcfg)
+	w := sim.workload
 	sys, err := core.NewSystem(cfg)
 	if err != nil {
 		return nil, err
 	}
-	for p := 0; p < wcfg.Processes; p++ {
+	for p := 0; p < sim.processes; p++ {
 		sys.AddProcess(p%cfg.Nodes, w.Stream(p))
 	}
-	pipe := sc.pipelineFor(label)
+	var pipe *telemetry.Pipeline
+	if sc.Telemetry != nil {
+		pipe = sc.Telemetry(label)
+	}
 	if pipe != nil {
-		pipe.SetTag("workload", "dss")
+		pipe.SetTag("workload", sim.tag)
 		pipe.SetTag("label", label)
-		pipe.RegisterProbe("rows_scanned", func() uint64 { return w.RowsScanned })
+		pipe.RegisterProbe(sim.probe, sim.probeRead)
 		defer func() { _ = pipe.Close() }()
 	}
 	if sc.Tracer != nil {
 		sc.Tracer.SetResolver(w.Resolve)
 	}
-	ck := sc.checkpointFor(label)
-	if ck != nil {
-		w.EnableCheckpointing()
+	var ck *core.CheckpointOptions
+	if sc.Checkpoint != nil {
+		ck = sc.Checkpoint(label)
+	}
+	wrap := func(err error) error {
+		return fmt.Errorf("experiments: %s %q: %w", strings.ToUpper(sim.tag), label, err)
 	}
 	resume, err := sc.resumeState(label, ck, w)
 	if err != nil {
-		return nil, fmt.Errorf("experiments: DSS %q: %w", label, err)
+		return nil, wrap(err)
 	}
-	// Warm up over the first ~30% of the scan (one pass of the per-process
-	// work area through the L2).
-	warmup := uint64(wcfg.Processes) * w.ApproxInstrPerProcess() * 3 / 10
 	opt := core.RunOptions{
 		Label:              label,
-		WarmupInstructions: warmup,
+		WarmupInstructions: sim.warmup,
 		MaxCycles:          sc.MaxCycles,
 		Context:            sc.Context,
 		WatchdogWindow:     sc.WatchdogWindow,
@@ -309,8 +288,11 @@ func RunDSS(cfg config.Config, sc Scale, label string) (*stats.Report, error) {
 	} else {
 		rep, err = sys.Run(opt)
 	}
+	if err == nil && sim.check != nil {
+		err = sim.check()
+	}
 	if err != nil {
-		return rep, fmt.Errorf("experiments: DSS %q: %w", label, err)
+		return rep, wrap(err)
 	}
 	return rep, nil
 }
@@ -387,42 +369,47 @@ func sanitizeLabel(label string) string {
 // per-point wall-clock deadline budgets for the worst case.
 const maxRunsPerExperiment = 18
 
-// Points adapts experiments to orchestration run points (internal/runner):
-// each point threads the pool's per-point context into the runs, clears
-// the fault profile when the pool retries a fault-induced failure, and is
-// journaled under sc's spec hash. perPoint, when non-nil, derives each
-// point's scale from the base (cmd/sweep uses it to attach per-experiment
-// telemetry factories); it must only change observers — the spec hash is
-// computed from the base scale.
+// Points adapts experiments to orchestration run points (internal/runner).
+// perPoint, when non-nil, derives each point's scale from the base
+// (cmd/sweep uses it to attach per-experiment telemetry factories); it
+// must only change observers — the spec hash is computed from the base
+// scale.
 func Points(exps []Experiment, sc Scale, perPoint func(id string, sc Scale) Scale) []runner.Point {
 	pts := make([]runner.Point, 0, len(exps))
 	for _, e := range exps {
-		e := e
-		pts = append(pts, runner.Point{
-			ID:        e.ID,
-			Spec:      sc.Spec(e.ID),
-			MaxCycles: sc.MaxCycles * maxRunsPerExperiment,
-			Faulty:    sc.Faults.Enabled,
-			Run: func(ctx context.Context, att runner.Attempt) (any, error) {
-				esc := sc
-				if perPoint != nil {
-					esc = perPoint(e.ID, sc)
-				}
-				esc.Context = ctx
-				if att.DisableFaults {
-					esc.Faults = config.FaultConfig{}
-				}
-				armCheckpoints(&esc, e.ID, att.CheckpointPath)
-				return e.Run(esc)
-			},
-		})
+		pts = append(pts, point(e, sc, perPoint))
 	}
 	return pts
 }
 
+// point is experiment e's run point under sc, for both the local grid
+// (Points) and a remote worker (PointFromSpec): it threads the pool's
+// per-point context into the runs, clears the fault profile when the pool
+// retries a fault-induced failure, arms the pool's checkpoint path, and is
+// journaled under sc's spec hash.
+func point(e Experiment, sc Scale, perPoint func(id string, sc Scale) Scale) runner.Point {
+	return runner.Point{
+		ID:        e.ID,
+		Spec:      sc.Spec(e.ID),
+		MaxCycles: sc.MaxCycles * maxRunsPerExperiment,
+		Faulty:    sc.Faults.Enabled,
+		Run: func(ctx context.Context, att runner.Attempt) (any, error) {
+			esc := sc
+			if perPoint != nil {
+				esc = perPoint(e.ID, sc)
+			}
+			esc.Context = ctx
+			if att.DisableFaults {
+				esc.Faults = config.FaultConfig{}
+			}
+			armCheckpoints(&esc, e.ID, att.CheckpointPath)
+			return e.Run(esc)
+		},
+	}
+}
+
 // armCheckpoints wires the pool-supplied checkpoint path prefix into a
-// point's effective scale (shared by the local grid builder Points and
-// the remote worker's PointFromSpec). Every run of the experiment
+// point's effective scale. Every run of the experiment
 // checkpoints under the prefix (one file per run label) and later
 // attempts resume from those files. The spec hash is taken from the
 // *effective* scale, so a fault-disabled retry — a different simulation

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"fmt"
 	"path/filepath"
 	"sync"
@@ -9,8 +8,6 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/core"
-	"repro/internal/telemetry"
-	"repro/internal/tracing"
 )
 
 // Each simulation runs on one host goroutine, but figures and sweeps run
@@ -22,76 +19,30 @@ import (
 // captures. A failure here means some state leaks between simulations
 // (a package-level cache, a shared RNG, a shared observer).
 
-// stRun is one run of the workload with the given latch policy, fault
-// profile, and observers. It reports errors instead of failing the test
-// so it can run on goroutines other than the test's own.
-func stRun(dir string, oltpWorkload bool, lp config.LatchPolicy, faults config.FaultConfig,
-	traced, checkpointed bool) (ffResult, error) {
-	sc := ffScale()
-	sc.Faults = faults
-	sc.LatchPolicy = lp
-
-	var jsonl bytes.Buffer
-	sc.Telemetry = func(label string) *telemetry.Pipeline {
-		pipe := telemetry.New(50_000)
-		pipe.Attach(telemetry.NewJSONLSink(nopWriteCloser{&jsonl}), nil)
-		return pipe
-	}
-	var trc *tracing.Tracer
-	if traced {
-		trc = tracing.New(tracing.Options{})
-		sc.Tracer = trc
-	}
-	if checkpointed {
-		sc.Checkpoint = func(label string) *core.CheckpointOptions {
-			return &core.CheckpointOptions{
-				Path: filepath.Join(dir, "st.ckpt"),
-				// Several captures per run.
-				Interval: 200_000,
-			}
-		}
-	}
-
-	cfg := config.Default()
-	var res ffResult
-	var err error
-	if oltpWorkload {
-		res.rep, err = RunOLTP(cfg, sc, "simthreads-identity", 0)
-	} else {
-		res.rep, err = RunDSS(cfg, sc, "simthreads-identity")
-	}
-	if err != nil {
-		return res, err
-	}
-	res.jsonl = jsonl.Bytes()
-	if traced {
-		var buf bytes.Buffer
-		if err := trc.WriteChrome(&buf); err != nil {
-			return res, err
-		}
-		res.trace = buf.Bytes()
-		res.analysis = trc.Analysis()
-	}
-	return res, nil
-}
-
 // stRunConcurrent makes the same run on n goroutines at once, each with
-// its own observers and checkpoint file, and returns every result.
-func stRunConcurrent(t *testing.T, n int, oltpWorkload bool, lp config.LatchPolicy,
-	faults config.FaultConfig, traced, checkpointed bool) []ffResult {
+// its own observers and (when checkpointed) its own checkpoint file, and
+// returns every result.
+func stRunConcurrent(t *testing.T, n int, a arm, checkpointed bool) []ffResult {
 	t.Helper()
 	results := make([]ffResult, n)
 	errs := make([]error, n)
-	dirs := make([]string, n)
-	for i := range dirs {
-		dirs[i] = t.TempDir()
+	arms := make([]arm, n)
+	for i := range arms {
+		arms[i] = a
+		if checkpointed {
+			path := filepath.Join(t.TempDir(), "st.ckpt")
+			arms[i].checkpoint = func(label string) *core.CheckpointOptions {
+				// Several captures per run.
+				return &core.CheckpointOptions{Path: path, Interval: 200_000}
+			}
+		}
 	}
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = stRun(dirs[i], oltpWorkload, lp, faults, traced, checkpointed)
+			results[i], errs[i] = arms[i].run()
 		}(i)
 	}
 	wg.Wait()
@@ -103,22 +54,23 @@ func stRunConcurrent(t *testing.T, n int, oltpWorkload bool, lp config.LatchPoli
 	return results
 }
 
+// testSimThreadsIdentity compares concurrent runs against the same run
+// made alone: the shared uncheckpointed baseline, which checkpointing (a
+// pure observer) must not change either.
 func testSimThreadsIdentity(t *testing.T, oltpWorkload bool, lp config.LatchPolicy,
 	faults config.FaultConfig, traced, checkpointed bool, simThreads int) {
 	t.Helper()
-	alone, err := stRun(t.TempDir(), oltpWorkload, lp, faults, traced, checkpointed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := arm{oltp: oltpWorkload, cfg: withLatch(lp), faults: faults, traced: traced}
+	alone := a.baseline(t)
 	if alone.rep.Instructions == 0 {
 		t.Fatal("degenerate run: no instructions retired")
 	}
-	for i, par := range stRunConcurrent(t, simThreads, oltpWorkload, lp, faults, traced, checkpointed) {
+	for i, par := range stRunConcurrent(t, simThreads, a, checkpointed) {
 		t.Run(fmt.Sprintf("run%d", i), func(t *testing.T) {
 			assertIdentical(t, par, alone)
 			if traced {
-				if pt, at := par.analysis.Totals(), alone.analysis.Totals(); pt != at {
-					t.Errorf("trace aggregate totals differ:\nconcurrent %v\nalone      %v", pt, at)
+				if par.totals != alone.totals {
+					t.Errorf("trace aggregate totals differ:\nconcurrent %v\nalone      %v", par.totals, alone.totals)
 				}
 			}
 		})
@@ -156,7 +108,7 @@ func TestSimThreadsIdentityTraced(t *testing.T) {
 }
 
 // Mid-run checkpoint captures write per-run files; concurrent
-// checkpointed runs must still match a checkpointed run made alone.
+// checkpointed runs must still match the run made alone.
 func TestSimThreadsIdentityCheckpointed(t *testing.T) {
 	testSimThreadsIdentity(t, false, config.LatchPlain, config.FaultConfig{}, false, true, 4)
 }

@@ -92,9 +92,10 @@ func SpecHash(spec any) string {
 	return hex.EncodeToString(sum[:8])
 }
 
-// Journal is an append-only JSONL file of Records, flushed record-by-record
-// so that a crash or kill loses at most the line being written. Safe for
-// concurrent Append from pool workers.
+// Journal is an append-only JSONL file, flushed record-by-record so that a
+// crash or kill loses at most the line being written. The sweep journal
+// holds Records; the sweep-service ledger appends its own record type
+// through the same appender. Safe for concurrent Append from pool workers.
 type Journal struct {
 	mu sync.Mutex
 	f  *os.File
@@ -111,8 +112,9 @@ func OpenJournal(path string) (*Journal, error) {
 	return &Journal{f: f}, nil
 }
 
-// Append writes one record and flushes it to the OS before returning.
-func (j *Journal) Append(r *Record) error {
+// Append writes one record as a JSON line and syncs it to disk before
+// returning.
+func (j *Journal) Append(r any) error {
 	b, err := json.Marshal(r)
 	if err != nil {
 		return fmt.Errorf("runner: journal: %w", err)

@@ -184,10 +184,8 @@ type Options struct {
 	Workers int
 	// PointTimeout fixes the per-point wall-clock deadline; 0 derives it
 	// from Point.MaxCycles at MinCyclesPerSecond, clamped to
-	// [MinPointTimeout, WallClockCap].
+	// [MinPointTimeout, DefaultWallClockCap].
 	PointTimeout time.Duration
-	// WallClockCap bounds the derived deadline (0 = DefaultWallClockCap).
-	WallClockCap time.Duration
 	// MaxAttempts bounds tries per point (0 = DefaultMaxAttempts).
 	MaxAttempts int
 	// RetryBudget bounds retries across the whole sweep (<0 = unlimited,
@@ -329,9 +327,6 @@ func newPool(points []Point, opt Options) (*pool, error) {
 	if opt.Workers <= 0 {
 		opt.Workers = 1
 	}
-	if opt.WallClockCap <= 0 {
-		opt.WallClockCap = DefaultWallClockCap
-	}
 	if opt.MaxAttempts <= 0 {
 		opt.MaxAttempts = DefaultMaxAttempts
 	}
@@ -359,14 +354,14 @@ func newPool(points []Point, opt Options) (*pool, error) {
 			return opt.PointTimeout
 		}
 		if pt.MaxCycles == 0 {
-			return opt.WallClockCap
+			return DefaultWallClockCap
 		}
 		d := time.Duration(pt.MaxCycles/MinCyclesPerSecond) * time.Second
 		if d < MinPointTimeout {
 			d = MinPointTimeout
 		}
-		if d > opt.WallClockCap {
-			d = opt.WallClockCap
+		if d > DefaultWallClockCap {
+			d = DefaultWallClockCap
 		}
 		return d
 	}

@@ -10,9 +10,10 @@ import (
 	"repro/internal/runner"
 )
 
-// Crash-consistency audit for both durable append paths: the runner's
-// sweep journal and the sweep service's ledger. Both promise the same
-// contract — every Append is fsynced before returning, so a crash (power
+// Crash-consistency audit for both durable files: the runner's sweep
+// journal and the sweep service's ledger, which append through the same
+// runner.Journal and replay through their own readers. Both promise the
+// same contract — every Append is fsynced before returning, so a crash (power
 // loss included) loses at most the record being written, and replay
 // recovers every earlier record while warning about the damage instead of
 // failing. The table simulates the crash artifacts a torn write leaves:
@@ -68,7 +69,7 @@ func ledgerSurface() crashSurface {
 	return crashSurface{
 		name: "sweepsvc-ledger",
 		write: func(t *testing.T, path string, n int) []string {
-			l, err := OpenLedger(path)
+			l, err := runner.OpenJournal(path)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -3,8 +3,6 @@ package sweepsvc
 import (
 	"encoding/json"
 	"fmt"
-	"os"
-	"sync"
 
 	"repro/internal/obs"
 	"repro/internal/runner"
@@ -62,48 +60,6 @@ type LedgerRecord struct {
 	// records, so field order above must not shift.
 	Trace      *obs.SpanContext `json:"trace,omitempty"`
 	Provenance *obs.Provenance  `json:"provenance,omitempty"`
-}
-
-// Ledger is the append-only, fsync-per-record JSONL file behind the sweep
-// service. Safe for concurrent Append.
-type Ledger struct {
-	mu sync.Mutex
-	f  *os.File
-}
-
-// OpenLedger opens (creating if needed) the ledger at path for appending.
-// Re-opening the same path across sweepd restarts is the recovery
-// mechanism: Replay rebuilds the state machine from the records in place.
-func OpenLedger(path string) (*Ledger, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o666)
-	if err != nil {
-		return nil, fmt.Errorf("sweepsvc: ledger: %w", err)
-	}
-	return &Ledger{f: f}, nil
-}
-
-// Append writes one record and syncs it to disk before returning, so a
-// machine crash loses at most the record being written — which replay then
-// skips as a torn tail.
-func (l *Ledger) Append(r *LedgerRecord) error {
-	b, err := json.Marshal(r)
-	if err != nil {
-		return fmt.Errorf("sweepsvc: ledger: %w", err)
-	}
-	b = append(b, '\n')
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if _, err := l.f.Write(b); err != nil {
-		return fmt.Errorf("sweepsvc: ledger: %w", err)
-	}
-	return l.f.Sync()
-}
-
-// Close closes the underlying file.
-func (l *Ledger) Close() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.f.Close()
 }
 
 // ReplayLedger streams the records at path into apply in append order. A

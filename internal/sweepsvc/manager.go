@@ -141,13 +141,13 @@ type Metrics struct {
 }
 
 // Manager is the sweep service's brain: the pending → leased → done|failed
-// state machine over every known point, durably backed by the Ledger and
+// state machine over every known point, durably backed by the ledger and
 // fronted by the result cache. All methods are safe for concurrent use.
 type Manager struct {
 	mu     sync.Mutex
 	now    func() time.Time
 	ttl    time.Duration
-	ledger *Ledger
+	ledger *runner.Journal // the ledger's durable appender; nil = in-memory
 	cache  *Cache
 	warn   func(format string, args ...any)
 	log    *slog.Logger // nil = no structured logs
@@ -216,7 +216,7 @@ func NewManager(opt ManagerOptions) (*Manager, error) {
 		if err := ReplayLedger(opt.LedgerPath, warn, m.replay); err != nil {
 			return nil, err
 		}
-		led, err := OpenLedger(opt.LedgerPath)
+		led, err := runner.OpenJournal(opt.LedgerPath)
 		if err != nil {
 			return nil, err
 		}
