@@ -229,7 +229,7 @@ var ErrMaxCycles = core.ErrMaxCycles
 // DefaultWatchdogWindow is the default forward-progress window in cycles.
 const DefaultWatchdogWindow = core.DefaultWatchdogWindow
 
-// Experiment binds a paper table/figure id to its regenerating function.
+// Experiment is one paper table or figure; its Run method regenerates it.
 type Experiment = experiments.Experiment
 
 // Experiments returns every reproducible table and figure (the paper's

@@ -7,107 +7,98 @@ import (
 	"repro/internal/config"
 	"repro/internal/stats"
 	"repro/internal/tracing"
-	"repro/internal/workload/oltp"
 )
 
-// MigratoryProtocol reproduces the paper's footnote 2: an adaptive
-// migratory coherence protocol (Cox & Fowler / Stenstrom et al.) that hands
-// ownership to readers of migratory lines "will not provide any gains since
-// the write latency is already hidden" under the relaxed base model. Under
+func init() {
+	All = append(All,
+		Experiment{ID: "ext-migproto", Title: "Adaptive migratory protocol under RC vs SC (footnote 2)",
+			Notes: "extension: adaptive migratory protocol (footnote 2)", sims: migProtoSims, render: migProtoRender},
+		Experiment{ID: "ext-unisb", Title: "Uniprocessor stream buffers (Sec 4.1: -22%/-27%)",
+			Notes: "extension: uniprocessor stream buffers (Sec 4.1)", sims: uniStreamBufSims, render: breakdown},
+		Experiment{ID: "ext-validate", Title: "Validation: multiprocessor scaling and locking (Sec 2.3)",
+			Notes: "validation: scaling + locking characteristics (Sec 2.3)", sims: validationSims, render: validationRender},
+		Experiment{ID: "ext-btbpf", Title: "BTB-directed instruction prefetch vs stream buffer (Sec 4.1)",
+			Notes: "extension: BTB-directed instruction prefetch (Sec 4.1)", sims: btbPrefetchSims, render: breakdown},
+		Experiment{ID: "ext-htm", Title: "HTM latch elision vs prefetch+flush hints (OLTP and DSS)",
+			Notes: "extension: HTM latch elision vs prefetch+flush hints", sims: latchElisionSims, render: latchElisionRender},
+		Experiment{ID: "ext-htmcap", Title: "HTM write-set capacity cliff (OLTP, elision)",
+			Notes: "extension: HTM write-set capacity cliff", sims: latchCapacitySims, render: latchCapacityRender},
+	)
+}
+
+// migProtoSims is the paper's footnote 2: an adaptive migratory coherence
+// protocol (Cox & Fowler / Stenstrom et al.) that hands ownership to
+// readers of migratory lines "will not provide any gains since the write
+// latency is already hidden" under the relaxed base model. Under
 // straightforward SC, where stores block at the head of the window, the
 // same protocol does help — which is exactly why the paper's remedy is the
 // flush hint, not the protocol change.
-func MigratoryProtocol(sc Scale) (*Result, error) {
-	type variant struct {
-		label string
-		model config.ConsistencyModel
-		mig   bool
+func migProtoSims() []sim {
+	var sims []sim
+	for _, m := range []config.ConsistencyModel{config.RC, config.SC} {
+		for _, mig := range []bool{false, true} {
+			label := fmt.Sprintf("%v-base", m)
+			if mig {
+				label = fmt.Sprintf("%v+migratory-protocol", m)
+			}
+			sims = append(sims, simOf(label, false, func(c *config.Config) {
+				c.Consistency = m
+				c.MigratoryProtocol = mig
+			}))
+		}
 	}
-	variants := []variant{
-		{"RC-base", config.RC, false},
-		{"RC+migratory-protocol", config.RC, true},
-		{"SC-base", config.SC, false},
-		{"SC+migratory-protocol", config.SC, true},
-	}
-	var pts []figPoint
-	for _, v := range variants {
-		cfg := config.Default()
-		cfg.Consistency = v.model
-		cfg.MigratoryProtocol = v.mig
-		pts = append(pts, figPoint{v.label, func(sc Scale) (*stats.Report, error) {
-			return RunOLTP(cfg, sc, v.label, oltp.HintNone)
-		}})
-	}
-	reports, err := runPoints(sc, pts)
-	if err != nil {
-		return nil, err
-	}
+	return sims
+}
+
+func migProtoRender(_ []sim, reps []*stats.Report, _ []*tracing.Tracer) []string {
 	var sb strings.Builder
-	rcBase, rcMig := reports[0].ExecTime(), reports[1].ExecTime()
-	scBase, scMig := reports[2].ExecTime(), reports[3].ExecTime()
+	rcBase, rcMig := reps[0].ExecTime(), reps[1].ExecTime()
+	scBase, scMig := reps[2].ExecTime(), reps[3].ExecTime()
 	fmt.Fprintf(&sb, "RC: migratory protocol changes execution time by %+.1f%% (paper: no gain expected)\n",
 		(rcMig-rcBase)/rcBase*100)
 	fmt.Fprintf(&sb, "SC: migratory protocol changes execution time by %+.1f%%\n",
 		(scMig-scBase)/scBase*100)
-	return &Result{
-		ID: "ext-migproto", Title: "Adaptive migratory protocol under RC vs SC (footnote 2)",
-		Reports: reports,
-		Tables:  []string{stats.FormatBreakdownTable(reports), sb.String()},
-	}, nil
+	return []string{stats.FormatBreakdownTable(reps), sb.String()}
 }
 
-// UniStreamBuffer reproduces the paper's uniprocessor stream-buffer numbers
+// uniStreamBufSims is the paper's uniprocessor stream-buffer study
 // (Section 4.1): "stream buffers of size 2 and 4 achieve reductions in
 // execution time of 22% and 27% respectively" — larger than the
 // multiprocessor gains because instruction stall is a bigger share of
 // uniprocessor time (Figure 5).
-func UniStreamBuffer(sc Scale) (*Result, error) {
-	var pts []figPoint
+func uniStreamBufSims() []sim {
+	var sims []sim
 	for _, n := range []int{0, 2, 4, 8} {
-		cfg := config.Default()
-		cfg.Nodes = 1
-		cfg.StreamBufEntries = n
 		label := "uni-base"
 		if n > 0 {
 			label = fmt.Sprintf("uni-streambuf-%d", n)
 		}
-		pts = append(pts, figPoint{label, func(sc Scale) (*stats.Report, error) {
-			return RunOLTP(cfg, sc, label, oltp.HintNone)
-		}})
+		sims = append(sims, simOf(label, false, func(c *config.Config) {
+			c.Nodes = 1
+			c.StreamBufEntries = n
+		}))
 	}
-	reports, err := runPoints(sc, pts)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
-		ID: "ext-unisb", Title: "Uniprocessor stream buffers (Sec 4.1: -22%/-27%)",
-		Reports: reports,
-		Tables:  []string{stats.FormatBreakdownTable(reports)},
-	}, nil
+	return sims
 }
 
-// Validation reproduces the Section 2.3 sanity checks: OLTP throughput
-// scaling from 1 to 4 processors and the locking characteristics ("most of
-// the lock accesses in OLTP were contentionless").
-func Validation(sc Scale) (*Result, error) {
-	nodeCounts := []int{1, 2, 4}
-	var pts []figPoint
-	for _, nodes := range nodeCounts {
-		cfg := config.Default()
-		cfg.Nodes = nodes
-		label := fmt.Sprintf("%dP", nodes)
-		pts = append(pts, figPoint{label, func(sc Scale) (*stats.Report, error) {
-			return RunOLTP(cfg, sc, label, oltp.HintNone)
-		}})
+// validationSims is the Section 2.3 sanity check: OLTP throughput scaling
+// from 1 to 4 processors and the locking characteristics ("most of the
+// lock accesses in OLTP were contentionless").
+func validationSims() []sim {
+	var sims []sim
+	for _, nodes := range []int{1, 2, 4} {
+		sims = append(sims, simOf(fmt.Sprintf("%dP", nodes), false, func(c *config.Config) {
+			c.Nodes = nodes
+		}))
 	}
-	reports, err := runPoints(sc, pts)
-	if err != nil {
-		return nil, err
-	}
+	return sims
+}
+
+func validationRender(sims []sim, reps []*stats.Report, _ []*tracing.Tracer) []string {
 	var sb strings.Builder
 	var times []float64
-	for i, nodes := range nodeCounts {
-		rep := reports[i]
+	for i, rep := range reps {
+		nodes := sims[i].cfg.Nodes
 		// Throughput scaling: the same per-process work runs on more CPUs;
 		// compare transactions per cycle via instructions per cycle. A run
 		// that retired nothing (Cycles == 0) reports zero, not NaN.
@@ -127,26 +118,11 @@ func Validation(sc Scale) (*Result, error) {
 	fmt.Fprintf(&sb, "1P -> 4P throughput scaling: %.2fx\n", speedup)
 	fmt.Fprintf(&sb, "(Section 2.3: speedup and locking behaviour verified against the real platform;\n")
 	fmt.Fprintf(&sb, " most OLTP lock accesses are contentionless.)\n")
-	return &Result{
-		ID: "ext-validate", Title: "Validation: multiprocessor scaling and locking (Sec 2.3)",
-		Reports: reports,
-		Tables:  []string{sb.String()},
-	}, nil
+	return []string{sb.String()}
 }
 
-func init() {
-	All = append(All,
-		Experiment{"ext-migproto", MigratoryProtocol, "extension: adaptive migratory protocol (footnote 2)"},
-		Experiment{"ext-unisb", UniStreamBuffer, "extension: uniprocessor stream buffers (Sec 4.1)"},
-		Experiment{"ext-validate", Validation, "validation: scaling + locking characteristics (Sec 2.3)"},
-		Experiment{"ext-btbpf", BTBPrefetch, "extension: BTB-directed instruction prefetch (Sec 4.1)"},
-		Experiment{"ext-htm", LatchElision, "extension: HTM latch elision vs prefetch+flush hints"},
-		Experiment{"ext-htmcap", LatchCapacity, "extension: HTM write-set capacity cliff"},
-	)
-}
-
-// LatchElision is the elision-vs-hints study: the same OLTP and DSS runs
-// under the three strategies the LatchPolicy seam offers — the plain
+// latchElisionSims is the elision-vs-hints study: the same OLTP and DSS
+// runs under the three strategies the LatchPolicy seam offers — the plain
 // latch baseline, the paper-style prefetch+flush latch hints (Sec 4.2's
 // remedy applied in hardware at the latch), and best-effort HTM latch
 // elision with latch-acquire fallback. The paper identified latch
@@ -156,169 +132,110 @@ func init() {
 // the event tracer so the figure attributes exactly which stall cycles
 // elision recovered (sync + dirty-read migratory time), reconciled
 // against the simulator's own breakdown.
-func LatchElision(sc Scale) (*Result, error) {
-	type arm struct {
-		label  string
-		policy config.LatchPolicy
-		isOLTP bool
-		traced bool
+func latchElisionSims() []sim {
+	var sims []sim
+	for _, wl := range workloads {
+		for _, p := range []config.LatchPolicy{config.LatchPlain, config.LatchHints, config.LatchHTM} {
+			s := simOf(fmt.Sprintf("%s-%v", strings.ToLower(wl.name), p), wl.dss, func(c *config.Config) {
+				c.LatchPolicy = p
+			})
+			s.traced = !wl.dss && p != config.LatchHints
+			sims = append(sims, s)
+		}
 	}
-	arms := []arm{
-		{"oltp-plain", config.LatchPlain, true, true},
-		{"oltp-hints", config.LatchHints, true, false},
-		{"oltp-htm", config.LatchHTM, true, true},
-		{"dss-plain", config.LatchPlain, false, false},
-		{"dss-hints", config.LatchHints, false, false},
-		{"dss-htm", config.LatchHTM, false, false},
-	}
-	tracers := make([]*tracing.Tracer, len(arms))
-	var pts []figPoint
-	for i, a := range arms {
-		i, a := i, a
-		cfg := config.Default()
-		cfg.LatchPolicy = a.policy
-		pts = append(pts, figPoint{a.label, func(psc Scale) (*stats.Report, error) {
-			if a.traced {
-				// Per-arm tracer (never the caller's shared one): each
-				// point owns its analysis, so parallel execution stays
-				// bit-identical.
-				tracers[i] = tracing.New(tracing.Options{})
-				psc.Tracer = tracers[i]
-			}
-			if a.isOLTP {
-				return RunOLTP(cfg, psc, a.label, oltp.HintNone)
-			}
-			return RunDSS(cfg, psc, a.label)
-		}})
-	}
-	reports, err := runPoints(sc, pts)
-	if err != nil {
-		return nil, err
-	}
+	return sims
+}
 
+func latchElisionRender(sims []sim, reps []*stats.Report, trs []*tracing.Tracer) []string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%-12s %10s | %9s %9s %9s %9s %9s %9s | %9s %9s\n",
 		"arm", "exec", "begins", "commits", "conflict", "capacity", "fallback", "elided%", "acquires", "contended")
-	for i, a := range arms {
-		r := reports[i]
-		base := reports[0]
-		if !a.isOLTP {
-			base = reports[3]
+	for i, s := range sims {
+		r := reps[i]
+		base := reps[0]
+		if s.dss {
+			base = reps[3]
 		}
 		elided := 0.0
 		if r.HTMBegins > 0 {
 			elided = float64(r.HTMCommits) / float64(r.HTMBegins) * 100
 		}
 		fmt.Fprintf(&sb, "%-12s %10.3f | %9d %9d %9d %9d %9d %8.1f%% | %9d %9d\n",
-			a.label, r.ExecTime()/base.ExecTime(), r.HTMBegins, r.HTMCommits,
+			s.label, r.ExecTime()/base.ExecTime(), r.HTMBegins, r.HTMCommits,
 			r.HTMConflictAborts, r.HTMCapacityAborts, r.HTMFallbacks, elided,
 			r.LatchAcquires, r.LatchContended)
 	}
 
+	// Attribution: the traced OLTP baseline (0) against OLTP elision (2).
 	var att strings.Builder
-	if tracers[0] != nil && tracers[2] != nil {
-		baseA, elA := tracers[0].Analysis(), tracers[2].Analysis()
-		bt, et := baseA.Totals(), elA.Totals()
-		att.WriteString(tracing.FormatHTM(elA.HTM, et))
-		recovered := (bt[stats.Sync] + bt[stats.ReadDirty]) -
-			(et[stats.Sync] + et[stats.ReadDirty] + et.HTM())
-		fmt.Fprintf(&att, "recovered latch stall (sync + dirty-read, baseline - elision): %.0f slot-cycles\n", recovered)
-		fmt.Fprintf(&att, "trace/simulator reconcile error: baseline %.3f%%, elision %.3f%%\n",
-			tracing.ReconcileError(bt, reports[0].Breakdown)*100,
-			tracing.ReconcileError(et, reports[2].Breakdown)*100)
-		mig, non, rows := elA.MigratorySummary(5)
-		att.WriteString("\nmigratory attribution under elision:\n")
-		att.WriteString(tracing.FormatMigratory(mig, non, rows))
-	}
+	baseA, elA := trs[0].Analysis(), trs[2].Analysis()
+	bt, et := baseA.Totals(), elA.Totals()
+	att.WriteString(tracing.FormatHTM(elA.HTM, et))
+	recovered := (bt[stats.Sync] + bt[stats.ReadDirty]) -
+		(et[stats.Sync] + et[stats.ReadDirty] + et.HTM())
+	fmt.Fprintf(&att, "recovered latch stall (sync + dirty-read, baseline - elision): %.0f slot-cycles\n", recovered)
+	fmt.Fprintf(&att, "trace/simulator reconcile error: baseline %.3f%%, elision %.3f%%\n",
+		tracing.ReconcileError(bt, reps[0].Breakdown)*100,
+		tracing.ReconcileError(et, reps[2].Breakdown)*100)
+	mig, non, rows := elA.MigratorySummary(5)
+	att.WriteString("\nmigratory attribution under elision:\n")
+	att.WriteString(tracing.FormatMigratory(mig, non, rows))
 
-	return &Result{
-		ID: "ext-htm", Title: "HTM latch elision vs prefetch+flush hints (OLTP and DSS)",
-		Reports: reports,
-		Tables: []string{
-			stats.FormatBreakdownTable(reports[:3]),
-			stats.FormatBreakdownTable(reports[3:]),
-			sb.String(),
-			att.String(),
-		},
-	}, nil
+	return []string{
+		stats.FormatBreakdownTable(reps[:3]),
+		stats.FormatBreakdownTable(reps[3:]),
+		sb.String(),
+		att.String(),
+	}
 }
 
-// LatchCapacity sweeps the transactional write-set bound under HTM latch
-// elision on OLTP: a POWER8-style capacity cliff. Once the bound covers
-// the critical section's store footprint, capacity aborts vanish and the
-// commit rate saturates; below it every elision attempt dies on capacity
-// and the policy degenerates to latch acquisition via fallback.
-func LatchCapacity(sc Scale) (*Result, error) {
-	bounds := []int{1, 2, 4, 8, 16, 32}
-	var pts []figPoint
-	for _, b := range bounds {
-		b := b
-		cfg := config.Default()
-		cfg.LatchPolicy = config.LatchHTM
-		cfg.HTM.WriteSetLines = b
-		label := fmt.Sprintf("wset-%d", b)
-		pts = append(pts, figPoint{label, func(psc Scale) (*stats.Report, error) {
-			return RunOLTP(cfg, psc, label, oltp.HintNone)
-		}})
+// latchCapacitySims sweeps the transactional write-set bound under HTM
+// latch elision on OLTP: a POWER8-style capacity cliff. Once the bound
+// covers the critical section's store footprint, capacity aborts vanish
+// and the commit rate saturates; below it every elision attempt dies on
+// capacity and the policy degenerates to latch acquisition via fallback.
+func latchCapacitySims() []sim {
+	var sims []sim
+	for _, b := range []int{1, 2, 4, 8, 16, 32} {
+		sims = append(sims, simOf(fmt.Sprintf("wset-%d", b), false, func(c *config.Config) {
+			c.LatchPolicy = config.LatchHTM
+			c.HTM.WriteSetLines = b
+		}))
 	}
-	reports, err := runPoints(sc, pts)
-	if err != nil {
-		return nil, err
-	}
+	return sims
+}
+
+func latchCapacityRender(sims []sim, reps []*stats.Report, _ []*tracing.Tracer) []string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%-8s %10s | %9s %9s %9s %9s %9s %9s\n",
 		"wset", "exec", "begins", "commits", "commit%", "capacity", "conflict", "fallback")
-	for i, b := range bounds {
-		r := reports[i]
+	roomiest := reps[len(reps)-1].ExecTime()
+	for i, r := range reps {
 		rate := 0.0
 		if r.HTMBegins > 0 {
 			rate = float64(r.HTMCommits) / float64(r.HTMBegins) * 100
 		}
 		fmt.Fprintf(&sb, "%-8d %10.3f | %9d %9d %8.1f%% %9d %9d %9d\n",
-			b, r.ExecTime()/reports[len(bounds)-1].ExecTime(), r.HTMBegins, r.HTMCommits,
+			sims[i].cfg.HTM.WriteSetLines, r.ExecTime()/roomiest, r.HTMBegins, r.HTMCommits,
 			rate, r.HTMCapacityAborts, r.HTMConflictAborts, r.HTMFallbacks)
 	}
-	return &Result{
-		ID: "ext-htmcap", Title: "HTM write-set capacity cliff (OLTP, elision)",
-		Reports: reports,
-		Tables:  []string{stats.FormatBreakdownTable(reports), sb.String()},
-	}, nil
+	return []string{stats.FormatBreakdownTable(reps), sb.String()}
 }
 
-// BTBPrefetch reproduces the other Section 4.1 preliminary study: a
-// predictor that interfaces with the branch target buffer to prefetch the
+// btbPrefetchSims is the other Section 4.1 preliminary study: a predictor
+// that interfaces with the branch target buffer to prefetch the
 // instruction lines of predicted branch targets. The paper concluded its
-// benefits "are likely to be limited ... and may not justify the associated
-// hardware costs, especially when a stream buffer is already used".
-func BTBPrefetch(sc Scale) (*Result, error) {
-	type variant struct {
-		label string
-		mod   func(*config.Config)
-	}
-	variants := []variant{
-		{"base", func(c *config.Config) {}},
-		{"btb-prefetch", func(c *config.Config) { c.BTBPrefetch = true }},
-		{"streambuf-4", func(c *config.Config) { c.StreamBufEntries = 4 }},
-		{"streambuf-4+btb", func(c *config.Config) {
+// benefits "are likely to be limited ... and may not justify the
+// associated hardware costs, especially when a stream buffer is already
+// used".
+func btbPrefetchSims() []sim {
+	return []sim{
+		simOf("base", false, nil),
+		simOf("btb-prefetch", false, func(c *config.Config) { c.BTBPrefetch = true }),
+		simOf("streambuf-4", false, func(c *config.Config) { c.StreamBufEntries = 4 }),
+		simOf("streambuf-4+btb", false, func(c *config.Config) {
 			c.StreamBufEntries = 4
 			c.BTBPrefetch = true
-		}},
+		}),
 	}
-	var pts []figPoint
-	for _, v := range variants {
-		cfg := config.Default()
-		v.mod(&cfg)
-		pts = append(pts, figPoint{v.label, func(sc Scale) (*stats.Report, error) {
-			return RunOLTP(cfg, sc, v.label, oltp.HintNone)
-		}})
-	}
-	reports, err := runPoints(sc, pts)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
-		ID: "ext-btbpf", Title: "BTB-directed instruction prefetch vs stream buffer (Sec 4.1)",
-		Reports: reports,
-		Tables:  []string{stats.FormatBreakdownTable(reports)},
-	}, nil
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/stats"
+	"repro/internal/tracing"
 	"repro/internal/workload/oltp"
 )
 
@@ -35,198 +36,185 @@ func Fig1Params() *Result {
 	return &Result{ID: "fig1", Title: "Default system parameters", Tables: []string{sb.String()}}
 }
 
-// Fig2a reproduces Figure 2(a): OLTP under in-order and out-of-order
-// processors with issue widths 1, 2, 4, 8.
-func Fig2a(sc Scale) (*Result, error) {
-	return issueWidthSweep(sc, "fig2a", true)
+
+// Experiment is one table or figure as data: the simulations it runs and
+// a pure render that reduces their reports to the tables it prints.
+type Experiment struct {
+	ID    string
+	Title string
+	Notes string
+
+	// sims lists the experiment's simulations; Run returns their reports
+	// in this order.
+	sims func() []sim
+	// render turns the simulations' reports, and the tracers of traced
+	// simulations, into printable tables.
+	render func(sims []sim, reps []*stats.Report, trs []*tracing.Tracer) []string
 }
 
-// Fig3a reproduces Figure 3(a): the DSS issue-width sweep.
-func Fig3a(sc Scale) (*Result, error) {
-	return issueWidthSweep(sc, "fig3a", false)
+// Run simulates e's simulations under sc and renders its tables.
+func (e Experiment) Run(sc Scale) (*Result, error) {
+	sims := e.sims()
+	reports, tracers, err := runPoints(sc, sims)
+	if err != nil {
+		return nil, err
+	}
+	return &Result{
+		ID: e.ID, Title: e.Title, Reports: reports,
+		Tables: e.render(sims, reports, tracers),
+	}, nil
 }
 
-func issueWidthSweep(sc Scale, id string, isOLTP bool) (*Result, error) {
-	var pts []figPoint
-	for _, inorder := range []bool{true, false} {
-		for _, w := range []int{1, 2, 4, 8} {
-			cfg := config.Default()
-			cfg.InOrder = inorder
-			cfg.IssueWidth = w
+// All enumerates every experiment.
+var All = []Experiment{
+	{ID: "fig2a", Title: "Impact of multiple issue and out-of-order execution",
+		Notes: "OLTP: issue width x in-order/OOO", sims: issueWidthSims(false), render: breakdown},
+	{ID: "fig2b", Title: "Impact of instruction window size",
+		Notes: "OLTP: instruction window size", sims: windowSims(false), render: breakdownReadStall},
+	{ID: "fig2c", Title: "Impact of multiple outstanding misses",
+		Notes: "OLTP: outstanding misses (MSHRs)", sims: mshrSims(false), render: breakdownReadStall},
+	{ID: "fig2d-g", Title: "MSHR occupancy distributions",
+		Notes: "OLTP: MSHR occupancy distributions", sims: baseSim("base", false), render: occupancy},
+	{ID: "fig3a", Title: "Impact of multiple issue and out-of-order execution",
+		Notes: "DSS: issue width x in-order/OOO", sims: issueWidthSims(true), render: breakdown},
+	{ID: "fig3b", Title: "Impact of instruction window size",
+		Notes: "DSS: instruction window size", sims: windowSims(true), render: breakdownReadStall},
+	{ID: "fig3c", Title: "Impact of multiple outstanding misses",
+		Notes: "DSS: outstanding misses (MSHRs)", sims: mshrSims(true), render: breakdownReadStall},
+	{ID: "fig3d-g", Title: "MSHR occupancy distributions",
+		Notes: "DSS: MSHR occupancy distributions", sims: baseSim("base", true), render: occupancy},
+	{ID: "fig4", Title: "Factors limiting OLTP performance",
+		Notes: "OLTP: limit study (FUs, bpred, icache, window)", sims: fig4Sims, render: breakdownReadStall},
+	{ID: "fig5", Title: "Uniprocessor vs multiprocessor components",
+		Notes: "uniprocessor vs multiprocessor components", sims: fig5Sims, render: fig5Render},
+	{ID: "fig6", Title: "ILP-enabled consistency optimizations",
+		Notes: "consistency models x implementations", sims: fig6Sims, render: fig6Render},
+	{ID: "fig7a", Title: "Addressing the instruction bottleneck (stream buffers)",
+		Notes: "OLTP: instruction stream buffers", sims: fig7aSims, render: fig7aRender},
+	{ID: "fig7b", Title: "Addressing the migratory data bottleneck (flush/prefetch hints)",
+		Notes: "OLTP: migratory flush/prefetch hints", sims: fig7bSims, render: breakdownReadStall},
+	{ID: "tbl-miss", Title: "Base-system characterization",
+		Notes: "base characterization (miss rates, IPC)", sims: missRateSims, render: missRateRender},
+	{ID: "tbl-mig", Title: "Migratory sharing characterization (OLTP)",
+		Notes: "migratory sharing characterization", sims: baseSim("OLTP", false), render: migratoryRender},
+}
+
+// workloads names the two workloads in the order figures plot them.
+var workloads = []struct {
+	name string
+	dss  bool
+}{{"OLTP", false}, {"DSS", true}}
+
+// breakdown renders the execution-time breakdown of every report.
+func breakdown(_ []sim, reps []*stats.Report, _ []*tracing.Tracer) []string {
+	return []string{stats.FormatBreakdownTable(reps)}
+}
+
+// breakdownReadStall adds the read-stall magnification table.
+func breakdownReadStall(_ []sim, reps []*stats.Report, _ []*tracing.Tracer) []string {
+	return []string{stats.FormatBreakdownTable(reps), stats.FormatReadStallTable(reps)}
+}
+
+// baseSim lists one simulation of the default machine.
+func baseSim(label string, dss bool) func() []sim {
+	return func() []sim { return []sim{simOf(label, dss, nil)} }
+}
+
+// issueWidthSims is Figure 2(a) (OLTP) or 3(a) (DSS): in-order and
+// out-of-order processors with issue widths 1, 2, 4, 8.
+func issueWidthSims(dss bool) func() []sim {
+	return func() []sim {
+		var sims []sim
+		for _, inorder := range []bool{true, false} {
 			kind := "ooo"
 			if inorder {
 				kind = "inorder"
 			}
-			label := fmt.Sprintf("%s-%dway", kind, w)
-			pts = append(pts, figPoint{label, func(sc Scale) (*stats.Report, error) {
-				return runWorkload(cfg, sc, label, isOLTP)
-			}})
+			for _, w := range []int{1, 2, 4, 8} {
+				sims = append(sims, simOf(fmt.Sprintf("%s-%dway", kind, w), dss, func(c *config.Config) {
+					c.InOrder = inorder
+					c.IssueWidth = w
+				}))
+			}
 		}
+		return sims
 	}
-	reports, err := runPoints(sc, pts)
-	if err != nil {
-		return nil, err
-	}
-	title := "Impact of multiple issue and out-of-order execution"
-	return &Result{
-		ID: id, Title: title, Reports: reports,
-		Tables: []string{stats.FormatBreakdownTable(reports)},
-	}, nil
 }
 
-func runWorkload(cfg config.Config, sc Scale, label string, isOLTP bool) (*stats.Report, error) {
-	if isOLTP {
-		return RunOLTP(cfg, sc, label, oltp.HintNone)
+// windowSims is Figure 2(b)/3(b): the instruction-window sweep, rendered
+// with the read-stall magnification.
+func windowSims(dss bool) func() []sim {
+	return func() []sim {
+		var sims []sim
+		for _, ws := range []int{16, 32, 64, 128} {
+			sims = append(sims, simOf(fmt.Sprintf("window-%d", ws), dss, func(c *config.Config) {
+				c.WindowSize = ws
+			}))
+		}
+		return sims
 	}
-	return RunDSS(cfg, sc, label)
 }
 
-// Fig2b reproduces Figure 2(b): OLTP instruction-window sweep with the
-// read-stall magnification.
-func Fig2b(sc Scale) (*Result, error) { return windowSweep(sc, "fig2b", true) }
-
-// Fig3b reproduces Figure 3(b): the DSS window sweep.
-func Fig3b(sc Scale) (*Result, error) { return windowSweep(sc, "fig3b", false) }
-
-func windowSweep(sc Scale, id string, isOLTP bool) (*Result, error) {
-	var pts []figPoint
-	for _, ws := range []int{16, 32, 64, 128} {
-		cfg := config.Default()
-		cfg.WindowSize = ws
-		label := fmt.Sprintf("window-%d", ws)
-		pts = append(pts, figPoint{label, func(sc Scale) (*stats.Report, error) {
-			return runWorkload(cfg, sc, label, isOLTP)
-		}})
+// mshrSims is Figure 2(c)/3(c): the outstanding-miss (MSHR) sweep.
+func mshrSims(dss bool) func() []sim {
+	return func() []sim {
+		var sims []sim
+		for _, n := range []int{1, 2, 4, 8} {
+			sims = append(sims, simOf(fmt.Sprintf("mshr-%d", n), dss, func(c *config.Config) {
+				c.L1D.MSHRs = n
+				c.L2.MSHRs = n
+			}))
+		}
+		return sims
 	}
-	reports, err := runPoints(sc, pts)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
-		ID: id, Title: "Impact of instruction window size", Reports: reports,
-		Tables: []string{
-			stats.FormatBreakdownTable(reports),
-			stats.FormatReadStallTable(reports),
-		},
-	}, nil
 }
 
-// Fig2c reproduces Figure 2(c): OLTP outstanding-miss (MSHR) sweep.
-func Fig2c(sc Scale) (*Result, error) { return mshrSweep(sc, "fig2c", true) }
-
-// Fig3c reproduces Figure 3(c): the DSS MSHR sweep.
-func Fig3c(sc Scale) (*Result, error) { return mshrSweep(sc, "fig3c", false) }
-
-func mshrSweep(sc Scale, id string, isOLTP bool) (*Result, error) {
-	var pts []figPoint
-	for _, n := range []int{1, 2, 4, 8} {
-		cfg := config.Default()
-		cfg.L1D.MSHRs = n
-		cfg.L2.MSHRs = n
-		label := fmt.Sprintf("mshr-%d", n)
-		pts = append(pts, figPoint{label, func(sc Scale) (*stats.Report, error) {
-			return runWorkload(cfg, sc, label, isOLTP)
-		}})
-	}
-	reports, err := runPoints(sc, pts)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
-		ID: id, Title: "Impact of multiple outstanding misses", Reports: reports,
-		Tables: []string{
-			stats.FormatBreakdownTable(reports),
-			stats.FormatReadStallTable(reports),
-		},
-	}, nil
-}
-
-// Fig2dg reproduces Figures 2(d)-(g): OLTP MSHR occupancy distributions at
-// the L1 data cache and L2 (all misses and read misses only).
-func Fig2dg(sc Scale) (*Result, error) { return occupancy(sc, "fig2d-g", true) }
-
-// Fig3dg reproduces Figures 3(d)-(g) for DSS.
-func Fig3dg(sc Scale) (*Result, error) { return occupancy(sc, "fig3d-g", false) }
-
-func occupancy(sc Scale, id string, isOLTP bool) (*Result, error) {
-	cfg := config.Default()
-	rep, err := runWorkload(cfg, sc, "base", isOLTP)
-	if err != nil {
-		return nil, err
-	}
+// occupancy renders Figures 2(d)-(g)/3(d)-(g): MSHR occupancy
+// distributions at the L1 data cache and L2 (all misses and read misses
+// only) of the base system.
+func occupancy(_ []sim, reps []*stats.Report, _ []*tracing.Tracer) []string {
+	rep := reps[0]
 	labels := []string{"L1 all misses (d)", "L2 all misses (e)", "L1 read misses (f)", "L2 read misses (g)"}
 	dists := [][]float64{rep.L1MSHRAll, rep.L2MSHRAll, rep.L1MSHRRead, rep.L2MSHRRead}
-	return &Result{
-		ID: id, Title: "MSHR occupancy distributions", Reports: []*stats.Report{rep},
-		Tables: []string{stats.FormatOccupancyTable(labels, dists)},
-	}, nil
+	return []string{stats.FormatOccupancyTable(labels, dists)}
 }
 
-// Fig4 reproduces Figure 4: factors limiting OLTP performance.
-func Fig4(sc Scale) (*Result, error) {
-	type variant struct {
-		label string
-		mod   func(*config.Config)
-	}
-	variants := []variant{
-		{"base", func(c *config.Config) {}},
-		{"infinite-FUs", func(c *config.Config) { c.InfiniteFUs = true }},
-		{"perfect-bpred", func(c *config.Config) { c.PerfectBPred = true }},
-		{"perfect-icache", func(c *config.Config) { c.PerfectICache = true }},
-		{"all+2x-window", func(c *config.Config) {
+// fig4Sims is Figure 4: factors limiting OLTP performance.
+func fig4Sims() []sim {
+	return []sim{
+		simOf("base", false, nil),
+		simOf("infinite-FUs", false, func(c *config.Config) { c.InfiniteFUs = true }),
+		simOf("perfect-bpred", false, func(c *config.Config) { c.PerfectBPred = true }),
+		simOf("perfect-icache", false, func(c *config.Config) { c.PerfectICache = true }),
+		simOf("all+2x-window", false, func(c *config.Config) {
 			c.InfiniteFUs = true
 			c.PerfectBPred = true
 			c.PerfectICache = true
 			c.PerfectITLB = true
 			c.PerfectDTLB = true
 			c.WindowSize = 128
-		}},
+		}),
 	}
-	var pts []figPoint
-	for _, v := range variants {
-		cfg := config.Default()
-		v.mod(&cfg)
-		pts = append(pts, figPoint{v.label, func(sc Scale) (*stats.Report, error) {
-			return RunOLTP(cfg, sc, v.label, oltp.HintNone)
-		}})
-	}
-	reports, err := runPoints(sc, pts)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
-		ID: "fig4", Title: "Factors limiting OLTP performance", Reports: reports,
-		Tables: []string{
-			stats.FormatBreakdownTable(reports),
-			stats.FormatReadStallTable(reports),
-		},
-	}, nil
 }
 
-// Fig5 reproduces Figure 5: the relative importance of execution-time
-// components in uniprocessor vs multiprocessor systems, for both workloads.
-func Fig5(sc Scale) (*Result, error) {
-	var pts []figPoint
-	for _, wl := range []struct {
-		name   string
-		isOLTP bool
-	}{{"OLTP", true}, {"DSS", false}} {
+// fig5Sims is Figure 5: the relative importance of execution-time
+// components in uniprocessor vs multiprocessor systems, for both
+// workloads.
+func fig5Sims() []sim {
+	var sims []sim
+	for _, wl := range workloads {
 		for _, nodes := range []int{1, 4} {
-			cfg := config.Default()
-			cfg.Nodes = nodes
-			label := fmt.Sprintf("%s-%dP", wl.name, nodes)
-			isOLTP := wl.isOLTP
-			pts = append(pts, figPoint{label, func(sc Scale) (*stats.Report, error) {
-				return runWorkload(cfg, sc, label, isOLTP)
-			}})
+			sims = append(sims, simOf(fmt.Sprintf("%s-%dP", wl.name, nodes), wl.dss, func(c *config.Config) {
+				c.Nodes = nodes
+			}))
 		}
 	}
-	reports, err := runPoints(sc, pts)
-	if err != nil {
-		return nil, err
-	}
+	return sims
+}
+
+func fig5Render(_ []sim, reps []*stats.Report, _ []*tracing.Tracer) []string {
 	var tables []string
-	for _, pair := range [][]*stats.Report{reports[:2], reports[2:]} {
+	for _, pair := range [][]*stats.Report{reps[:2], reps[2:]} {
 		// The paper compares the composition of execution time, so each
 		// bar is normalized to its own total.
 		var sb strings.Builder
@@ -239,172 +227,105 @@ func Fig5(sc Scale) (*Result, error) {
 		}
 		tables = append(tables, sb.String())
 	}
-	return &Result{
-		ID: "fig5", Title: "Uniprocessor vs multiprocessor components",
-		Reports: reports, Tables: tables,
-	}, nil
+	return tables
 }
 
-// Fig6 reproduces Figure 6: consistency-model implementations. For each
+// fig6Sims is Figure 6: consistency-model implementations. For each
 // workload, nine configurations: {SC, PC, RC} x {straightforward,
-// +prefetch, +prefetch+speculative-load}, normalized to straightforward SC.
-func Fig6(sc Scale) (*Result, error) {
-	impls := []config.ConsistencyImpl{config.ImplPlain, config.ImplPrefetch, config.ImplSpeculative}
-	models := []config.ConsistencyModel{config.SC, config.PC, config.RC}
-	var pts []figPoint
-	for _, wl := range []struct {
-		name   string
-		isOLTP bool
-	}{{"OLTP", true}, {"DSS", false}} {
-		for _, impl := range impls {
-			for _, m := range models {
-				cfg := config.Default()
-				cfg.Consistency = m
-				cfg.ConsistencyOpts = impl
-				label := fmt.Sprintf("%s-%v-%v", wl.name, m, impl)
-				isOLTP := wl.isOLTP
-				pts = append(pts, figPoint{label, func(sc Scale) (*stats.Report, error) {
-					return runWorkload(cfg, sc, label, isOLTP)
-				}})
+// +prefetch, +prefetch+speculative-load}, normalized to straightforward
+// SC. simbench rebuilds configurations from this order.
+func fig6Sims() []sim {
+	var sims []sim
+	for _, wl := range workloads {
+		for _, impl := range []config.ConsistencyImpl{config.ImplPlain, config.ImplPrefetch, config.ImplSpeculative} {
+			for _, m := range []config.ConsistencyModel{config.SC, config.PC, config.RC} {
+				sims = append(sims, simOf(fmt.Sprintf("%s-%v-%v", wl.name, m, impl), wl.dss, func(c *config.Config) {
+					c.Consistency = m
+					c.ConsistencyOpts = impl
+				}))
 			}
 		}
 	}
-	reports, err := runPoints(sc, pts)
-	if err != nil {
-		return nil, err
-	}
-	perWL := len(impls) * len(models)
-	var tables []string
-	for _, group := range [][]*stats.Report{reports[:perWL], reports[perWL:]} {
-		tables = append(tables, stats.FormatBreakdownTable(group))
-	}
-	return &Result{
-		ID: "fig6", Title: "ILP-enabled consistency optimizations",
-		Reports: reports, Tables: tables,
-	}, nil
+	return sims
 }
 
-// Fig7a reproduces Figure 7(a): the instruction stream buffer study on
-// OLTP: base, 2/4/8-entry stream buffers, perfect I-cache, and perfect
-// I-cache + perfect I-TLB.
-func Fig7a(sc Scale) (*Result, error) {
-	type variant struct {
-		label string
-		mod   func(*config.Config)
-	}
-	variants := []variant{
-		{"base", func(c *config.Config) {}},
-		{"streambuf-2", func(c *config.Config) { c.StreamBufEntries = 2 }},
-		{"streambuf-4", func(c *config.Config) { c.StreamBufEntries = 4 }},
-		{"streambuf-8", func(c *config.Config) { c.StreamBufEntries = 8 }},
-		{"perfect-icache", func(c *config.Config) { c.PerfectICache = true }},
-		{"perfect-icache+itlb", func(c *config.Config) {
+func fig6Render(_ []sim, reps []*stats.Report, _ []*tracing.Tracer) []string {
+	half := len(reps) / 2
+	return []string{stats.FormatBreakdownTable(reps[:half]), stats.FormatBreakdownTable(reps[half:])}
+}
+
+// fig7aSims is Figure 7(a): the instruction stream buffer study on OLTP:
+// base, 2/4/8-entry stream buffers, perfect I-cache, and perfect I-cache
+// + perfect I-TLB.
+func fig7aSims() []sim {
+	return []sim{
+		simOf("base", false, nil),
+		simOf("streambuf-2", false, func(c *config.Config) { c.StreamBufEntries = 2 }),
+		simOf("streambuf-4", false, func(c *config.Config) { c.StreamBufEntries = 4 }),
+		simOf("streambuf-8", false, func(c *config.Config) { c.StreamBufEntries = 8 }),
+		simOf("perfect-icache", false, func(c *config.Config) { c.PerfectICache = true }),
+		simOf("perfect-icache+itlb", false, func(c *config.Config) {
 			c.PerfectICache = true
 			c.PerfectITLB = true
-		}},
+		}),
 	}
-	var pts []figPoint
-	streamBuf := make([]bool, len(variants))
-	for i, v := range variants {
-		cfg := config.Default()
-		v.mod(&cfg)
-		streamBuf[i] = cfg.StreamBufEntries > 0
-		pts = append(pts, figPoint{v.label, func(sc Scale) (*stats.Report, error) {
-			return RunOLTP(cfg, sc, v.label, oltp.HintNone)
-		}})
-	}
-	reports, err := runPoints(sc, pts)
-	if err != nil {
-		return nil, err
-	}
+}
+
+func fig7aRender(sims []sim, reps []*stats.Report, _ []*tracing.Tracer) []string {
 	var sb strings.Builder
-	for i, v := range variants {
-		if streamBuf[i] {
+	for i, s := range sims {
+		if s.cfg.StreamBufEntries > 0 {
 			fmt.Fprintf(&sb, "%-22s stream-buffer hit rate %.2f (I-miss reduction)\n",
-				v.label, reports[i].StreamBufHitRate)
+				s.label, reps[i].StreamBufHitRate)
 		}
 	}
-	return &Result{
-		ID: "fig7a", Title: "Addressing the instruction bottleneck (stream buffers)",
-		Reports: reports,
-		Tables:  []string{stats.FormatBreakdownTable(reports), sb.String()},
-	}, nil
+	return []string{stats.FormatBreakdownTable(reps), sb.String()}
 }
 
-// Fig7b reproduces Figure 7(b): software flush and prefetch hints for
+// fig7bSims is Figure 7(b): software flush and prefetch hints for
 // migratory data. All configurations include a 4-entry stream buffer; the
-// final row is the paper's approximate bound (migratory reads serviced 40%
-// faster, reflecting service by memory).
-func Fig7b(sc Scale) (*Result, error) {
-	type variant struct {
-		label string
-		hints oltp.HintLevel
-		bound bool
+// final row is the paper's approximate bound (migratory reads serviced
+// 40% faster, reflecting service by memory).
+func fig7bSims() []sim {
+	sb4 := func(c *config.Config) { c.StreamBufEntries = 4 }
+	return []sim{
+		simOf("base+sb4", false, sb4),
+		simOf("+flush", false, sb4).withHints(oltp.HintFlush),
+		simOf("+flush+prefetch", false, sb4).withHints(oltp.HintFlushPrefetch),
+		simOf("bound(-40%-migratory)", false, func(c *config.Config) {
+			sb4(c)
+			c.MigratoryBound = true
+		}),
 	}
-	variants := []variant{
-		{"base+sb4", oltp.HintNone, false},
-		{"+flush", oltp.HintFlush, false},
-		{"+flush+prefetch", oltp.HintFlushPrefetch, false},
-		{"bound(-40%-migratory)", oltp.HintNone, true},
-	}
-	var pts []figPoint
-	for _, v := range variants {
-		cfg := config.Default()
-		cfg.StreamBufEntries = 4
-		cfg.MigratoryBound = v.bound
-		pts = append(pts, figPoint{v.label, func(sc Scale) (*stats.Report, error) {
-			return RunOLTP(cfg, sc, v.label, v.hints)
-		}})
-	}
-	reports, err := runPoints(sc, pts)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
-		ID: "fig7b", Title: "Addressing the migratory data bottleneck (flush/prefetch hints)",
-		Reports: reports,
-		Tables: []string{
-			stats.FormatBreakdownTable(reports),
-			stats.FormatReadStallTable(reports),
-		},
-	}, nil
 }
 
-// MissRates reproduces the Section 3.1/3.2 characterization table: local
-// miss rates per level and IPC for both workloads on the base system.
-func MissRates(sc Scale) (*Result, error) {
-	cfg := config.Default()
-	reports, err := runPoints(sc, []figPoint{
-		{"OLTP", func(sc Scale) (*stats.Report, error) { return RunOLTP(cfg, sc, "OLTP", oltp.HintNone) }},
-		{"DSS", func(sc Scale) (*stats.Report, error) { return RunDSS(cfg, sc, "DSS") }},
-	})
-	if err != nil {
-		return nil, err
+// missRateSims is the Section 3.1/3.2 characterization table: local miss
+// rates per level and IPC for both workloads on the base system.
+func missRateSims() []sim {
+	var sims []sim
+	for _, wl := range workloads {
+		sims = append(sims, simOf(wl.name, wl.dss, nil))
 	}
-	o, d := reports[0], reports[1]
+	return sims
+}
+
+func missRateRender(sims []sim, reps []*stats.Report, _ []*tracing.Tracer) []string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%-8s | %7s %7s %7s | %5s | %7s %7s | %9s\n",
 		"workload", "L1I", "L1D", "L2", "IPC", "bpred", "dirty%", "of L2 miss")
-	for _, r := range []*stats.Report{o, d} {
+	for i, r := range reps {
 		fmt.Fprintf(&sb, "%-8s | %6.1f%% %6.1f%% %6.1f%% | %5.2f | %6.1f%% %6.1f%% |\n",
 			r.Label, r.L1IMissRate*100, r.L1DMissRate*100, r.L2MissRate*100,
-			r.IPC(cfg.Nodes), r.BranchMispred*100, r.DirtyFraction*100)
+			r.IPC(sims[i].cfg.Nodes), r.BranchMispred*100, r.DirtyFraction*100)
 	}
 	fmt.Fprintf(&sb, "(paper:   OLTP 7.6%% 14.1%% 7.4%% IPC 0.5, ~11%% bpred; DSS 0.0%% 0.9%% 23.1%% IPC 2.2)\n")
-	return &Result{
-		ID: "tbl-miss", Title: "Base-system characterization",
-		Reports: []*stats.Report{o, d}, Tables: []string{sb.String()},
-	}, nil
+	return []string{sb.String()}
 }
 
-// MigratoryCharacterization reproduces the Section 4.2 analysis of sharing
-// patterns in the OLTP workload.
-func MigratoryCharacterization(sc Scale) (*Result, error) {
-	cfg := config.Default()
-	rep, err := RunOLTP(cfg, sc, "OLTP", oltp.HintNone)
-	if err != nil {
-		return nil, err
-	}
+// migratoryRender is the Section 4.2 analysis of sharing patterns in the
+// OLTP workload on the base system.
+func migratoryRender(_ []sim, reps []*stats.Report, _ []*tracing.Tracer) []string {
+	rep := reps[0]
 	var sb strings.Builder
 	line := func(k string, got, paper string) { fmt.Fprintf(&sb, "%-52s %10s   (paper: %s)\n", k, got, paper) }
 	line("shared writes to migratory data", fmt.Sprintf("%.0f%%", rep.SharedWriteMigratory*100), "88%")
@@ -415,34 +336,5 @@ func MigratoryCharacterization(sc Scale) (*Result, error) {
 	line("migratory refs from top 10% of instructions", fmt.Sprintf("%.0f%%", rep.PCConcentration*100), "75%")
 	line("migratory writes inside critical sections", fmt.Sprintf("%.0f%%", rep.WriteCSFraction*100), "74%")
 	line("migratory reads inside critical sections", fmt.Sprintf("%.0f%%", rep.ReadCSFraction*100), "54%")
-	return &Result{
-		ID: "tbl-mig", Title: "Migratory sharing characterization (OLTP)",
-		Reports: []*stats.Report{rep}, Tables: []string{sb.String()},
-	}, nil
-}
-
-// Experiment binds an id to its runner.
-type Experiment struct {
-	ID    string
-	Run   func(Scale) (*Result, error)
-	Notes string
-}
-
-// All enumerates every experiment.
-var All = []Experiment{
-	{"fig2a", Fig2a, "OLTP: issue width x in-order/OOO"},
-	{"fig2b", Fig2b, "OLTP: instruction window size"},
-	{"fig2c", Fig2c, "OLTP: outstanding misses (MSHRs)"},
-	{"fig2d-g", Fig2dg, "OLTP: MSHR occupancy distributions"},
-	{"fig3a", Fig3a, "DSS: issue width x in-order/OOO"},
-	{"fig3b", Fig3b, "DSS: instruction window size"},
-	{"fig3c", Fig3c, "DSS: outstanding misses (MSHRs)"},
-	{"fig3d-g", Fig3dg, "DSS: MSHR occupancy distributions"},
-	{"fig4", Fig4, "OLTP: limit study (FUs, bpred, icache, window)"},
-	{"fig5", Fig5, "uniprocessor vs multiprocessor components"},
-	{"fig6", Fig6, "consistency models x implementations"},
-	{"fig7a", Fig7a, "OLTP: instruction stream buffers"},
-	{"fig7b", Fig7b, "OLTP: migratory flush/prefetch hints"},
-	{"tbl-miss", MissRates, "base characterization (miss rates, IPC)"},
-	{"tbl-mig", MigratoryCharacterization, "migratory sharing characterization"},
+	return []string{sb.String()}
 }

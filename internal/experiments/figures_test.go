@@ -22,7 +22,7 @@ func TestFig2aShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	res, err := Fig2a(QuickScale)
+	res, err := experiment(t, "fig2a").Run(QuickScale)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestFig3aShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	res, err := Fig3a(QuickScale)
+	res, err := experiment(t, "fig3a").Run(QuickScale)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestFig2bWindowLevelsOff(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	res, err := Fig2b(QuickScale)
+	res, err := experiment(t, "fig2b").Run(QuickScale)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestFig2cMSHRs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	res, err := Fig2c(QuickScale)
+	res, err := experiment(t, "fig2c").Run(QuickScale)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestFig4LimitStudy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	res, err := Fig4(QuickScale)
+	res, err := experiment(t, "fig4").Run(QuickScale)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestFig5UniVsMulti(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	res, err := Fig5(QuickScale)
+	res, err := experiment(t, "fig5").Run(QuickScale)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestFig6Consistency(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	res, err := Fig6(QuickScale)
+	res, err := experiment(t, "fig6").Run(QuickScale)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestFig7aStreamBuffer(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	res, err := Fig7a(QuickScale)
+	res, err := experiment(t, "fig7a").Run(QuickScale)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestFig7bMigratoryHints(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	res, err := Fig7b(QuickScale)
+	res, err := experiment(t, "fig7b").Run(QuickScale)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +282,7 @@ func TestMissRatesTable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	res, err := MissRates(QuickScale)
+	res, err := experiment(t, "tbl-miss").Run(QuickScale)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +310,7 @@ func TestMigratoryTable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	res, err := MigratoryCharacterization(QuickScale)
+	res, err := experiment(t, "tbl-mig").Run(QuickScale)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -88,7 +88,7 @@ func TestLatchPolicySpecHash(t *testing.T) {
 // checks the arms behave like their policies: elision arms speculate,
 // plain arms do not, and the stall-attribution table reconciles.
 func TestLatchElisionExperiment(t *testing.T) {
-	res, err := LatchElision(ffScale())
+	res, err := experiment(t, "ext-htm").Run(ffScale())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestLatchElisionExperiment(t *testing.T) {
 // 1-line bound must see at least as many capacity aborts as a 32-line
 // bound, and widening the bound must not lose commits.
 func TestLatchCapacityExperiment(t *testing.T) {
-	res, err := LatchCapacity(ffScale())
+	res, err := experiment(t, "ext-htmcap").Run(ffScale())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/runner"
 	"repro/internal/stats"
+	"repro/internal/tracing"
 )
 
 // stormFaults is a NACK storm: every directory request is bounced with a
@@ -29,18 +30,17 @@ func stormFaults() config.FaultConfig {
 // tinyDSS returns one orchestration point running a small real DSS
 // simulation under sc.
 func tinyDSS(id string, sc Scale, mod func(*config.Config)) runner.Point {
-	exp := Experiment{ID: id, Run: func(esc Scale) (*Result, error) {
-		cfg := config.Default()
-		cfg.Nodes = 2
-		if mod != nil {
-			mod(&cfg)
-		}
-		rep, err := RunDSS(cfg, esc, id)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{ID: id, Title: id, Reports: []*stats.Report{rep}}, nil
-	}}
+	exp := Experiment{ID: id, Title: id,
+		sims: func() []sim {
+			return []sim{simOf(id, true, func(c *config.Config) {
+				c.Nodes = 2
+				if mod != nil {
+					mod(c)
+				}
+			})}
+		},
+		render: func([]sim, []*stats.Report, []*tracing.Tracer) []string { return nil },
+	}
 	return Points([]Experiment{exp}, sc, nil)[0]
 }
 

@@ -1,8 +1,10 @@
 // Package experiments reproduces every table and figure of the paper's
-// evaluation. Each FigNN function runs the simulated machine (internal/core)
-// over the OLTP and/or DSS workloads under the figure's configurations and
-// returns the same rows/series the paper plots, normalized to the figure's
-// leftmost bar. The cmd/sweep tool and the repository benchmarks call these.
+// evaluation. Each Experiment in All is data: the list of simulations it
+// runs (the simulated machine of internal/core over the OLTP or DSS
+// workload under one configuration each) and a pure render that reduces
+// their reports to the rows and series the paper plots, normalized to the
+// figure's leftmost bar. One executor runs every experiment's simulations.
+// The cmd/sweep tool and the repository benchmarks run these.
 package experiments
 
 import (
@@ -108,13 +110,13 @@ type Scale struct {
 	// runs (cmd/dbsim) — a sweep would overwrite the tracer per point.
 	Tracer *tracing.Tracer
 
-	// Parallel is the number of worker goroutines each multi-point figure
-	// uses to run its points (through the internal/runner pool). 0 means
-	// GOMAXPROCS; 1 runs one point at a time. Parallelism is bit-identical
-	// to one-at-a-time execution (each point is an independent
-	// deterministic simulation), so it does not participate in the spec
-	// hash. Figures with a Tracer attached always run on one worker: the
-	// tracer is shared mutable state.
+	// Parallel is the number of worker goroutines each experiment uses to
+	// run its simulations (through the internal/runner pool). 0 means
+	// GOMAXPROCS; 1 runs one simulation at a time. Parallelism is
+	// bit-identical to one-at-a-time execution (each simulation is
+	// independent and deterministic), so it does not participate in the
+	// spec hash. Experiments with a Tracer attached always run on one
+	// worker: the tracer is shared mutable state.
 	Parallel int
 
 	// DisableFastForward turns off the event-driven idle-cycle skip in
@@ -364,11 +366,6 @@ func sanitizeLabel(label string) string {
 	}, label)
 }
 
-// maxRunsPerExperiment is the largest number of simulations a single
-// experiment performs (fig6: 2 workloads x 9 configurations). The derived
-// per-point wall-clock deadline budgets for the worst case.
-const maxRunsPerExperiment = 18
-
 // Points adapts experiments to orchestration run points (internal/runner).
 // perPoint, when non-nil, derives each point's scale from the base
 // (cmd/sweep uses it to attach per-experiment telemetry factories); it
@@ -386,12 +383,14 @@ func Points(exps []Experiment, sc Scale, perPoint func(id string, sc Scale) Scal
 // (Points) and a remote worker (PointFromSpec): it threads the pool's
 // per-point context into the runs, clears the fault profile when the pool
 // retries a fault-induced failure, arms the pool's checkpoint path, and is
-// journaled under sc's spec hash.
+// journaled under sc's spec hash. Its cycle budget, from which the pool
+// derives the wall-clock deadline, is MaxCycles for each of e's
+// simulations.
 func point(e Experiment, sc Scale, perPoint func(id string, sc Scale) Scale) runner.Point {
 	return runner.Point{
 		ID:        e.ID,
 		Spec:      sc.Spec(e.ID),
-		MaxCycles: sc.MaxCycles * maxRunsPerExperiment,
+		MaxCycles: sc.MaxCycles * uint64(len(e.sims())),
 		Faulty:    sc.Faults.Enabled,
 		Run: func(ctx context.Context, att runner.Attempt) (any, error) {
 			esc := sc
