@@ -6,7 +6,10 @@
 // stream buffer evaluated in Section 4.1 of the paper.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // State is a MESI line state.
 type State uint8
@@ -36,37 +39,42 @@ func (s State) String() string {
 	return fmt.Sprintf("State(%d)", uint8(s))
 }
 
-// line is one cache way packed into a single word: the tag (the full line
-// address, paddr >> lineShift) in the high bits, the way's LRU rank within
-// its set in the middle bits, and the MESI state in the low two bits. Rank
-// 0 marks a way that has never been filled; filled ways hold ranks 1..k
-// (1 = most recently used), so the zero word is an empty way and a new
-// cache needs no initialization beyond make. An invalidated way keeps its
-// rank: the victim choice prefers any invalid way, so where an invalid way
-// sits in the recency order never shows.
-type line uint64
+// line is one cache way packed into a 4-byte word: the high part of the
+// line address (paddr >> lineShift >> the set-index bits; the way's set
+// supplies the rest) in the top bits, the way's LRU rank within its set in
+// the middle bits, and the MESI state in the low two bits. Rank 0 marks a
+// way that has never been filled; filled ways hold ranks 1..k (1 = most
+// recently used), so the zero word is an empty way and a new cache needs
+// no initialization beyond make. An invalidated way keeps its rank: the
+// victim choice prefers any invalid way, so where an invalid way sits in
+// the recency order never shows.
+type line uint32
 
 const (
 	stateBits = 2
 	rankBits  = 5
 	rankShift = stateBits
 	tagShift  = stateBits + rankBits
+	tagBits   = 32 - tagShift
 
 	stateMask line = 1<<stateBits - 1
 	rankMask  line = (1<<rankBits - 1) << rankShift
 	rankOne   line = 1 << rankShift
 
+	// maxTag is the largest line address, above the set-index bits, that
+	// the tag field can hold.
+	maxTag = 1<<tagBits - 1
+
 	// MaxAssoc is the largest associativity the rank field can hold.
 	MaxAssoc = 1<<rankBits - 1
-	// MaxLineAddr is the largest line address the tag field can hold.
-	MaxLineAddr = 1<<(64-tagShift) - 1
 )
 
 func (l line) state() State { return State(l & stateMask) }
-func (l line) tag() uint64  { return uint64(l) >> tagShift }
+func (l line) tag() uint64  { return uint64(l >> tagShift) }
 
-// holds reports whether the way is valid and caches line address la.
-func (l line) holds(la uint64) bool { return l&stateMask != 0 && l.tag() == la }
+// holds reports whether the way is valid and caches the line whose address
+// above the set-index bits is tag.
+func (l line) holds(tag uint64) bool { return l&stateMask != 0 && l.tag() == tag }
 
 // Cache is one level of a cache hierarchy. It stores tags and MESI states
 // only (the simulator is timing-only; data values live in the workload
@@ -76,6 +84,7 @@ type Cache struct {
 	sets      int
 	assoc     int
 	lineShift uint
+	setShift  uint // log2(sets)
 	lines     []line
 
 	// Statistics.
@@ -112,11 +121,12 @@ func New(name string, sizeBytes, assoc, lineBytes int) (*Cache, error) {
 		sets:      sets,
 		assoc:     assoc,
 		lineShift: shift,
+		setShift:  uint(bits.TrailingZeros(uint(sets))),
 		lines:     make([]line, sets*assoc),
 	}, nil
 }
 
-// LineAddr returns the line address (tag) for a physical address.
+// LineAddr returns the line address for a physical address.
 func (c *Cache) LineAddr(paddr uint64) uint64 { return paddr >> c.lineShift }
 
 // LineShift returns log2(line size).
@@ -128,10 +138,22 @@ func (c *Cache) Sets() int { return c.sets }
 // Assoc returns the associativity.
 func (c *Cache) Assoc() int { return c.assoc }
 
-// set returns the ways of the set line address la maps to.
-func (c *Cache) set(la uint64) []line {
-	base := int(la%uint64(c.sets)) * c.assoc
-	return c.lines[base : base+c.assoc : base+c.assoc]
+// MaxLineAddr returns the largest line address the cache can hold: the tag
+// field keeps the line address above the set-index bits, so the bound
+// grows with the set count.
+func (c *Cache) MaxLineAddr() uint64 { return uint64(c.sets)<<tagBits - 1 }
+
+// set returns the ways of the set line address la maps to and la's tag,
+// its address above the set-index bits.
+func (c *Cache) set(la uint64) ([]line, uint64) {
+	base := int(la&uint64(c.sets-1)) * c.assoc
+	return c.lines[base : base+c.assoc : base+c.assoc], la >> c.setShift
+}
+
+// lineAddrAt rebuilds the full line address of valid way i from its tag
+// and the index of the set the way belongs to.
+func (c *Cache) lineAddrAt(i int) uint64 {
+	return c.lines[i].tag()<<c.setShift | uint64(i/c.assoc)
 }
 
 // touch makes way w its set's most recently used way. The filled ways more
@@ -150,10 +172,9 @@ func touch(set []line, w int) {
 // Lookup probes for the line containing paddr, updating LRU on a hit, and
 // returns the line state (Invalid on miss).
 func (c *Cache) Lookup(paddr uint64) State {
-	la := c.LineAddr(paddr)
-	set := c.set(la)
+	set, tag := c.set(c.LineAddr(paddr))
 	for w, l := range set {
-		if l.holds(la) {
+		if l.holds(tag) {
 			if l&rankMask != rankOne {
 				touch(set, w)
 			}
@@ -165,9 +186,9 @@ func (c *Cache) Lookup(paddr uint64) State {
 
 // Probe is like Lookup but does not disturb LRU state.
 func (c *Cache) Probe(paddr uint64) State {
-	la := c.LineAddr(paddr)
-	for _, l := range c.set(la) {
-		if l.holds(la) {
+	set, tag := c.set(c.LineAddr(paddr))
+	for _, l := range set {
+		if l.holds(tag) {
 			return l.state()
 		}
 	}
@@ -188,13 +209,13 @@ type Eviction struct {
 // and panics.
 func (c *Cache) Insert(paddr uint64, st State) Eviction {
 	la := c.LineAddr(paddr)
-	if la > MaxLineAddr {
-		panic(fmt.Sprintf("cache %s: line address %#x overflows the %d-bit tag field", c.name, la, 64-tagShift))
+	set, tag := c.set(la)
+	if tag > maxTag {
+		panic(fmt.Sprintf("cache %s: line address %#x overflows the %d-bit tag field", c.name, la, tagBits))
 	}
-	set := c.set(la)
 	victim := 0
 	for w, l := range set {
-		if l.holds(la) {
+		if l.holds(tag) {
 			set[w] = l&^stateMask | line(st)&stateMask
 			if l&rankMask != rankOne {
 				touch(set, w)
@@ -210,9 +231,9 @@ func (c *Cache) Insert(paddr uint64, st State) Eviction {
 	ev := Eviction{}
 	v := set[victim]
 	if v&stateMask != 0 {
-		ev = Eviction{LineAddr: v.tag(), State: v.state(), Valid: true}
+		ev = Eviction{LineAddr: v.tag()<<c.setShift | la&uint64(c.sets-1), State: v.state(), Valid: true}
 	}
-	set[victim] = line(la)<<tagShift | v&rankMask | line(st)&stateMask
+	set[victim] = line(tag)<<tagShift | v&rankMask | line(st)&stateMask
 	touch(set, victim)
 	return ev
 }
@@ -220,10 +241,9 @@ func (c *Cache) Insert(paddr uint64, st State) Eviction {
 // SetState changes the state of a resident line (no-op if absent). Used for
 // downgrades (M->S on sharing write-back) and upgrades (S->M).
 func (c *Cache) SetState(paddr uint64, st State) {
-	la := c.LineAddr(paddr)
-	set := c.set(la)
+	set, tag := c.set(c.LineAddr(paddr))
 	for w, l := range set {
-		if l.holds(la) {
+		if l.holds(tag) {
 			set[w] = l&^stateMask | line(st)&stateMask
 			return
 		}
@@ -232,10 +252,9 @@ func (c *Cache) SetState(paddr uint64, st State) {
 
 // Invalidate removes the line containing paddr, returning its prior state.
 func (c *Cache) Invalidate(paddr uint64) State {
-	la := c.LineAddr(paddr)
-	set := c.set(la)
+	set, tag := c.set(c.LineAddr(paddr))
 	for w, l := range set {
-		if l.holds(la) {
+		if l.holds(tag) {
 			set[w] = l &^ stateMask
 			return l.state()
 		}
@@ -256,9 +275,9 @@ func (c *Cache) ResidentLines() int {
 
 // VisitResident calls f for each valid line address and state.
 func (c *Cache) VisitResident(f func(lineAddr uint64, st State)) {
-	for _, l := range c.lines {
+	for i, l := range c.lines {
 		if l&stateMask != 0 {
-			f(l.tag(), l.state())
+			f(c.lineAddrAt(i), l.state())
 		}
 	}
 }

@@ -197,8 +197,8 @@ func apply(c cacheLike, o cacheOp) opResult {
 }
 
 func TestLineIsOneWord(t *testing.T) {
-	if n := unsafe.Sizeof(line(0)); n != 8 {
-		t.Fatalf("a cache line is %d bytes, want 8", n)
+	if n := unsafe.Sizeof(line(0)); n != 4 {
+		t.Fatalf("a cache line is %d bytes, want 4", n)
 	}
 }
 
@@ -252,8 +252,9 @@ func TestAssocLimit(t *testing.T) {
 
 func TestInsertRefusesTagOverflow(t *testing.T) {
 	c, _ := New("t", 8192, 2, 64)
-	c.Insert(MaxLineAddr<<6, Shared) // the largest line address fits
-	if c.Probe(MaxLineAddr<<6) != Shared {
+	max := c.MaxLineAddr()
+	c.Insert(max<<6, Shared) // the largest line address fits
+	if c.Probe(max<<6) != Shared {
 		t.Fatal("line at MaxLineAddr not found")
 	}
 	defer func() {
@@ -262,6 +263,6 @@ func TestInsertRefusesTagOverflow(t *testing.T) {
 			t.Fatalf("panic = %v, want a tag-overflow message", r)
 		}
 	}()
-	c.Insert((MaxLineAddr+1)<<6, Shared)
+	c.Insert((max+1)<<6, Shared)
 	t.Fatal("Insert accepted a line address beyond the tag field")
 }

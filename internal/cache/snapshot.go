@@ -8,11 +8,11 @@ import "fmt"
 // configuration by the constructors; Restore only refills the dynamic
 // state and cross-checks the geometry it was captured under.
 
-// LineState is one valid cache line in a CacheState. Stamp orders the
-// valid lines of one set by recency (higher is more recent); only that
-// order within each set is meaningful. Snapshot writes 1..k per set, and
-// images written when stamps were a cache-wide counter restore to the same
-// LRU order.
+// LineState is one valid cache line in a CacheState. Tag is the full line
+// address, set-index bits included. Stamp orders the valid lines of one
+// set by recency (higher is more recent); only that order within each set
+// is meaningful. Snapshot writes 1..k per set, and images written when
+// stamps were a cache-wide counter restore to the same LRU order.
 type LineState struct {
 	Way   int // index into the flat lines array (set*assoc+way)
 	Tag   uint64
@@ -57,7 +57,7 @@ func (c *Cache) Snapshot() CacheState {
 					stamp++
 				}
 			}
-			s.Lines = append(s.Lines, LineState{Way: base + w, Tag: l.tag(), Stamp: stamp, St: uint8(l.state())})
+			s.Lines = append(s.Lines, LineState{Way: base + w, Tag: c.lineAddrAt(base + w), Stamp: stamp, St: uint8(l.state())})
 		}
 	}
 	return s
@@ -81,8 +81,11 @@ func (c *Cache) Restore(s CacheState) error {
 			return fmt.Errorf("cache %s: snapshot line way %d not above its predecessor %d", c.name, l.Way, s.Lines[i-1].Way)
 		case State(l.St) == Invalid || State(l.St) > Modified:
 			return fmt.Errorf("cache %s: snapshot line way %d has invalid state %d", c.name, l.Way, l.St)
-		case l.Tag > MaxLineAddr:
-			return fmt.Errorf("cache %s: snapshot line tag %#x overflows the %d-bit tag field", c.name, l.Tag, 64-tagShift)
+		case l.Tag > c.MaxLineAddr():
+			return fmt.Errorf("cache %s: snapshot line tag %#x overflows the %d-bit tag field", c.name, l.Tag, tagBits)
+		case int(l.Tag&uint64(c.sets-1)) != l.Way/c.assoc:
+			return fmt.Errorf("cache %s: snapshot line tag %#x maps to set %d, not its way %d's set %d",
+				c.name, l.Tag, l.Tag&uint64(c.sets-1), l.Way, l.Way/c.assoc)
 		}
 	}
 	clear(c.lines)
@@ -101,7 +104,7 @@ func (c *Cache) Restore(s CacheState) error {
 					rank++
 				}
 			}
-			c.lines[l.Way] = line(l.Tag)<<tagShift | line(rank)<<rankShift | line(l.St)
+			c.lines[l.Way] = line(l.Tag>>c.setShift)<<tagShift | line(rank)<<rankShift | line(l.St)
 		}
 		i = j
 	}

@@ -125,7 +125,9 @@ func TestCacheRestoreRejects(t *testing.T) {
 	bad("a way past the end", func(l *LineState) { l.Way = 128 })
 	bad("the Invalid state", func(l *LineState) { l.St = uint8(Invalid) })
 	bad("an unknown state", func(l *LineState) { l.St = 4 })
-	bad("an oversized tag", func(l *LineState) { l.Tag = MaxLineAddr + 1 })
+	// Keeps the line's set, so only the tag-width check can reject it.
+	bad("an oversized tag", func(l *LineState) { l.Tag += c.MaxLineAddr() + 1 })
+	bad("a tag from another set", func(l *LineState) { l.Tag++ })
 
 	c.Insert(0x2000, Shared)
 	dup := c.Snapshot()

@@ -2,6 +2,9 @@ package coherence
 
 import (
 	"math/rand/v2"
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -22,7 +25,7 @@ func TestLargestNodeUsesTopSharerBit(t *testing.T) {
 	top := MaxNodes - 1
 	d.Read(0, 100)
 	d.Read(top, 100)
-	if got := d.entries[100].sharers; got != 1|1<<63 {
+	if got := d.find(100).sharers; got != 1|1<<63 {
 		t.Errorf("sharers mask = %#x, want nodes 0 and %d", got, top)
 	}
 	if !d.IsSharer(top, 100) || d.Sharers(100) != 2 {
@@ -294,5 +297,114 @@ func TestAdaptiveMigratoryProtocol(t *testing.T) {
 	r2 := d2.Read(2, 31)
 	if r2.MigratoryTransfer {
 		t.Error("migratory transfer without MigratoryOpt")
+	}
+}
+
+// TestChunkNeighbourReadsAbsent: a line that shares a chunk with a touched
+// line has a zero slot (owner 0, no sharers), which must read exactly as an
+// absent line, never as a line owned by node 0.
+func TestChunkNeighbourReadsAbsent(t *testing.T) {
+	d := NewDirectory()
+	d.Write(1, 9)
+	d.Read(2, 9)
+	const near = 10 // same chunk as line 9, never touched
+	if d.OwnerOf(near) != -1 || d.ExclusiveOf(near) != -1 {
+		t.Errorf("owner %d, exclusive %d, want -1 and -1", d.OwnerOf(near), d.ExclusiveOf(near))
+	}
+	if d.IsSharer(0, near) || d.Sharers(near) != 0 || d.IsMigratory(near) {
+		t.Error("untouched line reads as cached")
+	}
+	d.Writeback(0, near)
+	d.EvictClean(0, near)
+	if d.Flush(0, near, true) {
+		t.Error("Flush of an untouched line reported a write-back")
+	}
+	if d.Writebacks != 0 || d.Flushes != 0 || d.Lines() != 1 || d.OwnerOf(near) != -1 {
+		t.Errorf("untouched line changed: %d writebacks, %d flushes, %d lines, owner %d",
+			d.Writebacks, d.Flushes, d.Lines(), d.OwnerOf(near))
+	}
+	if err := d.CheckLine(near, 4); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestLinesCountsTouchedLines: Lines counts the lines Read or Write
+// touched, including one EvictClean returned to no sharers, and not the
+// lines that only share their chunks.
+func TestLinesCountsTouchedLines(t *testing.T) {
+	d := NewDirectory()
+	d.Read(0, 7)
+	d.Write(1, 8)
+	d.Read(2, 8)
+	d.Writeback(0, 3) // absent: no state created
+	d.EvictClean(0, 7)
+	if d.Sharers(7) != 0 || d.ExclusiveOf(7) != -1 {
+		t.Fatalf("line 7 after EvictClean: %d sharers, exclusive %d", d.Sharers(7), d.ExclusiveOf(7))
+	}
+	if d.Lines() != 2 {
+		t.Errorf("Lines() = %d, want 2", d.Lines())
+	}
+	if lines, _, _, _ := d.StateCounts(); lines != 2 {
+		t.Errorf("StateCounts lines = %d, want 2", lines)
+	}
+}
+
+// chunkEdgeLines are the first and last lines of two adjacent chunks and a
+// far line.
+var chunkEdgeLines = []uint64{7, 8, 15, 16, 1 << 40}
+
+func touchEdges(d *Directory) {
+	for i, l := range chunkEdgeLines {
+		d.Read(i%4, l)
+		if i%2 == 1 {
+			d.Write((i+1)%4, l)
+		}
+	}
+	d.Read(3, 8)
+	d.Write(3, 8) // two copies, last writer 2: migratory
+}
+
+func TestDirectorySnapshotRoundTrip(t *testing.T) {
+	d := NewDirectory()
+	touchEdges(d)
+	snap := d.Snapshot()
+	if len(snap.Entries) != len(chunkEdgeLines) {
+		t.Fatalf("snapshot has %d entries, want %d", len(snap.Entries), len(chunkEdgeLines))
+	}
+	// Restore over a directory holding other lines: none may survive.
+	d2 := NewDirectory()
+	d2.Write(0, 9)
+	d2.Read(1, 1<<41)
+	d2.Restore(snap)
+	if got := d2.Snapshot(); !reflect.DeepEqual(got, snap) {
+		t.Errorf("round trip changed the state:\n got %+v\nwant %+v", got, snap)
+	}
+	if d2.Lines() != d.Lines() || d2.OwnerOf(9) != -1 {
+		t.Errorf("restored directory: %d lines (want %d), line 9 owner %d", d2.Lines(), d.Lines(), d2.OwnerOf(9))
+	}
+}
+
+// TestVisitorsSeeEachLineOnce: CheckAll and StateCounts walk each line
+// with directory state exactly once, and no free chunk slot.
+func TestVisitorsSeeEachLineOnce(t *testing.T) {
+	d := NewDirectory()
+	touchEdges(d)
+	var seen []uint64
+	d.visit(func(l uint64, _ *dirEntry) { seen = append(seen, l) })
+	slices.Sort(seen)
+	if !slices.Equal(seen, chunkEdgeLines) {
+		t.Errorf("visited %v, want %v", seen, chunkEdgeLines)
+	}
+	lines, owned, shared, migratory := d.StateCounts()
+	if lines != 5 || owned != 5 || shared != 0 || migratory != 1 {
+		t.Errorf("StateCounts = %d lines, %d owned, %d shared, %d migratory; want 5, 5, 0, 1",
+			lines, owned, shared, migratory)
+	}
+	if err := d.CheckAll(4); err != nil {
+		t.Fatal(err)
+	}
+	d.find(16).sharers = 1 // owned line with a sharer: single-owner violated
+	if err := d.CheckAll(4); err == nil || !strings.Contains(err.Error(), "0x10") {
+		t.Errorf("CheckAll = %v, want the single-owner violation on line 0x10", err)
 	}
 }

@@ -34,7 +34,7 @@ type DirectoryState struct {
 // Snapshot captures the directory.
 func (d *Directory) Snapshot() DirectoryState {
 	s := DirectoryState{
-		Entries:            make(map[uint64]DirEntryState, len(d.entries)),
+		Entries:            make(map[uint64]DirEntryState, d.lines),
 		MigratoryTransfers: d.MigratoryTransfers,
 		Reads:              d.Reads,
 		ReadsDirty:         d.ReadsDirty,
@@ -47,7 +47,7 @@ func (d *Directory) Snapshot() DirectoryState {
 		MigratoryReadsCC:   d.MigratoryReadsCC,
 		MigratoryWrites:    d.MigratoryWrites,
 	}
-	for line, e := range d.entries {
+	d.visit(func(line uint64, e *dirEntry) {
 		s.Entries[line] = DirEntryState{
 			Sharers:    e.sharers,
 			Owner:      e.owner,
@@ -56,22 +56,24 @@ func (d *Directory) Snapshot() DirectoryState {
 			Migratory:  e.migratory,
 			EverShared: e.everShared,
 		}
-	}
+	})
 	return s
 }
 
 // Restore refills the directory. The probe callback installed by
 // SetProbe and the MigratoryOpt flag are left as configured.
 func (d *Directory) Restore(s DirectoryState) {
-	clear(d.entries)
+	clear(d.chunks)
+	d.lines = 0
 	for line, e := range s.Entries {
-		d.entries[line] = dirEntry{
+		*d.claim(line) = dirEntry{
 			sharers:    e.Sharers,
 			owner:      e.Owner,
 			excl:       e.Excl,
 			lastWriter: e.LastWriter,
 			migratory:  e.Migratory,
 			everShared: e.EverShared,
+			used:       true,
 		}
 	}
 	d.MigratoryTransfers = s.MigratoryTransfers

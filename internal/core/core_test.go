@@ -116,3 +116,14 @@ func TestDeterminism(t *testing.T) {
 		t.Errorf("nondeterministic: (%d, %f) vs (%d, %f)", c1, b1, c2, b2)
 	}
 }
+
+// BenchmarkNewSystem measures building the default machine: the cache tag
+// arrays dominate its bytes per operation.
+func BenchmarkNewSystem(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewSystem(config.Default()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

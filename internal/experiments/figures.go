@@ -36,7 +36,6 @@ func Fig1Params() *Result {
 	return &Result{ID: "fig1", Title: "Default system parameters", Tables: []string{sb.String()}}
 }
 
-
 // Experiment is one table or figure as data: the simulations it runs and
 // a pure render that reduces their reports to the tables it prints.
 type Experiment struct {
