@@ -4,7 +4,9 @@
 // capped-backoff retries), heartbeats to keep its leases alive, and
 // reports results idempotently. SIGKILL it mid-point and the lease
 // expires, the point is re-issued, and the sweep completes anyway — that
-// is the chaos harness's whole job.
+// is the chaos harness's whole job. A first SIGINT drains the worker (it
+// leases nothing more and stops once the point in flight is reported); a
+// second aborts that point.
 //
 // Each worker self-monitors (heap, goroutines, rusage, points/sec) in the
 // style of cc-metric-collector's `self` collector; samples ride the
@@ -87,8 +89,25 @@ func main() {
 	self := &telemetry.SelfCollector{Interval: *selfEvery, Points: w.PointsDone, SimCounters: w.SimCounters}
 	w.Self = self
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	// The first SIGINT drains (no new leases; the point in flight finishes
+	// and is reported), the second aborts it. SIGTERM aborts at once.
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM)
 	defer stop()
+	ctx, abort := context.WithCancel(ctx)
+	defer abort()
+	drain, drainCancel := context.WithCancel(context.Background())
+	defer drainCancel()
+	w.Drain = drain
+	sigc := make(chan os.Signal, 2)
+	signal.Notify(sigc, os.Interrupt)
+	go func() {
+		<-sigc
+		logger.Warn("interrupt: finishing the point in flight; interrupt again to abort it")
+		drainCancel()
+		<-sigc
+		logger.Warn("interrupt: aborting the point in flight")
+		abort()
+	}()
 	go self.Run(ctx)
 
 	if *metricsAddr != "" {

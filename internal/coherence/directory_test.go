@@ -375,12 +375,39 @@ func TestDirectorySnapshotRoundTrip(t *testing.T) {
 	d2 := NewDirectory()
 	d2.Write(0, 9)
 	d2.Read(1, 1<<41)
-	d2.Restore(snap)
+	if err := d2.Restore(snap, 4); err != nil {
+		t.Fatal(err)
+	}
 	if got := d2.Snapshot(); !reflect.DeepEqual(got, snap) {
 		t.Errorf("round trip changed the state:\n got %+v\nwant %+v", got, snap)
 	}
 	if d2.Lines() != d.Lines() || d2.OwnerOf(9) != -1 {
 		t.Errorf("restored directory: %d lines (want %d), line 9 owner %d", d2.Lines(), d.Lines(), d2.OwnerOf(9))
+	}
+}
+
+// TestDirectoryRestoreRejectsBadEntries: an image whose entry names an
+// owner outside the machine, or a dirty owner beside a sharer mask, fails
+// to restore instead of panicking later.
+func TestDirectoryRestoreRejectsBadEntries(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		entry DirEntryState
+		want  string
+	}{
+		{"owner-out-of-range", DirEntryState{Owner: 4, Excl: -1, LastWriter: -1}, "owner 4 out of range"},
+		{"dirty-owner-with-sharers", DirEntryState{Sharers: 0b10, Owner: 0, Excl: -1, LastWriter: -1}, "single-owner violated"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := NewDirectory()
+			touchEdges(d)
+			snap := d.Snapshot()
+			snap.Entries[1<<40] = tc.entry
+			err := NewDirectory().Restore(snap, 4)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("Restore = %v, want an error containing %q", err, tc.want)
+			}
+		})
 	}
 }
 

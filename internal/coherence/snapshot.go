@@ -60,9 +60,12 @@ func (d *Directory) Snapshot() DirectoryState {
 	return s
 }
 
-// Restore refills the directory. The probe callback installed by
-// SetProbe and the MigratoryOpt flag are left as configured.
-func (d *Directory) Restore(s DirectoryState) {
+// Restore refills the directory for a machine of nodes nodes and checks
+// every restored line (CheckAll), so an image with an owner out of range
+// or a dirty owner beside sharers is rejected here rather than panicking
+// later. The probe callback installed by SetProbe and the MigratoryOpt
+// flag are left as configured.
+func (d *Directory) Restore(s DirectoryState, nodes int) error {
 	clear(d.chunks)
 	d.lines = 0
 	for line, e := range s.Entries {
@@ -87,6 +90,7 @@ func (d *Directory) Restore(s DirectoryState) {
 	d.MigratoryLines = s.MigratoryLines
 	d.MigratoryReadsCC = s.MigratoryReadsCC
 	d.MigratoryWrites = s.MigratoryWrites
+	return d.CheckAll(nodes)
 }
 
 // ClassifierState is the dynamic state of the Classifier.

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"path/filepath"
 	"testing"
@@ -90,11 +91,20 @@ func TestFaultStormRecovered(t *testing.T) {
 	}
 
 	// The journal must carry the same record durably, snapshot included.
-	recs, err := runner.ReadJournal(path)
+	var jr *runner.Record
+	err = runner.ScanJSONL(path, nil, func(line []byte) bool {
+		var r runner.Record
+		if json.Unmarshal(line, &r) != nil || r.SpecHash == "" {
+			return false
+		}
+		if r.SpecHash == rec.SpecHash {
+			jr = &r
+		}
+		return true
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	jr := recs[rec.SpecHash]
 	if jr == nil || jr.Status != runner.StatusRecovered || jr.Diag == nil || jr.Diag.Reason != "watchdog" {
 		t.Fatalf("journaled record = %+v, want recovered with watchdog snapshot", jr)
 	}

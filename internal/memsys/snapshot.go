@@ -104,7 +104,9 @@ func (s *System) Restore(st SystemState) error {
 	if err := s.pt.Restore(st.PageTable); err != nil {
 		return err
 	}
-	s.dir.Restore(st.Directory)
+	if err := s.dir.Restore(st.Directory, s.cfg.Nodes); err != nil {
+		return err
+	}
 	s.classifier.Restore(st.Classifier)
 	if err := s.net.Restore(st.Net); err != nil {
 		return err

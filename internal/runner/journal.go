@@ -28,13 +28,13 @@ const (
 	// StatusCanceled: the point was aborted mid-run by a hard cancel. Not
 	// terminal — a resumed sweep re-runs it.
 	StatusCanceled Status = "canceled"
-	// StatusSkipped: the point was never dispatched (graceful drain stopped
-	// the sweep first). Skipped points are never journaled.
+	// StatusSkipped: the point was never dispatched (the pool was canceled
+	// first). Skipped points are never journaled.
 	StatusSkipped Status = "skipped"
 )
 
-// Terminal reports whether a journaled status means "do not re-run on
-// resume". Canceled and skipped points are incomplete by definition.
+// Terminal reports whether a status is a final outcome. Canceled and
+// skipped points are incomplete by definition.
 func (s Status) Terminal() bool {
 	switch s {
 	case StatusOK, StatusRecovered, StatusFailed:
@@ -71,18 +71,14 @@ type Record struct {
 	// Pure metadata: merged-output byte identity reads only Result, and
 	// resume keys only on SpecHash.
 	Provenance *obs.Provenance `json:"provenance,omitempty"`
-
-	// Reused marks a record replayed from a prior journal during -resume
-	// (in-memory only; never re-journaled).
-	Reused bool `json:"-"`
 }
 
 // SpecHash fingerprints a point's spec: a truncated SHA-256 over its
-// canonical JSON encoding. Resume keys on this hash, so changing any field
-// of the spec (scale, fault profile, machine knobs) re-runs the point
-// instead of wrongly reusing a stale result. The spec must be
-// JSON-marshalable; a spec that is not hashes to a sentinel that never
-// matches a journaled record.
+// canonical JSON encoding. The sweep ledger and its result cache key on
+// this hash, so changing any field of the spec (scale, fault profile,
+// machine knobs) re-runs the point instead of wrongly reusing a stale
+// result. The spec must be JSON-marshalable; a spec that is not hashes to
+// a sentinel.
 func SpecHash(spec any) string {
 	b, err := json.Marshal(spec)
 	if err != nil {
@@ -93,7 +89,7 @@ func SpecHash(spec any) string {
 }
 
 // Journal is an append-only JSONL file, flushed record-by-record so that a
-// crash or kill loses at most the line being written. The sweep journal
+// crash or kill loses at most the line being written. A pool's journal
 // holds Records; the sweep-service ledger appends its own record type
 // through the same appender. Safe for concurrent Append from pool workers.
 type Journal struct {
@@ -102,8 +98,8 @@ type Journal struct {
 }
 
 // OpenJournal opens (creating if needed) the journal at path for
-// appending. Opening the same path across runs is the resume mechanism:
-// earlier records stay in place and new ones append after them.
+// appending: earlier records stay in place and new ones append after
+// them.
 func OpenJournal(path string) (*Journal, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o666)
 	if err != nil {
@@ -137,43 +133,12 @@ func (j *Journal) Close() error {
 	return j.f.Close()
 }
 
-// ReadJournal loads a journal written by earlier runs and returns the last
-// record per spec hash. A missing file is an empty journal, not an error.
-// Torn or corrupt lines are skipped silently; use ReadJournalWarn to
-// observe them.
-func ReadJournal(path string) (map[string]*Record, error) {
-	return ReadJournalWarn(path, nil)
-}
-
-// ReadJournalWarn is ReadJournal with a warning hook: warn (when non-nil)
-// is called for every line that cannot be parsed, distinguishing the torn
-// trailing record a crash mid-write leaves (expected; bounded to one line
-// by the fsync-per-record discipline) from corruption earlier in the file
-// (unexpected; the record is lost and its point will re-run on resume).
-// Either way replay continues — a crashed sweep's journal is always
-// readable.
-func ReadJournalWarn(path string, warn func(format string, args ...any)) (map[string]*Record, error) {
-	recs := make(map[string]*Record)
-	err := ScanJSONL(path, warn, func(line []byte) bool {
-		var r Record
-		if err := json.Unmarshal(line, &r); err != nil || r.SpecHash == "" {
-			return false
-		}
-		recs[r.SpecHash] = &r
-		return true
-	})
-	if err != nil {
-		return nil, fmt.Errorf("runner: journal: %w", err)
-	}
-	return recs, nil
-}
-
 // ScanJSONL streams the lines of an append-only JSONL file at path into
 // apply, which reports whether the line parsed. A missing file is an empty
 // file. Lines that fail to parse are skipped and reported to warn (when
 // non-nil): a final unparsable line is a torn tail from a crash mid-write,
-// anything earlier is corruption. The sweep journal and the sweep-service
-// ledger both replay through this, so both survive a crash mid-append.
+// anything earlier is corruption. The sweep-service ledger replays
+// through this, so it survives a crash mid-append.
 func ScanJSONL(path string, warn func(format string, args ...any), apply func(line []byte) bool) error {
 	f, err := os.Open(path)
 	if err != nil {

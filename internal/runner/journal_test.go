@@ -1,7 +1,7 @@
 package runner
 
 import (
-	"context"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -11,8 +11,27 @@ import (
 	"repro/internal/diag"
 )
 
-// TestJournalRoundTrip: appended records come back keyed by spec hash,
-// with snapshots intact.
+// readRecords replays a journal of Records through ScanJSONL, keyed by
+// spec hash.
+func readRecords(t *testing.T, path string, warn func(string, ...any)) map[string]*Record {
+	t.Helper()
+	recs := make(map[string]*Record)
+	err := ScanJSONL(path, warn, func(line []byte) bool {
+		var r Record
+		if json.Unmarshal(line, &r) != nil || r.SpecHash == "" {
+			return false
+		}
+		recs[r.SpecHash] = &r
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return recs
+}
+
+// TestJournalRoundTrip: appended records come back through ScanJSONL with
+// snapshots intact.
 func TestJournalRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "j.jsonl")
 	j, err := OpenJournal(path)
@@ -32,36 +51,13 @@ func TestJournalRoundTrip(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := readRecords(t, path, nil)
 	if len(got) != 2 {
 		t.Fatalf("read %d records, want 2", len(got))
 	}
 	b := got["h-b"]
 	if b == nil || b.Status != StatusFailed || b.Diag == nil || b.Diag.Reason != "watchdog" {
 		t.Fatalf("record b = %+v, want failed with watchdog snapshot", b)
-	}
-}
-
-// TestJournalLastRecordWins: a re-run point's newer record supersedes the
-// older one.
-func TestJournalLastRecordWins(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "j.jsonl")
-	j, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = j.Append(&Record{ID: "a", SpecHash: "h", Status: StatusCanceled})
-	_ = j.Append(&Record{ID: "a", SpecHash: "h", Status: StatusOK})
-	_ = j.Close()
-	got, err := ReadJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got["h"].Status != StatusOK {
-		t.Fatalf("status = %q, want ok (last record wins)", got["h"].Status)
 	}
 }
 
@@ -83,20 +79,22 @@ func TestJournalToleratesPartialLine(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = f.Close()
-	got, err := ReadJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := readRecords(t, path, nil)
 	if len(got) != 1 || got["h-a"] == nil {
 		t.Fatalf("read %d records, want the 1 intact one", len(got))
 	}
 }
 
-// TestReadJournalMissingFile: a missing journal is empty, not an error.
+// TestReadJournalMissingFile: ScanJSONL reads a missing journal as
+// empty, not an error.
 func TestReadJournalMissingFile(t *testing.T) {
-	got, err := ReadJournal(filepath.Join(t.TempDir(), "absent.jsonl"))
-	if err != nil || len(got) != 0 {
-		t.Fatalf("got %v, %v; want empty, nil", got, err)
+	lines := 0
+	err := ScanJSONL(filepath.Join(t.TempDir(), "absent.jsonl"), nil, func([]byte) bool {
+		lines++
+		return true
+	})
+	if err != nil || lines != 0 {
+		t.Fatalf("got %d lines, %v; want none, nil", lines, err)
 	}
 }
 
@@ -115,92 +113,10 @@ func TestSpecHash(t *testing.T) {
 	}
 }
 
-// TestResumeSkipsCompleted: a second pool run over the same journal re-runs
-// only the points without a terminal record, and the merged journal covers
-// every point exactly once.
-func TestResumeSkipsCompleted(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "j.jsonl")
-	var ran []string
-	mk := func(id string) Point {
-		return Point{
-			ID: id, Spec: id,
-			Run: func(context.Context, Attempt) (any, error) {
-				ran = append(ran, id)
-				return id + "-result", nil
-			},
-		}
-	}
-	pts := []Point{mk("p1"), mk("p2"), mk("p3")}
-
-	// First run: drain after the first point so p2/p3 never start.
-	j, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	drain, stop := context.WithCancel(context.Background())
-	opt := fastOpts()
-	opt.Workers = 1
-	opt.Journal = j
-	opt.Drain = drain
-	opt.OnEvent = func(ev Event) {
-		if ev.Kind == EventDone {
-			stop()
-		}
-	}
-	sum, err := Run(context.Background(), pts, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = j.Close()
-	if sum.OK != 1 || sum.Skipped != 2 {
-		t.Fatalf("first run: ok=%d skipped=%d, want 1/2", sum.OK, sum.Skipped)
-	}
-
-	// Resume: replay the journal, run the rest.
-	completed, err := ReadJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j2, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt2 := fastOpts()
-	opt2.Workers = 1
-	opt2.Journal = j2
-	opt2.Completed = completed
-	ran = nil
-	sum2, err := Run(context.Background(), pts, opt2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = j2.Close()
-	if len(ran) != 2 || ran[0] != "p2" || ran[1] != "p3" {
-		t.Fatalf("resume ran %v, want [p2 p3]", ran)
-	}
-	if sum2.Reused != 1 || sum2.OK != 3 || sum2.ExitCode() != 0 {
-		t.Fatalf("resume summary = %+v, want 3 ok (1 reused), exit 0", sum2)
-	}
-	// The reused record still carries its journaled result payload.
-	if !strings.Contains(string(sum2.Records[0].Result), "p1-result") {
-		t.Errorf("reused record lost its result: %s", sum2.Records[0].Result)
-	}
-
-	// Merged journal: every point exactly once.
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, id := range []string{"p1", "p2", "p3"} {
-		if n := strings.Count(string(data), `"id":"`+id+`"`); n != 1 {
-			t.Errorf("journal has %d records for %s, want exactly 1", n, id)
-		}
-	}
-}
-
-// TestReadJournalWarnDistinguishesTornFromCorrupt: an unparsable final
-// line warns as a torn tail (expected crash artifact); an unparsable line
-// with intact records after it warns as mid-file corruption.
+// TestReadJournalWarnDistinguishesTornFromCorrupt: replaying a journal
+// through ScanJSONL, an unparsable final line warns as a torn tail
+// (expected crash artifact); an unparsable line with intact records after
+// it warns as mid-file corruption.
 func TestReadJournalWarnDistinguishesTornFromCorrupt(t *testing.T) {
 	write := func(t *testing.T, lines ...string) string {
 		t.Helper()
@@ -224,12 +140,9 @@ func TestReadJournalWarnDistinguishesTornFromCorrupt(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var warns []string
-			got, err := ReadJournalWarn(write(t, tc.lines...), func(f string, a ...any) {
+			got := readRecords(t, write(t, tc.lines...), func(f string, a ...any) {
 				warns = append(warns, fmt.Sprintf(f, a...))
 			})
-			if err != nil {
-				t.Fatal(err)
-			}
 			if len(got) != tc.survived {
 				t.Fatalf("%d records survived, want %d", len(got), tc.survived)
 			}

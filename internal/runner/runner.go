@@ -12,9 +12,7 @@
 // sweep-wide retry budget; a fault-injected point that livelocks is
 // retried with its fault profile disabled and recorded as
 // recovered_after_fault, preserving the original diagnostic snapshot.
-// Outcomes stream to a durable JSONL journal as each point completes, so
-// an interrupted sweep resumes by replaying the journal and skipping
-// points with a terminal record.
+// Outcomes stream to a durable JSONL journal as each point completes.
 //
 // Every point builds its own core.System, so worker parallelism cannot
 // change any point's simulated outcome: for a fixed seed the parallel
@@ -141,7 +139,7 @@ type Point struct {
 	// ID names the point in journals, logs and events; unique per sweep.
 	ID string
 	// Spec is the point's JSON-marshalable identity; its hash keys the
-	// journal, so resume re-runs the point whenever the spec changes.
+	// sweep ledger and result cache, so a changed spec runs again.
 	Spec any
 	// MaxCycles is the point's simulated-cycle budget, used to derive the
 	// per-point wall-clock deadline (0 = no derivation; the cap applies).
@@ -159,23 +157,19 @@ type Point struct {
 // EventKind labels pool progress events.
 type EventKind string
 
-const (
-	EventStart EventKind = "start"
-	EventDone  EventKind = "done" // terminal or canceled; Record is set
-	EventRetry EventKind = "retry"
-	EventSkip  EventKind = "skip" // drained before dispatch, or resumed from journal
-)
+// EventDone is the one event kind: a point finished (terminal or
+// canceled) and its Record is set.
+const EventDone EventKind = "done"
 
 // Event is one pool progress notification. Events are delivered serially
 // (never concurrently) but in completion order, not point order.
 type Event struct {
 	Kind    EventKind
 	Point   string
-	Attempt int           // attempts so far
-	Err     error         // failing attempt's error (retry/done)
-	Delay   time.Duration // backoff before the next attempt (retry)
-	Record  *Record       // the point's record (done/skip)
-	Result  any           // the point's outcome (done, successful points)
+	Attempt int     // attempts made
+	Err     error   // the failure, for failed and canceled points
+	Record  *Record // the point's record
+	Result  any     // the point's outcome (successful points)
 }
 
 // Options configures a pool run.
@@ -212,17 +206,10 @@ type Options struct {
 	// capture; a point's checkpoints are deleted once it completes.
 	CheckpointDir string
 	// Journal, when non-nil, receives every started point's record as it
-	// completes. Journal write failures are counted, not fatal.
+	// completes. Journal write failures are logged (with Logger), not
+	// fatal.
 	Journal *Journal
-	// Completed maps spec hashes to prior records (from ReadJournal);
-	// points whose hash has a terminal record are skipped and their
-	// records replayed into the summary with Reused set.
-	Completed map[string]*Record
-	// Drain, when non-nil and done, stops dispatching new points while
-	// letting in-flight points finish (graceful SIGINT semantics). The
-	// ctx passed to Run is the hard stop that also aborts in-flight work.
-	Drain context.Context
-	// OnEvent, when non-nil, observes pool progress. Called serially.
+	// OnEvent, when non-nil, observes each finished point. Called serially.
 	OnEvent func(Event)
 	// Logger, when non-nil, emits structured per-point lifecycle lines
 	// (start/retry/done with the stable obs keys). Orchestration-path
@@ -252,14 +239,12 @@ const (
 // in input order; skipped points get a synthetic StatusSkipped record.
 type Summary struct {
 	Records     []*Record
-	OK          int // StatusOK (including reused)
-	Recovered   int // StatusRecovered (including reused)
-	Failed      int // StatusFailed (including reused)
+	OK          int // StatusOK
+	Recovered   int // StatusRecovered
+	Failed      int // StatusFailed
 	Canceled    int // StatusCanceled
 	Skipped     int // never dispatched
-	Reused      int // replayed from a prior journal
 	RetriesUsed int
-	JournalErrs int
 }
 
 func (s *Summary) add(r *Record) {
@@ -274,9 +259,6 @@ func (s *Summary) add(r *Record) {
 		s.Canceled++
 	case StatusSkipped:
 		s.Skipped++
-	}
-	if r.Reused {
-		s.Reused++
 	}
 }
 
@@ -298,9 +280,8 @@ func (s *Summary) ExitCode() int {
 	return 1
 }
 
-// Run executes the points under opt. ctx is the hard stop: canceling it
-// aborts in-flight points (their Run contexts are children of ctx). Use
-// opt.Drain for the graceful "finish in-flight, skip the rest" stop. Run
+// Run executes the points under opt. Canceling ctx aborts in-flight
+// points (their Run contexts are children of ctx) and skips the rest. Run
 // itself returns an error only for setup problems (duplicate point IDs);
 // per-point failures are reported through the summary and journal.
 func Run(ctx context.Context, points []Point, opt Options) (*Summary, error) {
@@ -316,7 +297,6 @@ type pool struct {
 	timeout func(Point) time.Duration
 	budget  atomic.Int64 // remaining sweep-wide retries (<0 handled at init)
 	retries atomic.Int64 // retries actually used
-	jerrs   atomic.Int64 // journal append failures
 	eventMu sync.Mutex
 
 	jitterMu  sync.Mutex // workers draw retry jitter concurrently
@@ -392,16 +372,6 @@ func (p *pool) emit(ev Event) {
 	p.opt.OnEvent(ev)
 }
 
-func (p *pool) drained(ctx context.Context) bool {
-	if ctx.Err() != nil {
-		return true
-	}
-	if p.opt.Drain != nil && p.opt.Drain.Err() != nil {
-		return true
-	}
-	return false
-}
-
 func (p *pool) run(ctx context.Context, points []Point) *Summary {
 	records := make([]*Record, len(points))
 	jobs := make(chan int)
@@ -411,10 +381,9 @@ func (p *pool) run(ctx context.Context, points []Point) *Summary {
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				// A send already pending when the drain fired still
-				// delivers; re-check here so the job is skipped instead
-				// of started.
-				if p.drained(ctx) {
+				// A send already pending when ctx ended still delivers;
+				// re-check here so the job is skipped instead of started.
+				if ctx.Err() != nil {
 					continue // leave nil => skipped
 				}
 				records[i] = p.runPoint(ctx, points[i])
@@ -422,15 +391,7 @@ func (p *pool) run(ctx context.Context, points []Point) *Summary {
 		}()
 	}
 	for i := range points {
-		hash := SpecHash(points[i].Spec)
-		if prior, ok := p.opt.Completed[hash]; ok && prior.Status.Terminal() {
-			r := *prior
-			r.Reused = true
-			records[i] = &r
-			p.emit(Event{Kind: EventSkip, Point: points[i].ID, Record: records[i]})
-			continue
-		}
-		if p.drained(ctx) {
+		if ctx.Err() != nil {
 			break // stop dispatching; remaining points stay nil => skipped
 		}
 		jobs <- i
@@ -438,16 +399,11 @@ func (p *pool) run(ctx context.Context, points []Point) *Summary {
 	close(jobs)
 	wg.Wait()
 
-	sum := &Summary{
-		Records:     records,
-		RetriesUsed: int(p.retries.Load()),
-		JournalErrs: int(p.jerrs.Load()),
-	}
+	sum := &Summary{Records: records, RetriesUsed: int(p.retries.Load())}
 	for i, r := range records {
 		if r == nil {
 			r = &Record{ID: points[i].ID, SpecHash: SpecHash(points[i].Spec), Status: StatusSkipped}
 			records[i] = r
-			p.emit(Event{Kind: EventSkip, Point: r.ID, Record: r})
 		}
 		sum.add(r)
 	}
@@ -468,7 +424,6 @@ func (p *pool) runPoint(ctx context.Context, pt Point) *Record {
 	var result any
 	for attempt := 0; ; attempt++ {
 		rec.Attempts = attempt + 1
-		p.emit(Event{Kind: EventStart, Point: pt.ID, Attempt: attempt + 1})
 		res, err := p.attempt(ctx, pt, Attempt{Number: attempt, DisableFaults: disableFaults, CheckpointPath: ckPrefix})
 		if err == nil {
 			rec.Status = StatusOK
@@ -510,7 +465,10 @@ func (p *pool) runPoint(ctx context.Context, pt Point) *Record {
 			disableFaults = true
 		}
 		delay := p.jitter(p.backoff(attempt))
-		p.emit(Event{Kind: EventRetry, Point: pt.ID, Attempt: attempt + 1, Err: err, Delay: delay})
+		if p.opt.Logger != nil {
+			p.opt.Logger.Warn("point retry", obs.KeyPoint, pt.ID, obs.KeySpecHash, rec.SpecHash,
+				"attempt", attempt+1, "error", err.Error(), "delay", delay.String())
+		}
 		if !sleepCtx(ctx, delay) {
 			rec.Status = StatusCanceled
 			break
@@ -524,8 +482,8 @@ func (p *pool) runPoint(ctx context.Context, pt Point) *Record {
 		removeCheckpoints(ckPrefix)
 	}
 	if p.opt.Journal != nil {
-		if jerr := p.opt.Journal.Append(rec); jerr != nil {
-			p.jerrs.Add(1)
+		if jerr := p.opt.Journal.Append(rec); jerr != nil && p.opt.Logger != nil {
+			p.opt.Logger.Warn("journal append failed", obs.KeyPoint, pt.ID, "error", jerr.Error())
 		}
 	}
 	if p.opt.Logger != nil {

@@ -223,49 +223,6 @@ func TestBackoffCap(t *testing.T) {
 	}
 }
 
-// TestGracefulDrain: canceling the Drain context stops dispatch but lets
-// in-flight points finish; undispatched points are skipped, not journaled.
-func TestGracefulDrain(t *testing.T) {
-	drain, stop := context.WithCancel(context.Background())
-	started := make(chan struct{})
-	release := make(chan struct{})
-	var once sync.Once
-	pts := []Point{
-		{
-			ID: "inflight", Spec: "inflight",
-			Run: func(context.Context, Attempt) (any, error) {
-				once.Do(func() { close(started) })
-				<-release
-				return "finished", nil
-			},
-		},
-		okPoint("later1", 1),
-		okPoint("later2", 2),
-	}
-	opt := fastOpts()
-	opt.Workers = 1
-	opt.Drain = drain
-
-	go func() {
-		<-started
-		stop() // drain while the first point is in flight
-		close(release)
-	}()
-	sum, err := Run(context.Background(), pts, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.Records[0].Status != StatusOK {
-		t.Errorf("in-flight point = %q, want ok (drain must not abort it)", sum.Records[0].Status)
-	}
-	if sum.Skipped != 2 {
-		t.Errorf("skipped = %d, want 2", sum.Skipped)
-	}
-	if sum.ExitCode() != 3 {
-		t.Errorf("exit code = %d, want 3", sum.ExitCode())
-	}
-}
-
 // TestHardCancelAbortsInFlight: canceling the run context aborts in-flight
 // points; they journal as canceled (not terminal) so resume re-runs them.
 func TestHardCancelAbortsInFlight(t *testing.T) {

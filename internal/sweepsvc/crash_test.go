@@ -2,6 +2,7 @@ package sweepsvc
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -10,9 +11,9 @@ import (
 	"repro/internal/runner"
 )
 
-// Crash-consistency audit for both durable files: the runner's sweep
-// journal and the sweep service's ledger, which append through the same
-// runner.Journal and replay through their own readers. Both promise the
+// Crash-consistency audit for both durable files: the runner's journal
+// and the sweep service's ledger, which append through the same
+// runner.Journal and replay through runner.ScanJSONL. Both promise the
 // same contract — every Append is fsynced before returning, so a crash (power
 // loss included) loses at most the record being written, and replay
 // recovers every earlier record while warning about the damage instead of
@@ -52,13 +53,17 @@ func journalSurface() crashSurface {
 		},
 		replay: func(t *testing.T, path string) (map[string]bool, int) {
 			warns := 0
-			recs, err := runner.ReadJournalWarn(path, func(string, ...any) { warns++ })
+			got := make(map[string]bool)
+			err := runner.ScanJSONL(path, func(string, ...any) { warns++ }, func(line []byte) bool {
+				var r runner.Record
+				if json.Unmarshal(line, &r) != nil || r.SpecHash == "" {
+					return false
+				}
+				got[r.SpecHash] = true
+				return true
+			})
 			if err != nil {
 				t.Fatalf("journal replay must survive crash artifacts: %v", err)
-			}
-			got := make(map[string]bool, len(recs))
-			for h := range recs {
-				got[h] = true
 			}
 			return got, warns
 		},
