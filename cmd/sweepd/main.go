@@ -7,7 +7,7 @@
 // Robustness properties:
 //
 //   - Restarting sweepd on the same -ledger replays the pending → leased →
-//     done|failed state machine last-record-wins; in-flight jobs continue.
+//     done|failed state machine; in-flight jobs continue.
 //   - A worker that stops heartbeating loses its lease after -lease-ttl and
 //     the point is re-issued to another worker.
 //   - Duplicate completions (expired-lease races, retried RPCs) are deduped

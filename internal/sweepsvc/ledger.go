@@ -12,7 +12,10 @@ import (
 // extension of internal/runner's journal. Where the journal records only
 // terminal outcomes, the ledger also records point registration and lease
 // issuance, so a restarted sweepd can rebuild the whole pending → leased →
-// done|failed state machine by last-record-wins replay.
+// done|failed state machine by replaying it in order. Replay follows the
+// live transitions: the first "done" for a hash wins; a "point" record of
+// a new job re-queues a failed hash, and a later "done" replaces a
+// "failed" (a retry that succeeded).
 //
 // Record types:
 //

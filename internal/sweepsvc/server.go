@@ -178,7 +178,7 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "lease: worker name required")
 		return
 	}
-	writeJSON(w, s.m.Lease(req.Worker))
+	writeJSON(w, s.m.lease(req.Worker, req.Job))
 }
 
 func (s *Server) handleRenew(w http.ResponseWriter, r *http.Request) {
