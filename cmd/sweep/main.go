@@ -111,7 +111,7 @@ func main() {
 		serial       = flag.Bool("serial", false, "run each figure's simulations one at a time (a one-worker per-figure pool; default: up to GOMAXPROCS workers)")
 		journalPath  = flag.String("journal", "", "durable JSONL sweep ledger; running the same grid on it again resumes the sweep")
 		ckDir        = flag.String("checkpoint-dir", "", "checkpoint running points under this directory; interrupted or retried points resume from their last capture instead of restarting")
-		retries      = flag.Int("retries", 2, "retry budget per point for retryable failures")
+		retries      = flag.Int("retries", 2, "retries per point for retryable failures (a point runs at most retries+1 times)")
 		pointTimeout = flag.Duration("point-timeout", 0, "per-point wall-clock deadline (0 = derived from the scale's cycle budget)")
 		inject       = flag.String("inject", "", "comma-separated synthetic failure points for chaos testing: panic, livelock")
 
@@ -275,9 +275,11 @@ func main() {
 		os.Exit(runRemote(*remote, req, out, *timeout, *spanLogPath))
 	}
 
+	// The in-process manager logs only its warnings and errors (ledger
+	// replay, lease expiries); drive logs each point's progress.
 	loc, err := sweepsvc.NewLocal(sweepsvc.ManagerOptions{
 		LedgerPath: *journalPath,
-		Warn:       obs.Printf(logger.With("subsystem", "ledger"), slog.LevelWarn),
+		Logger:     obs.NewLogger(os.Stderr, "sweep", max(slog.LevelWarn, obs.LevelFromEnv())).With("subsystem", "manager"),
 	})
 	if err != nil {
 		fatal(err)
@@ -315,10 +317,9 @@ func main() {
 				return runner.Point{}, fmt.Errorf("point %s is not in this sweep's grid", jp.ID)
 			}
 			w.PointTimeout = *pointTimeout
-			w.RetryBudget = *retries
+			w.Retries = *retries
 			w.CheckpointDir = *ckDir
 			w.Drain = drainCtx
-			w.Log = obs.Printf(logger.With(obs.KeyWorker, w.Name), slog.LevelDebug)
 			w.Logger = logger
 			w.Provenance = req.Provenance
 		})
@@ -483,9 +484,10 @@ func drive(ctx context.Context, cl *sweepsvc.Client, req *sweepsvc.SubmitRequest
 	job := st.JobID
 	logger.Info("job submitted", obs.KeyJob, job, "points", st.Total,
 		"done", st.Done, "cached", st.Cached, obs.KeyTrace, jobSC.Trace)
+	// Points already over at submit are resumed, not run by this sweep:
+	// the done ones are cached, the failed ones kept from the ledger.
+	resumed := st.Cached + st.Failed
 
-	// Points already over at submit were served from the ledger or the
-	// result cache.
 	initial, err := cl.JobStatus(ctx, job, true)
 	if err != nil {
 		logger.Error("status fetch failed", "error", err.Error())
@@ -598,7 +600,7 @@ func drive(ctx context.Context, cl *sweepsvc.Client, req *sweepsvc.SubmitRequest
 		lvl = slog.LevelWarn
 	}
 	logger.Log(context.Background(), lvl, "sweep finished", obs.KeyJob, job,
-		"done", st.Done, "resumed", len(pr.resumed), "failed", st.Failed,
+		"done", st.Done, "resumed", resumed, "failed", st.Failed,
 		"total", st.Total, obs.KeyExitCode, code)
 	return code
 }

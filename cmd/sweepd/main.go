@@ -1,8 +1,9 @@
 // Command sweepd is the fault-tolerant sweep server: it accepts point
 // grids over an HTTP/JSON job API, hands points to remote sweepworker
 // processes under expiring leases, records every transition in a durable
-// append-only ledger, and serves repeated points from a content-addressed
-// result cache keyed by the runner spec hash.
+// append-only ledger, and serves repeated points from its point table:
+// every point ever done stays there, keyed by the runner spec hash, so it
+// is the content-addressed result cache.
 //
 // Robustness properties:
 //
@@ -33,7 +34,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"log/slog"
 	"net"
 	"net/http"
 	"os"
@@ -51,7 +51,6 @@ func main() {
 		addr        = flag.String("addr", ":8044", "listen address")
 		ledgerPath  = flag.String("ledger", "", "durable JSONL ledger (required; reopening replays it)")
 		leaseTTL    = flag.Duration("lease-ttl", sweepsvc.DefaultLeaseTTL, "lease deadline horizon; a worker silent this long loses its point")
-		cacheCap    = flag.Int("cache-cap", 0, "result cache capacity in records (0 = unbounded)")
 		expireEvery = flag.Duration("expire-every", time.Second, "expired-lease scan interval")
 		spanLogPath = flag.String("span-log", "", "append-only JSONL span log (server half of each job's trace; stitch with sweeptrace)")
 	)
@@ -77,12 +76,10 @@ func main() {
 	}
 
 	m, err := sweepsvc.NewManager(sweepsvc.ManagerOptions{
-		LedgerPath:    *ledgerPath,
-		LeaseTTL:      *leaseTTL,
-		CacheCapacity: *cacheCap,
-		Warn:          obs.Printf(logger, slog.LevelWarn),
-		Logger:        logger,
-		Spans:         spans,
+		LedgerPath: *ledgerPath,
+		LeaseTTL:   *leaseTTL,
+		Logger:     logger,
+		Spans:      spans,
 	})
 	if err != nil {
 		fatal(err)

@@ -25,7 +25,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"log/slog"
 	"net/http"
 	"os"
 	"os/signal"
@@ -46,7 +45,7 @@ func main() {
 		name         = flag.String("name", "", "worker name (default host-pid)")
 		heartbeat    = flag.Duration("heartbeat", 0, "lease renewal period (0 = lease TTL / 4)")
 		pointTimeout = flag.Duration("point-timeout", 0, "per-point wall-clock deadline (0 = derived from the point's cycle budget)")
-		retries      = flag.Int("retries", 2, "worker-side retry budget per point")
+		retries      = flag.Int("retries", 2, "retries per point for retryable failures (a point runs at most retries+1 times)")
 		selfEvery    = flag.Duration("self-interval", 5*time.Second, "self-monitoring sample interval")
 		metricsAddr  = flag.String("metrics-addr", "", "also serve this worker's self-metrics (and /debug/pprof/) at this address (optional)")
 		ckDir        = flag.String("checkpoint-dir", "", "checkpoint running points under this directory and ship captures with heartbeats, making points preemptible and migratable (optional)")
@@ -60,7 +59,9 @@ func main() {
 		}
 		*name = sweepsvc.WorkerID(host, os.Getpid())
 	}
-	logger := obs.Init("sweepworker").With(obs.KeyWorker, *name)
+	// The Worker adds its name to its own lines; logger adds it to main's.
+	wlog := obs.Init("sweepworker")
+	logger := wlog.With(obs.KeyWorker, *name)
 
 	var spans *obs.SpanLog
 	if *spanLogPath != "" {
@@ -79,10 +80,9 @@ func main() {
 		Build:          func(p *sweepsvc.JobPoint) (runner.Point, error) { return experiments.PointFromSpec(p.Spec) },
 		HeartbeatEvery: *heartbeat,
 		PointTimeout:   *pointTimeout,
-		RetryBudget:    *retries,
+		Retries:        *retries,
 		CheckpointDir:  *ckDir,
-		Log:            obs.Printf(logger, slog.LevelInfo),
-		Logger:         logger,
+		Logger:         wlog,
 		Spans:          spans,
 		Provenance:     obs.Collect("sweepworker", os.Args[1:]),
 	}

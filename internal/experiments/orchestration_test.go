@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/config"
+	"repro/internal/obs"
 	"repro/internal/runner"
 	"repro/internal/stats"
 	"repro/internal/tracing"
@@ -69,7 +70,7 @@ func TestFaultStormRecovered(t *testing.T) {
 	sum, err := runner.Run(context.Background(), []runner.Point{pt}, runner.Options{
 		PointTimeout: 2 * time.Minute,
 		BackoffBase:  time.Millisecond,
-		RetryBudget:  2,
+		MaxAttempts:  3,
 		Journal:      j,
 	})
 	if err != nil {
@@ -92,7 +93,7 @@ func TestFaultStormRecovered(t *testing.T) {
 
 	// The journal must carry the same record durably, snapshot included.
 	var jr *runner.Record
-	err = runner.ScanJSONL(path, nil, func(line []byte) bool {
+	err = obs.ScanJSONL(path, nil, func(line []byte) bool {
 		var r runner.Record
 		if json.Unmarshal(line, &r) != nil || r.SpecHash == "" {
 			return false

@@ -63,7 +63,7 @@ func TestRegistrySimulations(t *testing.T) {
 					t.Errorf("%s %s: simulations %q and %q share spec hash %s", sc.name, e.ID, prev, s.label, h)
 				}
 				hashes[h] = s.label
-				f := sanitizeLabel(s.label)
+				f := runner.CheckpointFile("", s.label)
 				if prev, ok := files[f]; ok {
 					t.Errorf("%s %s: simulations %q and %q share checkpoint name %q", sc.name, e.ID, prev, s.label, f)
 				}

@@ -354,18 +354,6 @@ func (sc Scale) Spec(id string) PointSpec {
 	}
 }
 
-// sanitizeLabel maps a run label onto a safe filename fragment.
-func sanitizeLabel(label string) string {
-	return strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
-			r == '.', r == '_', r == '-':
-			return r
-		}
-		return '_'
-	}, label)
-}
-
 // Points adapts experiments to orchestration run points (internal/runner).
 // perPoint, when non-nil, derives each point's scale from the base
 // (cmd/sweep uses it to attach per-experiment telemetry factories); it
@@ -420,7 +408,7 @@ func armCheckpoints(esc *Scale, id, prefix string) {
 	spec := runner.SpecHash(esc.Spec(id))
 	esc.Checkpoint = func(label string) *core.CheckpointOptions {
 		return &core.CheckpointOptions{
-			Path:     prefix + "." + sanitizeLabel(label) + ".ckpt",
+			Path:     runner.CheckpointFile(prefix, label),
 			SpecHash: spec + "/" + label,
 		}
 	}

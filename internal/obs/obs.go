@@ -69,10 +69,10 @@ func Init(component string) *slog.Logger {
 	return l
 }
 
-// Printf bridges the structured logger to the printf-style Warn/Log
-// seams that predate it (runner journal warnings, sweepsvc Manager
-// warnings, worker progress lines). The formatted text becomes the msg;
-// the component and pid attrs ride along from the logger.
+// Printf bridges the structured logger to printf-style callbacks
+// (ScanJSONL's warnings, the sweep driver's progress lines). The
+// formatted text becomes the msg; the component and pid attrs ride along
+// from the logger.
 func Printf(l *slog.Logger, level slog.Level) func(format string, args ...any) {
 	return func(format string, args ...any) {
 		if l == nil {

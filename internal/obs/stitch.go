@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -11,47 +10,25 @@ import (
 	"time"
 )
 
-// maxSpanLine mirrors runner.ScanJSONL's cap; span records are tiny but
-// a corrupt log must not OOM the stitcher. (obs keeps its own scanner —
-// importing runner here would close the runner->obs import cycle.)
-const maxSpanLine = 1 << 20
-
 // ReadSpans loads one span log, tolerating a torn final line (a process
 // killed mid-write, exactly the chaos scenario the stitcher exists
-// for). Mid-file garbage is skipped with a warning through warn, which
-// may be nil.
+// for). Mid-file garbage and records without trace/span ids are skipped
+// with a warning through warn, which may be nil. Unlike ScanJSONL, a
+// missing log is an error: the stitcher was asked to read it.
 func ReadSpans(path string, warn func(format string, args ...any)) ([]Span, error) {
-	f, err := os.Open(path)
-	if err != nil {
+	if _, err := os.Stat(path); err != nil {
 		return nil, fmt.Errorf("obs: open span log: %w", err)
 	}
-	defer f.Close()
 	var spans []Span
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), maxSpanLine)
-	line := 0
-	for sc.Scan() {
-		line++
-		b := sc.Bytes()
-		if len(strings.TrimSpace(string(b))) == 0 {
-			continue
-		}
+	err := ScanJSONL(path, warn, func(line []byte) bool {
 		var sp Span
-		if err := json.Unmarshal(b, &sp); err != nil {
-			if warn != nil {
-				warn("obs: %s:%d: skipping bad span record: %v", path, line, err)
-			}
-			continue
-		}
-		if sp.Trace == "" || sp.ID == "" {
-			if warn != nil {
-				warn("obs: %s:%d: skipping span without trace/span id", path, line)
-			}
-			continue
+		if json.Unmarshal(line, &sp) != nil || sp.Trace == "" || sp.ID == "" {
+			return false
 		}
 		spans = append(spans, sp)
-	}
-	if err := sc.Err(); err != nil {
+		return true
+	})
+	if err != nil {
 		return spans, fmt.Errorf("obs: scan %s: %w", path, err)
 	}
 	return spans, nil

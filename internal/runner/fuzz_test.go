@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // FuzzScanJSONL hammers the crash-recovery scanner shared by the sweep
@@ -13,7 +15,7 @@ import (
 // tails, mid-file corruption, empty and garbage lines, binary noise. The
 // invariants:
 //
-//   - ScanJSONL never errors on readable input (a crashed sweep's journal
+//   - obs.ScanJSONL never errors on readable input (a crashed sweep's journal
 //     is always replayable) and never panics;
 //   - every applied line is one of the input's newline-delimited lines,
 //     verbatim (no splicing across line boundaries);
@@ -36,7 +38,7 @@ func FuzzScanJSONL(f *testing.F) {
 		}
 		warned := 0
 		var applied [][]byte
-		err := ScanJSONL(path,
+		err := obs.ScanJSONL(path,
 			func(format string, args ...any) { warned++ },
 			func(line []byte) bool {
 				var v map[string]any
@@ -47,7 +49,7 @@ func FuzzScanJSONL(f *testing.F) {
 				return true
 			})
 		if err != nil {
-			t.Fatalf("ScanJSONL errored on readable input: %v", err)
+			t.Fatalf("obs.ScanJSONL errored on readable input: %v", err)
 		}
 
 		lines := bytes.Split(data, []byte("\n"))

@@ -1,7 +1,6 @@
 package runner
 
 import (
-	"bufio"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -22,8 +21,8 @@ const (
 	// StatusRecovered: a fault-injected point failed, was retried with the
 	// fault profile disabled, and then completed.
 	StatusRecovered Status = "recovered_after_fault"
-	// StatusFailed: the point failed permanently (non-retryable failure,
-	// attempts exhausted, or retry budget empty).
+	// StatusFailed: the point failed permanently (non-retryable failure
+	// or attempts exhausted).
 	StatusFailed Status = "failed"
 	// StatusCanceled: the point was aborted mid-run by a hard cancel. Not
 	// terminal — a resumed sweep re-runs it.
@@ -67,7 +66,7 @@ type Record struct {
 	Result json.RawMessage `json:"result,omitempty"`
 
 	// Provenance identifies the binary/host/worker that produced this
-	// record (stamped from Options.Provenance, or by the sweep worker).
+	// record (stamped by the sweep worker).
 	// Pure metadata: merged-output byte identity reads only Result, and
 	// resume keys only on SpecHash.
 	Provenance *obs.Provenance `json:"provenance,omitempty"`
@@ -131,51 +130,4 @@ func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.f.Close()
-}
-
-// ScanJSONL streams the lines of an append-only JSONL file at path into
-// apply, which reports whether the line parsed. A missing file is an empty
-// file. Lines that fail to parse are skipped and reported to warn (when
-// non-nil): a final unparsable line is a torn tail from a crash mid-write,
-// anything earlier is corruption. The sweep-service ledger replays
-// through this, so it survives a crash mid-append.
-func ScanJSONL(path string, warn func(format string, args ...any), apply func(line []byte) bool) error {
-	f, err := os.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		return err
-	}
-	defer f.Close()
-	if warn == nil {
-		warn = func(string, ...any) {}
-	}
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<26) // snapshots + results can be large
-	lineNo := 0
-	badLine := 0 // most recent unparsable line (0 = none pending)
-	for sc.Scan() {
-		lineNo++
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		if badLine != 0 {
-			// The unparsable line had lines after it: real corruption, not
-			// a torn tail.
-			warn("corrupt record at line %d skipped (mid-file corruption; its point will re-run)", badLine)
-			badLine = 0
-		}
-		if !apply(line) {
-			badLine = lineNo
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return err
-	}
-	if badLine != 0 {
-		warn("torn trailing record at line %d skipped (crash mid-write; its point will re-run)", badLine)
-	}
-	return nil
 }

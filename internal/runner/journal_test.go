@@ -9,14 +9,15 @@ import (
 	"testing"
 
 	"repro/internal/diag"
+	"repro/internal/obs"
 )
 
-// readRecords replays a journal of Records through ScanJSONL, keyed by
+// readRecords replays a journal of Records through obs.ScanJSONL, keyed by
 // spec hash.
 func readRecords(t *testing.T, path string, warn func(string, ...any)) map[string]*Record {
 	t.Helper()
 	recs := make(map[string]*Record)
-	err := ScanJSONL(path, warn, func(line []byte) bool {
+	err := obs.ScanJSONL(path, warn, func(line []byte) bool {
 		var r Record
 		if json.Unmarshal(line, &r) != nil || r.SpecHash == "" {
 			return false
@@ -30,7 +31,7 @@ func readRecords(t *testing.T, path string, warn func(string, ...any)) map[strin
 	return recs
 }
 
-// TestJournalRoundTrip: appended records come back through ScanJSONL with
+// TestJournalRoundTrip: appended records come back through obs.ScanJSONL with
 // snapshots intact.
 func TestJournalRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "j.jsonl")
@@ -85,11 +86,11 @@ func TestJournalToleratesPartialLine(t *testing.T) {
 	}
 }
 
-// TestReadJournalMissingFile: ScanJSONL reads a missing journal as
+// TestReadJournalMissingFile: obs.ScanJSONL reads a missing journal as
 // empty, not an error.
 func TestReadJournalMissingFile(t *testing.T) {
 	lines := 0
-	err := ScanJSONL(filepath.Join(t.TempDir(), "absent.jsonl"), nil, func([]byte) bool {
+	err := obs.ScanJSONL(filepath.Join(t.TempDir(), "absent.jsonl"), nil, func([]byte) bool {
 		lines++
 		return true
 	})
@@ -114,7 +115,7 @@ func TestSpecHash(t *testing.T) {
 }
 
 // TestReadJournalWarnDistinguishesTornFromCorrupt: replaying a journal
-// through ScanJSONL, an unparsable final line warns as a torn tail
+// through obs.ScanJSONL, an unparsable final line warns as a torn tail
 // (expected crash artifact); an unparsable line with intact records after
 // it warns as mid-file corruption.
 func TestReadJournalWarnDistinguishesTornFromCorrupt(t *testing.T) {

@@ -8,9 +8,9 @@
 // isolation — a crash in one point becomes a *diag.PanicError result
 // instead of killing sibling workers. Failures are classified
 // (ProgressError / CycleLimitError / panic / timeout / canceled) and only
-// retryable ones are retried, with capped exponential backoff and a
-// sweep-wide retry budget; a fault-injected point that livelocks is
-// retried with its fault profile disabled and recorded as
+// retryable ones are retried, with capped exponential backoff, up to
+// Options.MaxAttempts tries per point; a fault-injected point that
+// livelocks is retried with its fault profile disabled and recorded as
 // recovered_after_fault, preserving the original diagnostic snapshot.
 // Outcomes stream to a durable JSONL journal as each point completes.
 //
@@ -31,7 +31,6 @@ import (
 	"runtime/debug"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -180,11 +179,8 @@ type Options struct {
 	// from Point.MaxCycles at MinCyclesPerSecond, clamped to
 	// [MinPointTimeout, DefaultWallClockCap].
 	PointTimeout time.Duration
-	// MaxAttempts bounds tries per point (0 = DefaultMaxAttempts).
+	// MaxAttempts bounds tries per point (<=1 = one try, no retries).
 	MaxAttempts int
-	// RetryBudget bounds retries across the whole sweep (<0 = unlimited,
-	// 0 = no retries).
-	RetryBudget int
 	// BackoffBase is the delay before the first retry (0 =
 	// DefaultBackoffBase); it doubles per attempt up to BackoffCap (0 =
 	// DefaultBackoffCap).
@@ -215,10 +211,6 @@ type Options struct {
 	// (start/retry/done with the stable obs keys). Orchestration-path
 	// only — never consulted inside a running simulation.
 	Logger *slog.Logger
-	// Provenance, when non-nil, is stamped (with the point's own spec
-	// hash) onto every record this pool produces, so journal entries and
-	// merged results identify the binary and host that ran them.
-	Provenance *obs.Provenance
 }
 
 // Timeout-derivation constants. MinCyclesPerSecond is a deliberately
@@ -229,7 +221,6 @@ const (
 	MinCyclesPerSecond   = 500_000
 	MinPointTimeout      = time.Minute
 	DefaultWallClockCap  = 30 * time.Minute
-	DefaultMaxAttempts   = 3
 	DefaultBackoffBase   = 250 * time.Millisecond
 	DefaultBackoffCap    = 10 * time.Second
 	DefaultBackoffJitter = 0.5
@@ -238,13 +229,12 @@ const (
 // Summary aggregates a pool run. Records holds one record per input point
 // in input order; skipped points get a synthetic StatusSkipped record.
 type Summary struct {
-	Records     []*Record
-	OK          int // StatusOK
-	Recovered   int // StatusRecovered
-	Failed      int // StatusFailed
-	Canceled    int // StatusCanceled
-	Skipped     int // never dispatched
-	RetriesUsed int
+	Records   []*Record
+	OK        int // StatusOK
+	Recovered int // StatusRecovered
+	Failed    int // StatusFailed
+	Canceled  int // StatusCanceled
+	Skipped   int // never dispatched
 }
 
 func (s *Summary) add(r *Record) {
@@ -295,8 +285,6 @@ func Run(ctx context.Context, points []Point, opt Options) (*Summary, error) {
 type pool struct {
 	opt     Options
 	timeout func(Point) time.Duration
-	budget  atomic.Int64 // remaining sweep-wide retries (<0 handled at init)
-	retries atomic.Int64 // retries actually used
 	eventMu sync.Mutex
 
 	jitterMu  sync.Mutex // workers draw retry jitter concurrently
@@ -306,9 +294,6 @@ type pool struct {
 func newPool(points []Point, opt Options) (*pool, error) {
 	if opt.Workers <= 0 {
 		opt.Workers = 1
-	}
-	if opt.MaxAttempts <= 0 {
-		opt.MaxAttempts = DefaultMaxAttempts
 	}
 	if opt.BackoffBase <= 0 {
 		opt.BackoffBase = DefaultBackoffBase
@@ -344,11 +329,6 @@ func newPool(points []Point, opt Options) (*pool, error) {
 			d = DefaultWallClockCap
 		}
 		return d
-	}
-	if opt.RetryBudget < 0 {
-		p.budget.Store(1 << 40)
-	} else {
-		p.budget.Store(int64(opt.RetryBudget))
 	}
 	if opt.BackoffJitter == 0 {
 		p.opt.BackoffJitter = DefaultBackoffJitter
@@ -399,7 +379,7 @@ func (p *pool) run(ctx context.Context, points []Point) *Summary {
 	close(jobs)
 	wg.Wait()
 
-	sum := &Summary{Records: records, RetriesUsed: int(p.retries.Load())}
+	sum := &Summary{Records: records}
 	for i, r := range records {
 		if r == nil {
 			r = &Record{ID: points[i].ID, SpecHash: SpecHash(points[i].Spec), Status: StatusSkipped}
@@ -414,7 +394,6 @@ func (p *pool) run(ctx context.Context, points []Point) *Summary {
 // journaling, and returns its terminal record.
 func (p *pool) runPoint(ctx context.Context, pt Point) *Record {
 	rec := &Record{ID: pt.ID, SpecHash: SpecHash(pt.Spec), Series: pt.Series}
-	rec.Provenance = p.opt.Provenance.WithSpec(rec.SpecHash)
 	if p.opt.Logger != nil {
 		p.opt.Logger.Debug("point start", obs.KeyPoint, pt.ID, obs.KeySpecHash, rec.SpecHash)
 	}
@@ -457,7 +436,7 @@ func (p *pool) runPoint(ctx context.Context, pt Point) *Record {
 			rec.Status = StatusCanceled
 			break
 		}
-		if !retryable(class, faulted) || attempt+1 >= p.opt.MaxAttempts || !p.takeRetry() {
+		if !retryable(class, faulted) || attempt+1 >= p.opt.MaxAttempts {
 			rec.Status = StatusFailed
 			break
 		}
@@ -528,18 +507,31 @@ func (p *pool) checkpointPrefix(pt Point) string {
 
 // CheckpointPrefix returns the stable checkpoint path prefix a pool with
 // Options.CheckpointDir set hands the point via Attempt.CheckpointPath
-// ("" when dir is empty). Exported so the sweep service can locate a
-// running point's checkpoint files (prefix + ".<label>.ckpt") and ship
+// ("" when dir is empty). A point's checkpoint files are
+// CheckpointFile(prefix, label), one per simulation label, and
+// CheckpointGlob(prefix) matches all of them: the sweep service ships
 // them with lease renewals.
 func CheckpointPrefix(dir, id string) string {
 	if dir == "" {
 		return ""
 	}
-	return filepath.Join(dir, sanitizeID(id))
+	return filepath.Join(dir, sanitizeName(id))
 }
 
-// sanitizeID maps a point ID onto a safe filename fragment.
-func sanitizeID(id string) string {
+// CheckpointFile is the checkpoint file of the simulation labelled label
+// in the point whose prefix is prefix: prefix.<label>.ckpt.
+func CheckpointFile(prefix, label string) string {
+	return prefix + "." + sanitizeName(label) + ".ckpt"
+}
+
+// CheckpointGlob is the filepath.Glob pattern matching every
+// CheckpointFile under prefix.
+func CheckpointGlob(prefix string) string {
+	return prefix + ".*.ckpt"
+}
+
+// sanitizeName maps a point ID or run label onto a safe filename fragment.
+func sanitizeName(id string) string {
 	return strings.Map(func(r rune) rune {
 		switch {
 		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
@@ -552,26 +544,12 @@ func sanitizeID(id string) string {
 
 // removeCheckpoints deletes every checkpoint file under the prefix.
 func removeCheckpoints(prefix string) {
-	matches, err := filepath.Glob(prefix + ".*.ckpt")
+	matches, err := filepath.Glob(CheckpointGlob(prefix))
 	if err != nil {
 		return
 	}
 	for _, m := range matches {
 		_ = os.Remove(m)
-	}
-}
-
-// takeRetry consumes one unit of the sweep-wide retry budget.
-func (p *pool) takeRetry() bool {
-	for {
-		b := p.budget.Load()
-		if b <= 0 {
-			return false
-		}
-		if p.budget.CompareAndSwap(b, b-1) {
-			p.retries.Add(1)
-			return true
-		}
 	}
 }
 

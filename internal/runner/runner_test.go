@@ -30,7 +30,7 @@ func fastOpts() Options {
 		PointTimeout: 5 * time.Second,
 		BackoffBase:  time.Millisecond,
 		BackoffCap:   4 * time.Millisecond,
-		RetryBudget:  8,
+		MaxAttempts:  3,
 	}
 }
 
@@ -113,8 +113,8 @@ func TestTimeoutRetry(t *testing.T) {
 	if rec.Status != StatusOK || rec.Attempts != 2 || rec.Class != ClassTimeout {
 		t.Fatalf("record = %+v, want ok after timeout retry", rec)
 	}
-	if sum.RetriesUsed != 1 {
-		t.Errorf("retries used = %d, want 1", sum.RetriesUsed)
+	if n := tries.Load() - 1; n != 1 {
+		t.Errorf("retries used = %d, want 1", n)
 	}
 }
 
@@ -178,34 +178,6 @@ func TestFaultyRetriedWithFaultsDisabled(t *testing.T) {
 	}
 	if sum.ExitCode() != 0 {
 		t.Errorf("exit code = %d, want 0 (recovered counts as success)", sum.ExitCode())
-	}
-}
-
-// TestRetryBudget: the sweep-wide budget bounds retries across points.
-func TestRetryBudget(t *testing.T) {
-	mk := func(id string) Point {
-		return Point{
-			ID: id, Spec: id, Faulty: true,
-			Run: func(_ context.Context, att Attempt) (any, error) {
-				if !att.DisableFaults {
-					return nil, &core.ProgressError{}
-				}
-				return id, nil
-			},
-		}
-	}
-	opt := fastOpts()
-	opt.Workers = 1
-	opt.RetryBudget = 1
-	sum, err := Run(context.Background(), []Point{mk("p1"), mk("p2")}, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.RetriesUsed != 1 {
-		t.Fatalf("retries used = %d, want 1", sum.RetriesUsed)
-	}
-	if sum.Recovered != 1 || sum.Failed != 1 {
-		t.Fatalf("recovered=%d failed=%d, want 1/1 (budget exhausted)", sum.Recovered, sum.Failed)
 	}
 }
 
@@ -360,7 +332,7 @@ func TestCheckpointPathLifecycle(t *testing.T) {
 		},
 	}
 	sum, err := Run(context.Background(), pts, Options{
-		Workers: 1, PointTimeout: 5 * time.Second, RetryBudget: 2,
+		Workers: 1, PointTimeout: 5 * time.Second, MaxAttempts: 3,
 		BackoffBase: time.Millisecond, BackoffCap: time.Millisecond,
 		CheckpointDir: dir,
 	})

@@ -128,7 +128,7 @@ func (cs *chaosServer) start() {
 	m, err := NewManager(ManagerOptions{
 		LedgerPath: cs.ledger,
 		LeaseTTL:   cs.ttl,
-		Warn:       func(f string, a ...any) { cs.t.Logf("sweepd: "+f, a...) },
+		Logger:     testLogger(cs.t).With("component", "sweepd"),
 	})
 	if err != nil {
 		cs.t.Fatalf("chaos server start: %v", err)
@@ -256,9 +256,8 @@ func TestChaosSweep(t *testing.T) {
 			Build:          buildChaosPoint(pointDelay),
 			HeartbeatEvery: leaseTTL / 4,
 			PointTimeout:   5 * time.Second,
-			MaxAttempts:    1,
 			IdleSleep:      25 * time.Millisecond,
-			Log:            func(f string, a ...any) { t.Logf(name+": "+f, a...) },
+			Logger:         testLogger(t),
 		}
 		wg.Add(1)
 		go func() { defer wg.Done(); w.Run(wctx) }()
@@ -532,10 +531,9 @@ func TestChaosCheckpointTakeover(t *testing.T) {
 			Build:          buildCkChaosPoint(stepDelay, tr),
 			HeartbeatEvery: heartbeat,
 			PointTimeout:   30 * time.Second,
-			MaxAttempts:    1,
 			IdleSleep:      25 * time.Millisecond,
 			CheckpointDir:  filepath.Join(t.TempDir(), name+"-ckpts"),
-			Log:            func(f string, a ...any) { t.Logf(name+": "+f, a...) },
+			Logger:         testLogger(t),
 		}
 	}
 

@@ -32,10 +32,6 @@ type Client struct {
 	OnRetry func(op string, err error, delay time.Duration)
 }
 
-// ErrGone maps HTTP 410 (lease lost); callers distinguish it from
-// transport failure because it must NOT be retried.
-var ErrGone = ErrLeaseLost
-
 type httpStatusError struct {
 	code int
 	msg  string
@@ -69,7 +65,8 @@ func (c *Client) call(ctx context.Context, method, path string, in, out any) err
 		if errors.As(err, &he) {
 			switch {
 			case he.code == http.StatusGone:
-				return ErrGone
+				// Lease lost: the server has spoken, so never retried.
+				return ErrLeaseLost
 			case he.code >= 400 && he.code < 500:
 				return err // the request itself is wrong; retry can't fix it
 			}
@@ -166,12 +163,9 @@ func (c *Client) Results(ctx context.Context, id string) (*MergedResults, error)
 	return &res, nil
 }
 
-// Lease pulls one point for worker.
-func (c *Client) Lease(ctx context.Context, worker string) (*LeaseResponse, error) {
-	return c.lease(ctx, &LeaseRequest{Worker: worker})
-}
-
-func (c *Client) lease(ctx context.Context, req *LeaseRequest) (*LeaseResponse, error) {
+// Lease pulls one point for req.Worker (from req.Job's points only, when
+// set).
+func (c *Client) Lease(ctx context.Context, req *LeaseRequest) (*LeaseResponse, error) {
 	var resp LeaseResponse
 	if err := c.call(ctx, http.MethodPost, "/api/v1/lease", req, &resp); err != nil {
 		return nil, err

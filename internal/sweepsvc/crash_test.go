@@ -8,12 +8,13 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/runner"
 )
 
 // Crash-consistency audit for both durable files: the runner's journal
 // and the sweep service's ledger, which append through the same
-// runner.Journal and replay through runner.ScanJSONL. Both promise the
+// runner.Journal and replay through obs.ScanJSONL. Both promise the
 // same contract — every Append is fsynced before returning, so a crash (power
 // loss included) loses at most the record being written, and replay
 // recovers every earlier record while warning about the damage instead of
@@ -54,7 +55,7 @@ func journalSurface() crashSurface {
 		replay: func(t *testing.T, path string) (map[string]bool, int) {
 			warns := 0
 			got := make(map[string]bool)
-			err := runner.ScanJSONL(path, func(string, ...any) { warns++ }, func(line []byte) bool {
+			err := obs.ScanJSONL(path, func(string, ...any) { warns++ }, func(line []byte) bool {
 				var r runner.Record
 				if json.Unmarshal(line, &r) != nil || r.SpecHash == "" {
 					return false

@@ -67,10 +67,10 @@ type LedgerRecord struct {
 
 // ReplayLedger streams the records at path into apply in append order. A
 // missing file is an empty ledger. Torn or corrupt lines are skipped with
-// a warning (runner.ScanJSONL semantics): a crash mid-append must never
+// a warning (obs.ScanJSONL semantics): a crash mid-append must never
 // make the ledger unreadable.
 func ReplayLedger(path string, warn func(format string, args ...any), apply func(*LedgerRecord)) error {
-	err := runner.ScanJSONL(path, warn, func(line []byte) bool {
+	err := obs.ScanJSONL(path, warn, func(line []byte) bool {
 		var r LedgerRecord
 		if err := json.Unmarshal(line, &r); err != nil || r.Type == "" || r.Hash == "" {
 			return false

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"sync"
 
+	"repro/internal/obs"
 	"repro/internal/runner"
 )
 
@@ -65,8 +66,8 @@ func (l *Local) Start(ctx context.Context, job string, n int, setup func(*Worker
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := w.Run(ctx); err != nil && ctx.Err() == nil {
-				w.logf("%s: %v", w.Name, err)
+			if err := w.Run(ctx); err != nil && ctx.Err() == nil && w.Logger != nil {
+				w.Logger.Error("worker stopped", obs.KeyWorker, w.Name, "error", err.Error())
 			}
 		}()
 	}

@@ -56,7 +56,7 @@ func tinyPoint(jp *JobPoint, hold func(ctx context.Context) error) (runner.Point
 
 func newLocal(t *testing.T, ledger string, ttl time.Duration) *Local {
 	t.Helper()
-	loc, err := NewLocal(ManagerOptions{LedgerPath: ledger, LeaseTTL: ttl, Warn: t.Logf})
+	loc, err := NewLocal(ManagerOptions{LedgerPath: ledger, LeaseTTL: ttl, Logger: testLogger(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,5 +413,75 @@ func TestLocalResume(t *testing.T) {
 		if n := terminal[jp.Hash()]; n != 1 {
 			t.Errorf("%s has %d terminal ledger records, want 1", jp.ID, n)
 		}
+	}
+}
+
+// TestLocalRerunFinishedGridIsCached: rerunning a finished grid on its
+// ledger rejoins its job, and every member, already done, counts as
+// cached: the rerun runs none of them.
+func TestLocalRerunFinishedGridIsCached(t *testing.T) {
+	grid := tinyGrid(2)
+	ledger := filepath.Join(t.TempDir(), "ledger.jsonl")
+	job := GridJobID(grid)
+	build := func(jp *JobPoint) (runner.Point, error) { return tinyPoint(jp, nil) }
+
+	loc := newLocal(t, ledger, 0)
+	if st := runLocal(t, loc, job, grid, 1, build); st.Done != len(grid) || st.Cached != 0 {
+		t.Fatalf("first run: %+v, want %d done, none cached", st, len(grid))
+	}
+	loc.Close()
+
+	loc = newLocal(t, ledger, 0)
+	defer loc.Close()
+	st, err := loc.Client.Submit(context.Background(), &SubmitRequest{JobID: job, Points: grid})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !st.Complete || st.Cached != st.Total {
+		t.Errorf("rerun's submit: %+v, want all %d cached", st, st.Total)
+	}
+	if st := runLocal(t, loc, job, grid, 1, build); st.Cached != st.Total {
+		t.Errorf("rerun: %+v, want all %d cached", st, st.Total)
+	}
+}
+
+// TestWorkerRetries: a worker configured for 4 retries runs a point that
+// times out 4 times a fifth time, and it ends ok.
+func TestWorkerRetries(t *testing.T) {
+	grid := tinyGrid(1)
+	loc := newLocal(t, "", 0)
+	defer loc.Close()
+	var tries atomic.Int32
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	job := GridJobID(grid)
+	if _, err := loc.Client.Submit(ctx, &SubmitRequest{JobID: job, Points: grid}); err != nil {
+		t.Fatal(err)
+	}
+	wctx, stop := context.WithCancel(ctx)
+	done := loc.Start(wctx, job, 1, func(w *Worker) {
+		w.Retries = 4
+		w.Build = func(jp *JobPoint) (runner.Point, error) {
+			return runner.Point{ID: jp.ID, Spec: jp.Spec, Run: func(context.Context, runner.Attempt) (any, error) {
+				if tries.Add(1) <= 4 {
+					return nil, context.DeadlineExceeded // a timeout: retryable
+				}
+				return "ok", nil
+			}}, nil
+		}
+	})
+	_, err := loc.Client.WaitJob(ctx, job, nil)
+	stop()
+	<-done
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := loc.Client.JobStatus(ctx, job, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps := st.Points[0]
+	if ps.Status != PointDone || ps.Attempts != 5 || tries.Load() != 5 {
+		t.Fatalf("point %+v after %d tries, want done after 5 attempts", ps, tries.Load())
 	}
 }

@@ -39,7 +39,7 @@ type pointState struct {
 	worker   string    // current lease holder (leased) or completer (done/failed)
 	deadline time.Time // lease deadline (leased)
 	leases   int       // leases issued, re-issues included
-	cached   bool      // done was served from the result cache
+	cached   bool      // done was served from the point table, not run for this job
 	record   *runner.Record
 
 	// Latest mid-run checkpoints shipped by heartbeats (basename → file
@@ -129,7 +129,6 @@ type Metrics struct {
 	ReportsDuplicate uint64
 	CacheHits        uint64
 	CacheMisses      uint64
-	CacheEvictions   uint64
 	ReplayWarnings   uint64
 	LedgerErrors     uint64
 
@@ -141,17 +140,17 @@ type Metrics struct {
 }
 
 // Manager is the sweep service's brain: the pending → leased → done|failed
-// state machine over every known point, durably backed by the ledger and
-// fronted by the result cache. All methods are safe for concurrent use.
+// state machine over every known point, durably backed by the ledger. The
+// point table is also the result cache: points are never forgotten, so a
+// hash already done is served from its record instead of run again. All
+// methods are safe for concurrent use.
 type Manager struct {
 	mu     sync.Mutex
 	now    func() time.Time
 	ttl    time.Duration
 	ledger *runner.Journal // the ledger's durable appender; nil = in-memory
-	cache  *Cache
-	warn   func(format string, args ...any)
-	log    *slog.Logger // nil = no structured logs
-	spans  *obs.SpanLog // nil-safe: tracing off still propagates contexts
+	log    *slog.Logger    // nil = no logs
+	spans  *obs.SpanLog    // nil-safe: tracing off still propagates contexts
 
 	points  map[string]*pointState // by hash
 	pending []string               // FIFO of pending hashes
@@ -169,15 +168,11 @@ type ManagerOptions struct {
 	LedgerPath string
 	// LeaseTTL is the lease deadline horizon (0 = DefaultLeaseTTL).
 	LeaseTTL time.Duration
-	// CacheCapacity bounds the result cache (<=0 = unbounded).
-	CacheCapacity int
 	// Now overrides the clock (tests); nil = time.Now.
 	Now func() time.Time
-	// Warn observes replay warnings and ledger append failures (nil =
-	// dropped).
-	Warn func(format string, args ...any)
-	// Logger, when non-nil, emits structured state-transition lines with
-	// the stable obs keys (job, spec_hash, worker, lease).
+	// Logger, when non-nil, logs state transitions with the stable obs
+	// keys (job, spec_hash, worker, lease), ledger replay warnings and
+	// ledger append failures.
 	Logger *slog.Logger
 	// Spans, when non-nil, records the server-side half of every job's
 	// span tree (submit, lease, expiry, takeover, report, merge) to an
@@ -191,8 +186,6 @@ func NewManager(opt ManagerOptions) (*Manager, error) {
 	m := &Manager{
 		now:    opt.Now,
 		ttl:    opt.LeaseTTL,
-		cache:  NewCache(opt.CacheCapacity),
-		warn:   opt.Warn,
 		log:    opt.Logger,
 		spans:  opt.Spans,
 		points: make(map[string]*pointState),
@@ -205,13 +198,12 @@ func NewManager(opt ManagerOptions) (*Manager, error) {
 	if m.ttl <= 0 {
 		m.ttl = DefaultLeaseTTL
 	}
-	if m.warn == nil {
-		m.warn = func(string, ...any) {}
-	}
 	if opt.LedgerPath != "" {
 		warn := func(format string, args ...any) {
 			m.metrics.ReplayWarnings++
-			m.warn(format, args...)
+			if m.log != nil {
+				m.log.Warn(fmt.Sprintf(format, args...))
+			}
 		}
 		if err := ReplayLedger(opt.LedgerPath, warn, m.replay); err != nil {
 			return nil, err
@@ -301,7 +293,6 @@ func (m *Manager) replay(r *LedgerRecord) {
 		p.ckpts, p.ckptCycles = nil, nil
 		if r.Type == "done" {
 			p.status = PointDone
-			m.cache.Put(r.Hash, r.Record)
 		} else {
 			p.status = PointFailed
 		}
@@ -338,7 +329,9 @@ func (m *Manager) append(r *LedgerRecord) {
 	}
 	if err := m.ledger.Append(r); err != nil {
 		m.metrics.LedgerErrors++
-		m.warn("ledger append failed: %v", err)
+		if m.log != nil {
+			m.log.Warn("ledger append failed", "type", r.Type, obs.KeySpecHash, r.Hash, "error", err.Error())
+		}
 	}
 }
 
@@ -378,11 +371,12 @@ func (m *Manager) emit(p *pointState, errMsg string) {
 	m.broadcast()
 }
 
-// Submit registers a grid as a job. Points whose hash already has a
-// terminal done record (from this server's lifetime or ledger replay —
-// the content-addressed cache) complete instantly; failed hashes get a
-// fresh chance (reset to pending); pending/leased hashes are joined, not
-// duplicated.
+// Submit registers a grid as a job. Points whose hash is already done
+// (in this server's lifetime or on the replayed ledger) are cache hits
+// and complete instantly; failed hashes get a fresh chance (reset to
+// pending); pending/leased hashes are joined, not duplicated. Submitting
+// an existing job's grid again rejoins it: its members already done count
+// as cached, since this submission does not run them.
 func (m *Manager) Submit(req *SubmitRequest) (*JobStatus, error) {
 	if len(req.Points) == 0 {
 		return nil, errors.New("sweepsvc: submit: no points")
@@ -400,6 +394,11 @@ func (m *Manager) Submit(req *SubmitRequest) (*JobStatus, error) {
 		// name is a real conflict.
 		if !sameMembers(j.points, req.Points) {
 			return nil, fmt.Errorf("sweepsvc: submit: job %q already exists with a different point set", id)
+		}
+		for _, mem := range j.points {
+			if p := m.points[mem.hash]; p != nil && p.status == PointDone {
+				p.cached = true
+			}
 		}
 		return m.jobStatusLocked(j, false), nil
 	}
@@ -426,23 +425,12 @@ func (m *Manager) Submit(req *SubmitRequest) (*JobStatus, error) {
 			p = &pointState{id: jp.ID, hash: hash, spec: jp.Spec, maxCycles: jp.MaxCycles, faulty: jp.Faulty, status: PointPending, trace: j.trace}
 			m.points[hash] = p
 			m.metrics.PointsRegistered++
-			if rec := m.cache.Get(hash); rec != nil {
-				// Replay populated the cache but dropped this point's
-				// registration (e.g. torn record): still a hit.
-				p.status = PointDone
-				p.record = rec
-				p.cached = true
-				m.metrics.CacheHits++
-				m.span(j.trace, "cache-hit", map[string]string{obs.KeyPoint: jp.ID, obs.KeySpecHash: hash})
-			} else {
-				m.metrics.CacheMisses++
-				m.pending = append(m.pending, hash)
-			}
+			m.metrics.CacheMisses++
+			m.pending = append(m.pending, hash)
 		} else {
 			switch {
 			case p.status == PointDone:
 				// Content-addressed cache hit: same spec, same result.
-				m.cache.Get(hash) // refresh recency
 				p.cached = true
 				m.metrics.CacheHits++
 				m.span(j.trace, "cache-hit", map[string]string{obs.KeyPoint: jp.ID, obs.KeySpecHash: hash})
@@ -461,18 +449,14 @@ func (m *Manager) Submit(req *SubmitRequest) (*JobStatus, error) {
 	return m.jobStatusLocked(j, false), nil
 }
 
-// Lease hands the worker one pending point, or nil when none is pending.
-// Idempotent per worker: if the worker already holds a live lease (its
-// previous request landed but the response was lost), the same lease is
-// returned instead of a second point.
-func (m *Manager) Lease(worker string) *LeaseResponse {
-	return m.lease(worker, "")
-}
-
-// lease is Lease restricted, when job is non-empty, to that job's points:
-// a local sweep's workers run only the grid they were started for, never
-// another grid's unfinished points left on the same ledger.
-func (m *Manager) lease(worker, job string) *LeaseResponse {
+// Lease hands the worker one pending point, or a response with no point
+// when none is pending. Idempotent per worker: if the worker already holds
+// a live lease (its previous request landed but the response was lost),
+// the same lease is returned instead of a second point. A non-empty job
+// restricts the lease to that job's points: a local sweep's workers run
+// only the grid they were started for, never another grid's unfinished
+// points left on the same ledger.
+func (m *Manager) Lease(worker, job string) *LeaseResponse {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	now := m.now()
@@ -528,7 +512,10 @@ func (m *Manager) lease(worker, job string) *LeaseResponse {
 			obs.KeyPoint: p.id, obs.KeyWorker: worker,
 			obs.KeyCycle: fmt.Sprintf("%d", p.ckptCycle()),
 		})
-		m.warn("lease on %s (%s) taken over by %s; resuming from cycle %d", p.id, hash, worker, p.ckptCycle())
+		if m.log != nil {
+			m.log.Warn("lease taken over", obs.KeyPoint, p.id, obs.KeySpecHash, hash,
+				obs.KeyWorker, worker, obs.KeyLease, p.leaseSpan, obs.KeyCycle, p.ckptCycle())
+		}
 	}
 	m.emit(p, "")
 	return m.leaseResponse(p)
@@ -584,7 +571,10 @@ func (m *Manager) Renew(worker, hash string, ckpts map[string][]byte) (*RenewRes
 		meta, _, err := checkpoint.Decode(img)
 		if err != nil {
 			m.metrics.CheckpointRejects++
-			m.warn("checkpoint %s for %s from %s rejected: %v", name, p.id, worker, err)
+			if m.log != nil {
+				m.log.Warn("checkpoint rejected", obs.KeyPoint, p.id, obs.KeySpecHash, hash,
+					obs.KeyWorker, worker, "file", name, "error", err.Error())
+			}
 			continue
 		}
 		if p.ckptCycles[name] >= meta.Cycle && p.ckptCycles[name] != 0 {
@@ -611,15 +601,10 @@ func (m *Manager) Renew(worker, hash string, ckpts map[string][]byte) (*RenewRes
 // terminal report for a hash wins and is journaled; duplicates (a second
 // worker that raced an expired lease, a retried RPC) are acknowledged and
 // dropped. The report is accepted even from a worker whose lease expired —
-// the result of a deterministic simulation is the result.
-func (m *Manager) Report(worker, hash string, rec *runner.Record) (*ReportResponse, error) {
-	return m.ReportTraced(worker, hash, rec, nil)
-}
-
-// ReportTraced is Report carrying the worker's run-span context, so the
-// server-side report span lands under the run that produced the record
-// (the HTTP handler passes ReportRequest.Trace through here).
-func (m *Manager) ReportTraced(worker, hash string, rec *runner.Record, tr *obs.SpanContext) (*ReportResponse, error) {
+// the result of a deterministic simulation is the result. tr, when valid,
+// is the worker's run-span context, so the server-side report span lands
+// under the run that produced the record.
+func (m *Manager) Report(worker, hash string, rec *runner.Record, tr *obs.SpanContext) (*ReportResponse, error) {
 	if rec == nil {
 		return nil, errors.New("sweepsvc: report: no record")
 	}
@@ -641,7 +626,6 @@ func (m *Manager) ReportTraced(worker, hash string, rec *runner.Record, tr *obs.
 	if rec.Status == runner.StatusOK || rec.Status == runner.StatusRecovered {
 		typ = "done"
 		p.status = PointDone
-		m.cache.Put(hash, rec)
 	}
 	p.worker = worker
 	p.record = rec
@@ -686,7 +670,6 @@ func (m *Manager) expireLocked(now time.Time) int {
 	for _, p := range m.points {
 		if p.status == PointLeased && now.After(p.deadline) {
 			p.status = PointPending
-			m.warn("lease on %s (%s) held by %s expired; re-queueing", p.id, p.hash, p.worker)
 			if m.log != nil {
 				m.log.Warn("lease expired", obs.KeyPoint, p.id, obs.KeySpecHash, p.hash,
 					obs.KeyWorker, p.worker, obs.KeyLease, p.leaseSpan)
@@ -808,12 +791,9 @@ func (m *Manager) Merged(id string) (*MergedResults, error) {
 	return out, nil
 }
 
-// MetricsSnapshot returns the cumulative counters, merging in the cache's.
+// MetricsSnapshot returns the cumulative counters.
 func (m *Manager) MetricsSnapshot() Metrics {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	mt := m.metrics
-	_, _, ev := m.cache.Stats()
-	mt.CacheEvictions = ev
-	return mt
+	return m.metrics
 }

@@ -1,9 +1,11 @@
 package sweepsvc
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"strings"
@@ -32,13 +34,25 @@ func okRecord(id, hash string, result any) *runner.Record {
 	return &runner.Record{ID: id, SpecHash: hash, Status: runner.StatusOK, Attempts: 1, Result: b}
 }
 
+// testLogger logs through t.Log.
+func testLogger(t testing.TB) *slog.Logger {
+	return slog.New(slog.NewTextHandler(testWriter{t}, nil))
+}
+
+type testWriter struct{ t testing.TB }
+
+func (w testWriter) Write(b []byte) (int, error) {
+	w.t.Log(strings.TrimSuffix(string(b), "\n"))
+	return len(b), nil
+}
+
 func newTestManager(t *testing.T, clock *fakeClock, ledger string) *Manager {
 	t.Helper()
 	m, err := NewManager(ManagerOptions{
 		LedgerPath: ledger,
 		LeaseTTL:   10 * time.Second,
 		Now:        clock.Now,
-		Warn:       t.Logf,
+		Logger:     testLogger(t),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -81,7 +95,7 @@ func TestLeaseLifecycle(t *testing.T) {
 				if n := m.ExpireLeases(); n != 0 {
 					t.Fatalf("expired %d leases, want 0 (renewed)", n)
 				}
-				if lr := m.Lease("w2"); lr.Point != nil {
+				if lr := m.Lease("w2", ""); lr.Point != nil {
 					t.Fatalf("w2 got %s; point should still be leased to w1", lr.Point.ID)
 				}
 			},
@@ -94,7 +108,7 @@ func TestLeaseLifecycle(t *testing.T) {
 				if n := m.ExpireLeases(); n != 1 {
 					t.Fatalf("expired %d leases, want 1", n)
 				}
-				lr := m.Lease("w2")
+				lr := m.Lease("w2", "")
 				if lr.Point == nil || lr.Point.Hash() != hash {
 					t.Fatalf("w2 was not re-issued the expired point")
 				}
@@ -113,7 +127,7 @@ func TestLeaseLifecycle(t *testing.T) {
 			// lost) returns the same point, not a second one.
 			name: "lease-idempotent-per-worker",
 			run: func(t *testing.T, m *Manager, clock *fakeClock, hash string) {
-				lr := m.Lease("w1")
+				lr := m.Lease("w1", "")
 				if lr.Point == nil || lr.Point.Hash() != hash {
 					t.Fatalf("repeat lease returned a different point")
 				}
@@ -126,8 +140,8 @@ func TestLeaseLifecycle(t *testing.T) {
 			run: func(t *testing.T, m *Manager, clock *fakeClock, hash string) {
 				clock.Advance(11 * time.Second)
 				m.ExpireLeases()
-				m.Lease("w2")
-				if _, err := m.Report("w2", hash, okRecord("p0", hash, map[string]int{"v": 1})); err != nil {
+				m.Lease("w2", "")
+				if _, err := m.Report("w2", hash, okRecord("p0", hash, map[string]int{"v": 1}), nil); err != nil {
 					t.Fatal(err)
 				}
 				if _, err := m.Renew("w1", hash, nil); !errors.Is(err, ErrLeaseLost) {
@@ -142,7 +156,7 @@ func TestLeaseLifecycle(t *testing.T) {
 			run: func(t *testing.T, m *Manager, clock *fakeClock, hash string) {
 				clock.Advance(11 * time.Second)
 				m.ExpireLeases()
-				resp, err := m.Report("w1", hash, okRecord("p0", hash, map[string]int{"v": 1}))
+				resp, err := m.Report("w1", hash, okRecord("p0", hash, map[string]int{"v": 1}), nil)
 				if err != nil || !resp.Accepted || resp.Duplicate {
 					t.Fatalf("late report: resp=%+v err=%v, want accepted non-duplicate", resp, err)
 				}
@@ -158,7 +172,7 @@ func TestLeaseLifecycle(t *testing.T) {
 			clock := newFakeClock()
 			m := newTestManager(t, clock, "")
 			submitGrid(t, m, "j", 1)
-			lr := m.Lease("w1")
+			lr := m.Lease("w1", "")
 			if lr.Point == nil {
 				t.Fatal("no lease granted")
 			}
@@ -174,21 +188,21 @@ func TestDuplicateCompletionIdempotent(t *testing.T) {
 	ledger := filepath.Join(t.TempDir(), "ledger.jsonl")
 	m := newTestManager(t, clock, ledger)
 	submitGrid(t, m, "j", 1)
-	lr := m.Lease("w1")
+	lr := m.Lease("w1", "")
 	hash := lr.Point.Hash()
 	clock.Advance(11 * time.Second)
 	m.ExpireLeases()
-	m.Lease("w2")
+	m.Lease("w2", "")
 
 	rec := okRecord("p0", hash, map[string]int{"v": 42})
-	if resp, err := m.Report("w1", hash, rec); err != nil || resp.Duplicate {
+	if resp, err := m.Report("w1", hash, rec, nil); err != nil || resp.Duplicate {
 		t.Fatalf("first report: %+v, %v", resp, err)
 	}
-	if resp, err := m.Report("w2", hash, rec); err != nil || !resp.Duplicate {
+	if resp, err := m.Report("w2", hash, rec, nil); err != nil || !resp.Duplicate {
 		t.Fatalf("second report: %+v, %v — want duplicate ack", resp, err)
 	}
 	// Retried RPC from the winner is also a duplicate.
-	if resp, err := m.Report("w1", hash, rec); err != nil || !resp.Duplicate {
+	if resp, err := m.Report("w1", hash, rec, nil); err != nil || !resp.Duplicate {
 		t.Fatalf("retried report: %+v, %v — want duplicate ack", resp, err)
 	}
 
@@ -217,9 +231,9 @@ func TestLedgerReplayRestoresState(t *testing.T) {
 	ledger := filepath.Join(t.TempDir(), "ledger.jsonl")
 	m := newTestManager(t, clock, ledger)
 	submitGrid(t, m, "j", 3)
-	lr := m.Lease("w1") // p0 leased
-	doneHash := m.Lease("w2").Point.Hash()
-	if _, err := m.Report("w2", doneHash, okRecord("p1", doneHash, map[string]int{"v": 1})); err != nil {
+	lr := m.Lease("w1", "") // p0 leased
+	doneHash := m.Lease("w2", "").Point.Hash()
+	if _, err := m.Report("w2", doneHash, okRecord("p1", doneHash, map[string]int{"v": 1}), nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Close(); err != nil {
@@ -259,8 +273,8 @@ func TestLedgerTornTail(t *testing.T) {
 	ledger := filepath.Join(dir, "ledger.jsonl")
 	m := newTestManager(t, clock, ledger)
 	submitGrid(t, m, "j", 2)
-	h0 := m.Lease("w1").Point.Hash()
-	if _, err := m.Report("w1", h0, okRecord("p0", h0, map[string]int{"v": 0})); err != nil {
+	h0 := m.Lease("w1", "").Point.Hash()
+	if _, err := m.Report("w1", h0, okRecord("p0", h0, map[string]int{"v": 0}), nil); err != nil {
 		t.Fatal(err)
 	}
 	m.Close()
@@ -274,24 +288,18 @@ func TestLedgerTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var warns []string
+	var warns bytes.Buffer
 	m2, err := NewManager(ManagerOptions{
 		LedgerPath: ledger,
 		Now:        clock.Now,
-		Warn:       func(f string, a ...any) { warns = append(warns, fmt.Sprintf(f, a...)) },
+		Logger:     slog.New(slog.NewTextHandler(&warns, nil)),
 	})
 	if err != nil {
 		t.Fatalf("replay with torn tail must not fail: %v", err)
 	}
 	defer m2.Close()
-	found := false
-	for _, w := range warns {
-		if strings.Contains(w, "torn trailing record") {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("no torn-tail warning; warns = %q", warns)
+	if !strings.Contains(warns.String(), "torn trailing record") {
+		t.Fatalf("no torn-tail warning; warns = %q", warns.String())
 	}
 	// The torn record was p0's done: it is pending again, and re-runnable.
 	st, err := m2.JobStatus("j", false)
@@ -308,24 +316,18 @@ func TestLedgerTornTail(t *testing.T) {
 	if err := os.WriteFile(ledger, []byte(strings.Join(lines, "\n")+"\n"), 0o666); err != nil {
 		t.Fatal(err)
 	}
-	warns = nil
+	warns.Reset()
 	m3, err := NewManager(ManagerOptions{
 		LedgerPath: ledger,
 		Now:        clock.Now,
-		Warn:       func(f string, a ...any) { warns = append(warns, fmt.Sprintf(f, a...)) },
+		Logger:     slog.New(slog.NewTextHandler(&warns, nil)),
 	})
 	if err != nil {
 		t.Fatalf("replay with mid-file corruption must not fail: %v", err)
 	}
 	defer m3.Close()
-	found = false
-	for _, w := range warns {
-		if strings.Contains(w, "mid-file corruption") {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("no mid-file corruption warning; warns = %q", warns)
+	if !strings.Contains(warns.String(), "mid-file corruption") {
+		t.Fatalf("no mid-file corruption warning; warns = %q", warns.String())
 	}
 }
 
@@ -363,9 +365,9 @@ func TestFailedSpecRetriedOnResubmit(t *testing.T) {
 	clock := newFakeClock()
 	m := newTestManager(t, clock, "")
 	submitGrid(t, m, "j", 1)
-	h := m.Lease("w1").Point.Hash()
+	h := m.Lease("w1", "").Point.Hash()
 	fail := &runner.Record{ID: "p0", SpecHash: h, Status: runner.StatusFailed, Attempts: 3, Class: runner.ClassPanic, Error: "boom"}
-	if _, err := m.Report("w1", h, fail); err != nil {
+	if _, err := m.Report("w1", h, fail, nil); err != nil {
 		t.Fatal(err)
 	}
 	st, _ := m.JobStatus("j", false)

@@ -63,7 +63,7 @@ func TestTakeoverSpanChain(t *testing.T) {
 		LedgerPath: filepath.Join(dir, "ledger.jsonl"),
 		LeaseTTL:   10 * time.Second,
 		Now:        clock.Now,
-		Warn:       t.Logf,
+		Logger:     testLogger(t),
 		Spans:      spans,
 	})
 	if err != nil {
@@ -83,7 +83,7 @@ func TestTakeoverSpanChain(t *testing.T) {
 	}
 	hash := req.Points[0].Hash()
 
-	lease1 := m.Lease("w1")
+	lease1 := m.Lease("w1", "")
 	if lease1.Point == nil {
 		t.Fatal("w1 got no point")
 	}
@@ -99,7 +99,7 @@ func TestTakeoverSpanChain(t *testing.T) {
 	if n := m.ExpireLeases(); n != 1 {
 		t.Fatalf("expired %d leases, want 1", n)
 	}
-	lease2 := m.Lease("w2")
+	lease2 := m.Lease("w2", "")
 	if lease2.Point == nil || len(lease2.Checkpoints) == 0 {
 		t.Fatal("w2 takeover lease did not carry the shipped checkpoint")
 	}
@@ -110,7 +110,7 @@ func TestTakeoverSpanChain(t *testing.T) {
 	// report back on the server side.
 	runSC := spans.Emit(*lease2.Trace, "run", clock.Now(), clock.Now(),
 		map[string]string{obs.KeyWorker: "w2"}) // stand-in for the worker log
-	if _, err := m.ReportTraced("w2", hash, okRecord("p0", hash, map[string]int{"v": 1}), &runSC); err != nil {
+	if _, err := m.Report("w2", hash, okRecord("p0", hash, map[string]int{"v": 1}), &runSC); err != nil {
 		t.Fatal(err)
 	}
 	if err := spans.Close(); err != nil {
@@ -187,7 +187,7 @@ func TestProvenanceRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	hash := req.Points[0].Hash()
-	if lr := m.Lease("w1"); lr.Point == nil {
+	if lr := m.Lease("w1", ""); lr.Point == nil {
 		t.Fatal("no lease")
 	}
 
@@ -202,7 +202,7 @@ func TestProvenanceRoundTrip(t *testing.T) {
 
 	rec := okRecord("p0", hash, map[string]int{"v": 42})
 	rec.Provenance = prov
-	if _, err := m.Report("w1", hash, rec); err != nil {
+	if _, err := m.Report("w1", hash, rec, nil); err != nil {
 		t.Fatal(err)
 	}
 

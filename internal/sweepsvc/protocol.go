@@ -8,8 +8,9 @@
 // JSONL ledger (a multi-worker extension of internal/runner's journal):
 // sweepd restarts replay the ledger, expired leases are
 // re-issued to other workers, duplicate completions are deduped by the
-// runner spec hash, and a content-addressed result cache keyed by that
-// hash serves repeated points instantly across sweeps. Workers run points
+// runner spec hash, and the point table keyed by that hash is the result
+// cache: no point is ever dropped, so a repeated point is served from its
+// done record instantly across jobs and sweeps. Workers run points
 // under internal/runner's supervision (deadlines, panic isolation,
 // classified retries with jittered backoff) and report results
 // idempotently, so the merged output of a chaotic distributed sweep is

@@ -178,7 +178,7 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "lease: worker name required")
 		return
 	}
-	writeJSON(w, s.m.lease(req.Worker, req.Job))
+	writeJSON(w, s.m.Lease(req.Worker, req.Job))
 }
 
 func (s *Server) handleRenew(w http.ResponseWriter, r *http.Request) {
@@ -204,7 +204,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	if !decode(w, r, &req) {
 		return
 	}
-	resp, err := s.m.ReportTraced(req.Worker, req.Hash, req.Record, req.Trace)
+	resp, err := s.m.Report(req.Worker, req.Hash, req.Record, req.Trace)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -231,7 +231,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	c("sweepd_reports_duplicate_total", mt.ReportsDuplicate)
 	c("sweepd_cache_hits_total", mt.CacheHits)
 	c("sweepd_cache_misses_total", mt.CacheMisses)
-	c("sweepd_cache_evictions_total", mt.CacheEvictions)
 	c("sweepd_replay_warnings_total", mt.ReplayWarnings)
 	c("sweepd_ledger_errors_total", mt.LedgerErrors)
 	c("sweepd_takeovers_total", mt.Takeovers)

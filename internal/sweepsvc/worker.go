@@ -5,10 +5,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
+	"math"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -34,12 +35,12 @@ type Worker struct {
 	Build func(p *JobPoint) (runner.Point, error)
 	// HeartbeatEvery is the lease renewal period (0 = DefaultLeaseTTL/4).
 	HeartbeatEvery time.Duration
-	// PointTimeout / MaxAttempts / RetryBudget configure the supervision
-	// pool per point (zero values = runner defaults; RetryBudget 0 means
-	// no worker-side retries, matching runner.Options).
+	// PointTimeout is the per-point wall-clock deadline (0 = derived from
+	// the point's cycle budget, as runner.Options).
 	PointTimeout time.Duration
-	MaxAttempts  int
-	RetryBudget  int
+	// Retries bounds the retries of a point's retryable failures: a point
+	// runs at most Retries+1 times (0 = no retries).
+	Retries int
 	// IdleSleep is the poll interval when no work is pending (0 = server's
 	// RetryAfter hint, then 500ms).
 	IdleSleep time.Duration
@@ -49,10 +50,10 @@ type Worker struct {
 	// carrying another worker's checkpoints installs them here so the run
 	// resumes mid-flight instead of restarting at cycle zero.
 	CheckpointDir string
-	// Log observes worker progress (nil = silent).
-	Log func(format string, args ...any)
-	// Logger, when non-nil, emits structured lifecycle lines with the
-	// stable obs keys (point, spec_hash, worker, trace).
+	// Logger, when non-nil, logs the worker's lifecycle with the stable
+	// obs keys (point, spec_hash, worker, trace); the worker adds its own
+	// name to every line. Each point logs one "run start" line here and
+	// one "point done" line from its runner pool.
 	Logger *slog.Logger
 	// Spans, when non-nil, records the worker-side half of each point's
 	// span tree (run + heartbeat/checkpoint-ship children), parented
@@ -75,7 +76,8 @@ type Worker struct {
 	// metric automatically.
 	Self *telemetry.SelfCollector
 
-	job string // lease only this job's points (set by Local.Start; "" = any)
+	job string       // lease only this job's points (set by Local.Start; "" = any)
+	log *slog.Logger // Logger with the worker's name (set by Run; never nil)
 
 	pointsDone atomic.Uint64
 
@@ -139,11 +141,8 @@ func (w *Worker) accumulateSim(rec *runner.Record) {
 	}
 }
 
-func (w *Worker) logf(format string, args ...any) {
-	if w.Log != nil {
-		w.Log(format, args...)
-	}
-}
+// discard is the logger of a Worker without one: it drops every level.
+var discard = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.Level(math.MaxInt32)}))
 
 // Run leases, executes and reports points until ctx ends or Drain fires.
 // Transport failures never kill the worker — every call path retries or
@@ -155,6 +154,11 @@ func (w *Worker) Run(ctx context.Context) error {
 	if w.Name == "" {
 		return errors.New("sweepsvc: worker: Name is required")
 	}
+	w.log = w.Logger
+	if w.log == nil {
+		w.log = discard
+	}
+	w.log = w.log.With(obs.KeyWorker, w.Name)
 	// idle ends the worker's waits between points early on a drain too.
 	idle, stop := context.WithCancel(ctx)
 	defer stop()
@@ -165,12 +169,12 @@ func (w *Worker) Run(ctx context.Context) error {
 	// time after the drain fires.
 	stopped := func() bool { return idle.Err() != nil || (w.Drain != nil && w.Drain.Err() != nil) }
 	for !stopped() {
-		lease, err := w.Client.lease(ctx, &LeaseRequest{Worker: w.Name, Job: w.job})
+		lease, err := w.Client.Lease(ctx, &LeaseRequest{Worker: w.Name, Job: w.job})
 		if err != nil {
 			if ctx.Err() != nil {
 				break
 			}
-			w.logf("lease failed (%v); backing off", err)
+			w.log.Warn("lease failed; backing off", "error", err.Error())
 			sleepCtx(idle, time.Second)
 			continue
 		}
@@ -225,21 +229,18 @@ func (w *Worker) runPoint(ctx context.Context, lease *LeaseResponse) {
 		}
 	}
 	prov := func() *obs.Provenance {
-		if w.Provenance == nil {
-			return nil
+		pv := w.Provenance.WithSpec(hash)
+		if pv != nil {
+			pv.Worker, pv.Trace = w.Name, runSC.Trace
 		}
-		pv := *w.Provenance
-		pv.SpecHash = hash
-		pv.Worker = w.Name
-		pv.Trace = runSC.Trace
-		return &pv
+		return pv
 	}
 	pt, err := w.Build(jp)
 	if err != nil {
 		// A spec this worker cannot build (version skew, corrupt spec) is
 		// a terminal failure — report it so the point doesn't ping-pong
 		// between workers forever.
-		w.logf("%s: unbuildable spec: %v", jp.ID, err)
+		w.log.Error("unbuildable spec", obs.KeyPoint, jp.ID, obs.KeySpecHash, hash, "error", err.Error())
 		sp := runSpan(time.Now(), "unbuildable")
 		w.Spans.Record(sp)
 		w.report(ctx, hash, &runner.Record{
@@ -263,11 +264,8 @@ func (w *Worker) runPoint(ctx context.Context, lease *LeaseResponse) {
 		w.heartbeat(runCtx, jp, hash, runSC, cancel)
 	}()
 
-	w.logf("%s: running (hash %s)", jp.ID, hash)
-	if w.Logger != nil {
-		w.Logger.Info("run start", obs.KeyPoint, jp.ID, obs.KeySpecHash, hash,
-			obs.KeyWorker, w.Name, obs.KeyTrace, runSC.Trace, obs.KeySpan, runSC.Span)
-	}
+	w.log.Info("run start", obs.KeyPoint, jp.ID, obs.KeySpecHash, hash,
+		obs.KeyTrace, runSC.Trace, obs.KeySpan, runSC.Span)
 	start := time.Now()
 	// Start marker: if this process is SIGKILLed mid-run, the marker
 	// keeps the (never-completed) run attached to the job's span tree.
@@ -275,15 +273,14 @@ func (w *Worker) runPoint(ctx context.Context, lease *LeaseResponse) {
 	sum, err := runner.Run(runCtx, []runner.Point{pt}, runner.Options{
 		Workers:       1,
 		PointTimeout:  w.PointTimeout,
-		MaxAttempts:   w.MaxAttempts,
-		RetryBudget:   w.RetryBudget,
+		MaxAttempts:   w.Retries + 1,
 		CheckpointDir: w.CheckpointDir,
-		Logger:        w.Logger,
+		Logger:        w.log,
 	})
 	cancel()
 	<-hbDone
 	if err != nil || len(sum.Records) == 0 {
-		w.logf("%s: pool setup failed: %v", jp.ID, err)
+		w.log.Error("pool setup failed", obs.KeyPoint, jp.ID, obs.KeySpecHash, hash, "error", fmt.Sprint(err))
 		return
 	}
 	rec := sum.Records[0]
@@ -295,17 +292,10 @@ func (w *Worker) runPoint(ctx context.Context, lease *LeaseResponse) {
 		// The worker is shutting down or lost its lease mid-run: the point
 		// is incomplete, not failed. Someone else (or this worker, later)
 		// will re-run it; report nothing.
-		w.logf("%s: canceled mid-run; not reporting", jp.ID)
 		return
 	}
 	w.pointsDone.Add(1)
 	w.accumulateSim(rec)
-	w.logf("%s: %s (%d attempts, %.1fs)", jp.ID, rec.Status, rec.Attempts, rec.Seconds)
-	if w.Logger != nil {
-		w.Logger.Info("run done", obs.KeyPoint, jp.ID, obs.KeySpecHash, hash,
-			obs.KeyWorker, w.Name, "status", string(rec.Status),
-			"attempts", rec.Attempts, "seconds", rec.Seconds)
-	}
 	w.report(ctx, hash, rec, runSC)
 }
 
@@ -336,18 +326,14 @@ func (w *Worker) heartbeat(ctx context.Context, jp *JobPoint, hash string, runSC
 		req.Checkpoints, cycles = collectCheckpoints(prefix, shipped)
 		if _, err := w.Client.Renew(ctx, req); err != nil {
 			if errors.Is(err, ErrLeaseLost) {
-				w.logf("lease on %s lost; canceling in-flight run", hash)
-				if w.Logger != nil {
-					w.Logger.Warn("lease lost; canceling in-flight run",
-						obs.KeyPoint, jp.ID, obs.KeySpecHash, hash, obs.KeyWorker, w.Name)
-				}
+				w.log.Warn("lease lost; canceling in-flight run", obs.KeyPoint, jp.ID, obs.KeySpecHash, hash)
 				lost()
 				return
 			}
 			// Transport trouble: keep trying — the lease TTL is the real
 			// deadline, and the client already retried below it. The
 			// un-acknowledged checkpoints re-ship on the next beat.
-			w.logf("heartbeat for %s failed: %v", hash, err)
+			w.log.Warn("heartbeat failed", obs.KeyPoint, jp.ID, obs.KeySpecHash, hash, "error", err.Error())
 			continue
 		}
 		attrs := map[string]string{obs.KeyPoint: jp.ID, obs.KeyWorker: w.Name}
@@ -379,7 +365,7 @@ func collectCheckpoints(prefix string, shipped map[string]uint64) (map[string][]
 	if prefix == "" {
 		return nil, nil
 	}
-	matches, err := filepath.Glob(prefix + ".*.ckpt")
+	matches, err := filepath.Glob(runner.CheckpointGlob(prefix))
 	if err != nil {
 		return nil, nil
 	}
@@ -410,28 +396,30 @@ func collectCheckpoints(prefix string, shipped map[string]uint64) (map[string][]
 
 // installCheckpoints writes lease-shipped checkpoint files into the
 // worker's checkpoint directory so the supervised run resumes from them.
-// Names are confined to plain basenames under the point's own prefix; a
-// newer valid local file (this worker crashed and re-leased its own
-// point) is never overwritten by an older shipped capture.
+// Names are confined to the point's own checkpoint files (a plain
+// basename matching runner.CheckpointGlob); a newer valid local file
+// (this worker crashed and re-leased its own point) is never overwritten
+// by an older shipped capture.
 func (w *Worker) installCheckpoints(jp *JobPoint, ckpts map[string][]byte, fromCycle uint64) {
+	log := w.log.With(obs.KeyPoint, jp.ID)
 	if w.CheckpointDir == "" {
-		w.logf("%s: lease shipped %d checkpoints but no -checkpoint-dir; restarting from scratch", jp.ID, len(ckpts))
+		log.Warn("lease shipped checkpoints but no checkpoint dir; restarting from scratch", "files", len(ckpts))
 		return
 	}
 	if err := os.MkdirAll(w.CheckpointDir, 0o777); err != nil {
-		w.logf("%s: checkpoint dir: %v", jp.ID, err)
+		log.Warn("checkpoint dir", "error", err.Error())
 		return
 	}
-	base := filepath.Base(runner.CheckpointPrefix(w.CheckpointDir, jp.ID))
+	pattern := filepath.Base(runner.CheckpointGlob(runner.CheckpointPrefix(w.CheckpointDir, jp.ID)))
 	installed := 0
 	for name, img := range ckpts {
-		if name != filepath.Base(name) || !strings.HasPrefix(name, base+".") || !strings.HasSuffix(name, ".ckpt") {
-			w.logf("%s: ignoring shipped checkpoint with unexpected name %q", jp.ID, name)
+		if ok, _ := filepath.Match(pattern, name); !ok || name != filepath.Base(name) {
+			log.Warn("ignoring shipped checkpoint with unexpected name", "file", name)
 			continue
 		}
 		meta, payload, err := checkpoint.Decode(img)
 		if err != nil {
-			w.logf("%s: shipped checkpoint %s corrupt: %v", jp.ID, name, err)
+			log.Warn("shipped checkpoint corrupt", "file", name, "error", err.Error())
 			continue
 		}
 		path := filepath.Join(w.CheckpointDir, name)
@@ -439,13 +427,13 @@ func (w *Worker) installCheckpoints(jp *JobPoint, ckpts map[string][]byte, fromC
 			continue
 		}
 		if err := checkpoint.Write(path, meta, payload); err != nil {
-			w.logf("%s: installing checkpoint %s: %v", jp.ID, name, err)
+			log.Warn("installing checkpoint", "file", name, "error", err.Error())
 			continue
 		}
 		installed++
 	}
 	if installed > 0 {
-		w.logf("%s: taking over from cycle %d (%d checkpoint files installed)", jp.ID, fromCycle, installed)
+		log.Info("taking over", obs.KeyCycle, fromCycle, "files", installed)
 	}
 }
 
@@ -461,11 +449,11 @@ func (w *Worker) report(ctx context.Context, hash string, rec *runner.Record, ru
 		resp, err := w.Client.Report(ctx, req)
 		if err == nil {
 			if resp.Duplicate {
-				w.logf("%s: duplicate completion (another worker got there first)", rec.ID)
+				w.log.Info("duplicate completion (another worker got there first)", obs.KeyPoint, rec.ID, obs.KeySpecHash, hash)
 			}
 			return
 		}
-		w.logf("%s: report failed (%v); retrying", rec.ID, err)
+		w.log.Warn("report failed; retrying", obs.KeyPoint, rec.ID, obs.KeySpecHash, hash, "error", err.Error())
 		sleepCtx(ctx, time.Second)
 	}
 }

@@ -236,15 +236,15 @@ func mergeLabels(tags map[string]string, extraK, extraV string) string {
 		if k == extraK {
 			v = extraV
 		}
-		fmt.Fprintf(&sb, "%s=%q", sanitizeLabelName(k), v)
+		fmt.Fprintf(&sb, "%s=%q", promLabelName(k), v)
 	}
 	sb.WriteByte('}')
 	return sb.String()
 }
 
-// sanitizeLabelName maps arbitrary tag keys onto the Prometheus label
+// promLabelName maps arbitrary tag keys onto the Prometheus label
 // grammar [a-zA-Z_][a-zA-Z0-9_]*.
-func sanitizeLabelName(k string) string {
+func promLabelName(k string) string {
 	out := []byte(k)
 	for i, c := range out {
 		ok := c == '_' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (i > 0 && c >= '0' && c <= '9')

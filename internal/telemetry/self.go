@@ -183,7 +183,7 @@ func PromSelf(sb *strings.Builder, prefix string, s *SelfSample, tags map[string
 		}
 		sort.Strings(keys)
 		for _, k := range keys {
-			g("sim_"+sanitizeLabelName(k), float64(s.Sim[k]))
+			g("sim_"+promLabelName(k), float64(s.Sim[k]))
 		}
 	}
 }

@@ -41,13 +41,29 @@ cleanup() {
 }
 trap cleanup EXIT
 
-# fetch_metrics URL — curl in CI, wget as a local fallback.
-fetch_metrics() {
+# fetch URL — curl in CI, wget as a local fallback.
+fetch() {
   if command -v curl >/dev/null 2>&1; then
     curl -fsS "$1" 2>/dev/null
   else
     wget -qO- "$1" 2>/dev/null
   fi
+}
+
+# wait_healthy LOG — poll sweepd's /healthz until it answers, so no worker
+# or client starts against a sweepd that is not listening yet.
+wait_healthy() {
+  for _ in $(seq 1 100); do
+    if fetch "http://$addr/healthz" >/dev/null; then return 0; fi
+    if ! kill -0 "$sweepd_pid" 2>/dev/null; then
+      echo "FAIL: sweepd (pid $sweepd_pid) exited before answering /healthz" >&2
+      tail -n 5 "$1" >&2
+      exit 1
+    fi
+    sleep 0.1
+  done
+  echo "FAIL: sweepd (pid $sweepd_pid) did not answer /healthz within 10s" >&2
+  exit 1
 }
 
 echo "== serial local baseline ($figs, quick scale) =="
@@ -62,6 +78,7 @@ start_sweepd() {
 }
 
 start_sweepd
+wait_healthy "$work/sweepd.log"
 "$work/sweepworker" -server "http://$addr" -name w1 -heartbeat 2s \
   -checkpoint-dir "$work/w1-ckpts" >>"$work/w1.log" 2>&1 &
 w1_pid=$!
@@ -89,9 +106,11 @@ for _ in $(seq 1 120); do
 done
 grep -q '"type":"done"' "$ledger" || { echo "FAIL: no point completed before restart window" >&2; exit 1; }
 kill -9 "$sweepd_pid" 2>/dev/null || true
+# Reap it first: the new sweepd binds the same port.
+wait "$sweepd_pid" 2>/dev/null || true
 echo "killed sweepd (pid $sweepd_pid) mid-sweep; restarting on the same ledger"
-sleep 1
 start_sweepd
+wait_healthy "$work/sweepd.log"
 echo "sweepd restarted (pid $sweepd_pid)"
 
 client=0
@@ -156,10 +175,11 @@ test -s "$work/baseline-ck.json" || { echo "FAIL: no checkpoint-scenario baselin
 # Fresh sweepd on a fresh ledger (the previous one has $ck_fig cached) and
 # a short TTL so the takeover happens quickly after the SIGKILL.
 kill -9 "${sweepd_pid:-}" "${w2_pid:-}" 2>/dev/null || true
+wait "${sweepd_pid:-}" "${w2_pid:-}" 2>/dev/null || true
 "$work/sweepd" -addr "$addr" -ledger "$ledger2" -lease-ttl 5s -expire-every 1s \
   >>"$work/sweepd-ck.log" 2>&1 &
 sweepd_pid=$!
-sleep 1
+wait_healthy "$work/sweepd-ck.log"
 
 "$work/sweepworker" -server "http://$addr" -name w3 -heartbeat 500ms \
   -checkpoint-dir "$work/w3-ckpts" >>"$work/w3.log" 2>&1 &
@@ -174,7 +194,7 @@ client_pid=$!
 shipped=0
 for _ in $(seq 1 240); do
   if grep -q '"type":"done"' "$ledger2" 2>/dev/null; then break; fi
-  if fetch_metrics "http://$addr/metrics" | grep -Eq '^sweepd_checkpoints_stored_total [1-9]'; then
+  if fetch "http://$addr/metrics" | grep -Eq '^sweepd_checkpoints_stored_total [1-9]'; then
     shipped=1
     break
   fi
