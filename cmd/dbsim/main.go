@@ -37,7 +37,6 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/core"
-	"repro/internal/diag"
 	"repro/internal/experiments"
 	"repro/internal/obs"
 	"repro/internal/runner"
@@ -274,7 +273,7 @@ func main() {
 		fatalUsage("unknown workload %q", *workload)
 	}
 	if err != nil {
-		if snap := snapshotOf(err); snap != nil {
+		if snap := runner.SnapshotOf(err); snap != nil {
 			fmt.Fprint(os.Stderr, snap.String())
 		}
 		// A failed run's partial trace is often the most useful diagnostic;
@@ -466,28 +465,6 @@ func buildPipeline(jsonlPath, csvPath, httpAddr string, interval uint64) (*telem
 		pipe.Attach(sink, nil)
 	}
 	return pipe, nil
-}
-
-// snapshotOf extracts the machine-state snapshot attached to a watchdog,
-// cycle-limit, or recovered-panic error, if any.
-func snapshotOf(err error) *diag.Snapshot {
-	var pe *core.ProgressError
-	if errors.As(err, &pe) {
-		return pe.Snapshot
-	}
-	var ce *core.CycleLimitError
-	if errors.As(err, &ce) {
-		return ce.Snapshot
-	}
-	var fe *diag.PanicError
-	if errors.As(err, &fe) {
-		return fe.Snapshot
-	}
-	var cce *core.CanceledError
-	if errors.As(err, &cce) {
-		return cce.Snapshot
-	}
-	return nil
 }
 
 // replayTraces drives the machine from trace files written by cmd/tracegen

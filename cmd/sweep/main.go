@@ -530,10 +530,6 @@ func drive(ctx context.Context, cl *sweepsvc.Client, req *sweepsvc.SubmitRequest
 			}
 		case sweepsvc.PointFailed:
 			logf("%s: failed on %s: %s", ev.ID, ev.Worker, ev.Error)
-		case sweepsvc.PointPending:
-			if ev.Worker == "" && ev.Seq > 0 {
-				logf("%s: lease expired; re-queued", ev.ID)
-			}
 		}
 		if ev.Status.Terminal() {
 			pr.finished[ev.ID] = true

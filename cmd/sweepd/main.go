@@ -10,7 +10,10 @@
 //   - Restarting sweepd on the same -ledger replays the pending → leased →
 //     done|failed state machine; in-flight jobs continue.
 //   - A worker that stops heartbeating loses its lease after -lease-ttl and
-//     the point is re-issued to another worker.
+//     the point is re-issued to another worker. Every other period derives
+//     from -lease-ttl: workers heartbeat at a quarter of it, and idle
+//     workers poll and sweepd scans for expired leases every eighth of it
+//     (at most every 500ms).
 //   - Duplicate completions (expired-lease races, retried RPCs) are deduped
 //     by spec hash: the first terminal record wins, so every point is
 //     recorded exactly once no matter how chaotic the fleet.
@@ -50,8 +53,7 @@ func main() {
 	var (
 		addr        = flag.String("addr", ":8044", "listen address")
 		ledgerPath  = flag.String("ledger", "", "durable JSONL ledger (required; reopening replays it)")
-		leaseTTL    = flag.Duration("lease-ttl", sweepsvc.DefaultLeaseTTL, "lease deadline horizon; a worker silent this long loses its point")
-		expireEvery = flag.Duration("expire-every", time.Second, "expired-lease scan interval")
+		leaseTTL    = flag.Duration("lease-ttl", sweepsvc.DefaultLeaseTTL, "lease deadline horizon; a worker silent this long loses its point (workers heartbeat at a quarter of it; idle polls and the expired-lease scan run every eighth of it, at most 500ms)")
 		spanLogPath = flag.String("span-log", "", "append-only JSONL span log (server half of each job's trace; stitch with sweeptrace)")
 	)
 	flag.Parse()
@@ -95,7 +97,7 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	go srv.ExpireLoop(ctx, *expireEvery)
+	go srv.ExpireLoop(ctx)
 	go func() {
 		<-ctx.Done()
 		logger.Info("shutting down")

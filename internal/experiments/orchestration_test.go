@@ -69,7 +69,6 @@ func TestFaultStormRecovered(t *testing.T) {
 	defer j.Close()
 	sum, err := runner.Run(context.Background(), []runner.Point{pt}, runner.Options{
 		PointTimeout: 2 * time.Minute,
-		BackoffBase:  time.Millisecond,
 		MaxAttempts:  3,
 		Journal:      j,
 	})

@@ -8,10 +8,12 @@
 // isolation — a crash in one point becomes a *diag.PanicError result
 // instead of killing sibling workers. Failures are classified
 // (ProgressError / CycleLimitError / panic / timeout / canceled) and only
-// retryable ones are retried, with capped exponential backoff, up to
-// Options.MaxAttempts tries per point; a fault-injected point that
-// livelocks is retried with its fault profile disabled and recorded as
-// recovered_after_fault, preserving the original diagnostic snapshot.
+// retryable ones are retried, with jittered capped exponential backoff
+// (DefaultBackoffBase doubling to DefaultBackoffCap, DefaultBackoffJitter
+// of each delay drawn at random), up to Options.MaxAttempts tries per
+// point; a fault-injected point that livelocks is retried with its fault
+// profile disabled and recorded as recovered_after_fault, preserving the
+// original diagnostic snapshot.
 // Outcomes stream to a durable JSONL journal as each point completes.
 //
 // Every point builds its own core.System, so worker parallelism cannot
@@ -181,20 +183,6 @@ type Options struct {
 	PointTimeout time.Duration
 	// MaxAttempts bounds tries per point (<=1 = one try, no retries).
 	MaxAttempts int
-	// BackoffBase is the delay before the first retry (0 =
-	// DefaultBackoffBase); it doubles per attempt up to BackoffCap (0 =
-	// DefaultBackoffCap).
-	BackoffBase time.Duration
-	BackoffCap  time.Duration
-	// BackoffJitter randomizes each retry delay so concurrent workers
-	// retrying the same transient fault (a loaded host, a flaky sweepd)
-	// don't synchronize into retry storms: a delay d becomes
-	// d*(1-j) + U[0, d*j). 0 means DefaultBackoffJitter; negative disables
-	// jitter (exact exponential delays, used by deterministic tests).
-	BackoffJitter float64
-	// JitterSeed seeds the jitter stream (0 = derived from wall clock, so
-	// distinct worker processes draw distinct schedules).
-	JitterSeed uint64
 	// CheckpointDir, when non-empty, gives every point a stable
 	// checkpoint path prefix under this directory (created if missing),
 	// passed to Point.Run via Attempt.CheckpointPath. Retries — and
@@ -225,6 +213,17 @@ const (
 	DefaultBackoffCap    = 10 * time.Second
 	DefaultBackoffJitter = 0.5
 )
+
+// retry is the backoff schedule between a point's tries: the delay
+// before the first retry, the cap it doubles up to, and the fraction of
+// each delay drawn at random so concurrent workers retrying the same
+// transient fault (a loaded host, a flaky sweepd) don't synchronize into
+// retry storms. It is the Default* constants; tests in this package may
+// change it.
+var retry = struct {
+	base, cap time.Duration
+	jitter    float64
+}{DefaultBackoffBase, DefaultBackoffCap, DefaultBackoffJitter}
 
 // Summary aggregates a pool run. Records holds one record per input point
 // in input order; skipped points get a synthetic StatusSkipped record.
@@ -257,19 +256,6 @@ func (s *Summary) Complete() bool {
 	return s.Failed+s.Canceled+s.Skipped == 0
 }
 
-// ExitCode maps the summary onto the CLI exit-code convention: 0 = every
-// point succeeded, 3 = partial success (some points succeeded, some failed
-// or never ran), 1 = nothing succeeded.
-func (s *Summary) ExitCode() int {
-	switch {
-	case s.Complete():
-		return 0
-	case s.OK+s.Recovered > 0:
-		return 3
-	}
-	return 1
-}
-
 // Run executes the points under opt. Canceling ctx aborts in-flight
 // points (their Run contexts are children of ctx) and skips the rest. Run
 // itself returns an error only for setup problems (duplicate point IDs);
@@ -287,19 +273,13 @@ type pool struct {
 	timeout func(Point) time.Duration
 	eventMu sync.Mutex
 
-	jitterMu  sync.Mutex // workers draw retry jitter concurrently
-	jitterRng *fault.Stream
+	jitterMu  sync.Mutex    // workers draw retry jitter concurrently
+	jitterRng *fault.Stream // seeded from the clock: processes draw distinct schedules
 }
 
 func newPool(points []Point, opt Options) (*pool, error) {
 	if opt.Workers <= 0 {
 		opt.Workers = 1
-	}
-	if opt.BackoffBase <= 0 {
-		opt.BackoffBase = DefaultBackoffBase
-	}
-	if opt.BackoffCap <= 0 {
-		opt.BackoffCap = DefaultBackoffCap
 	}
 	seen := make(map[string]bool, len(points))
 	for _, pt := range points {
@@ -313,7 +293,7 @@ func newPool(points []Point, opt Options) (*pool, error) {
 			return nil, fmt.Errorf("runner: checkpoint dir: %w", err)
 		}
 	}
-	p := &pool{opt: opt}
+	p := &pool{opt: opt, jitterRng: fault.NewStream(uint64(time.Now().UnixNano()))}
 	p.timeout = func(pt Point) time.Duration {
 		if opt.PointTimeout > 0 {
 			return opt.PointTimeout
@@ -329,16 +309,6 @@ func newPool(points []Point, opt Options) (*pool, error) {
 			d = DefaultWallClockCap
 		}
 		return d
-	}
-	if opt.BackoffJitter == 0 {
-		p.opt.BackoffJitter = DefaultBackoffJitter
-	}
-	if p.opt.BackoffJitter > 0 {
-		seed := opt.JitterSeed
-		if seed == 0 {
-			seed = uint64(time.Now().UnixNano())
-		}
-		p.jitterRng = fault.NewStream(seed)
 	}
 	return p, nil
 }
@@ -443,7 +413,7 @@ func (p *pool) runPoint(ctx context.Context, pt Point) *Record {
 		if faulted && class != ClassTimeout {
 			disableFaults = true
 		}
-		delay := p.jitter(p.backoff(attempt))
+		delay := p.jitter(backoff(attempt))
 		if p.opt.Logger != nil {
 			p.opt.Logger.Warn("point retry", obs.KeyPoint, pt.ID, obs.KeySpecHash, rec.SpecHash,
 				"attempt", attempt+1, "error", err.Error(), "delay", delay.String())
@@ -553,19 +523,13 @@ func removeCheckpoints(prefix string) {
 	}
 }
 
-// jitter randomizes a backoff delay: d*(1-j) + U[0, d*j). With jitter
-// disabled (or a zero delay) it returns d unchanged. Randomizing each
-// worker's schedule keeps concurrent retries of the same transient fault
-// from synchronizing into a retry storm.
+// jitter randomizes a backoff delay by the schedule's jitter j:
+// d*(1-j) + U[0, d*j). A jitter of 0 or less returns d unchanged.
 func (p *pool) jitter(d time.Duration) time.Duration {
-	if p.jitterRng == nil || d <= 0 {
+	if retry.jitter <= 0 {
 		return d
 	}
-	j := p.opt.BackoffJitter
-	if j > 1 {
-		j = 1
-	}
-	span := float64(d) * j
+	span := float64(d) * retry.jitter
 	p.jitterMu.Lock()
 	u := p.jitterRng.Float()
 	p.jitterMu.Unlock()
@@ -574,15 +538,12 @@ func (p *pool) jitter(d time.Duration) time.Duration {
 
 // backoff returns the capped exponential delay before retrying after the
 // attempt-th try (0-based).
-func (p *pool) backoff(attempt int) time.Duration {
-	d := p.opt.BackoffBase
-	for i := 0; i < attempt && d < p.opt.BackoffCap; i++ {
+func backoff(attempt int) time.Duration {
+	d := retry.base
+	for i := 0; i < attempt && d < retry.cap; i++ {
 		d *= 2
 	}
-	if d > p.opt.BackoffCap {
-		d = p.opt.BackoffCap
-	}
-	return d
+	return min(d, retry.cap)
 }
 
 // sleepCtx sleeps for d unless ctx ends first; reports whether the full

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/diag"
+	"repro/internal/fault"
 )
 
 // okPoint returns a point that succeeds immediately with value v.
@@ -28,8 +29,6 @@ func fastOpts() Options {
 	return Options{
 		Workers:      2,
 		PointTimeout: 5 * time.Second,
-		BackoffBase:  time.Millisecond,
-		BackoffCap:   4 * time.Millisecond,
 		MaxAttempts:  3,
 	}
 }
@@ -82,9 +81,6 @@ func TestPanicIsolation(t *testing.T) {
 	}
 	if rec.Error == "" {
 		t.Error("panic record has no error text")
-	}
-	if sum.ExitCode() != 3 {
-		t.Errorf("exit code = %d, want 3 (partial success)", sum.ExitCode())
 	}
 }
 
@@ -141,9 +137,6 @@ func TestDeterministicFailureNotRetried(t *testing.T) {
 	if rec.Status != StatusFailed || rec.Class != ClassProgress || rec.Diag == nil {
 		t.Fatalf("record = %+v, want failed/progress with diag", rec)
 	}
-	if sum.ExitCode() != 1 {
-		t.Errorf("exit code = %d, want 1 (nothing succeeded)", sum.ExitCode())
-	}
 }
 
 // TestFaultyRetriedWithFaultsDisabled: a fault-injected point whose first
@@ -176,20 +169,14 @@ func TestFaultyRetriedWithFaultsDisabled(t *testing.T) {
 	if rec.Class != ClassProgress || rec.Error == "" {
 		t.Errorf("root cause not recorded: class=%q error=%q", rec.Class, rec.Error)
 	}
-	if sum.ExitCode() != 0 {
-		t.Errorf("exit code = %d, want 0 (recovered counts as success)", sum.ExitCode())
-	}
 }
 
 // TestBackoffCap: the exponential delay never exceeds the cap.
 func TestBackoffCap(t *testing.T) {
-	p, err := newPool(nil, Options{BackoffBase: time.Second, BackoffCap: 5 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []time.Duration{time.Second, 2 * time.Second, 4 * time.Second, 5 * time.Second, 5 * time.Second}
+	want := []time.Duration{250 * time.Millisecond, 500 * time.Millisecond, time.Second,
+		2 * time.Second, 4 * time.Second, 8 * time.Second, 10 * time.Second, 10 * time.Second}
 	for i, w := range want {
-		if got := p.backoff(i); got != w {
+		if got := backoff(i); got != w {
 			t.Errorf("backoff(%d) = %v, want %v", i, got, w)
 		}
 	}
@@ -231,14 +218,17 @@ func TestDuplicateIDsRejected(t *testing.T) {
 // TestBackoffJitter: jittered delays stay inside [d*(1-j), d), the same
 // seed draws the same sequence, and a negative jitter disables it.
 func TestBackoffJitter(t *testing.T) {
-	mk := func(jit float64, seed uint64) *pool {
-		p, err := newPool(nil, Options{
-			BackoffBase: time.Second, BackoffCap: 8 * time.Second,
-			BackoffJitter: jit, JitterSeed: seed,
-		})
+	// mk returns a pool drawing from seed under jitter jit (the schedule's
+	// jitter is restored when the test ends).
+	mk := func(t *testing.T, jit float64, seed uint64) *pool {
+		saved := retry.jitter
+		t.Cleanup(func() { retry.jitter = saved })
+		retry.jitter = jit
+		p, err := newPool(nil, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
+		p.jitterRng = fault.NewStream(seed)
 		return p
 	}
 	cases := []struct {
@@ -246,15 +236,15 @@ func TestBackoffJitter(t *testing.T) {
 		jit  float64
 		lo   float64 // fraction of d
 	}{
-		{"default-half", 0, 0.5}, // 0 means DefaultBackoffJitter
+		{"default-half", DefaultBackoffJitter, 0.5},
 		{"quarter", 0.25, 0.75},
 		{"full", 1.0, 0.0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			p := mk(tc.jit, 42)
+			p := mk(t, tc.jit, 42)
 			for attempt := 0; attempt < 4; attempt++ {
-				d := p.backoff(attempt)
+				d := backoff(attempt)
 				for i := 0; i < 50; i++ {
 					got := p.jitter(d)
 					if got < time.Duration(tc.lo*float64(d)) || got > d {
@@ -267,7 +257,7 @@ func TestBackoffJitter(t *testing.T) {
 	}
 
 	t.Run("seed-deterministic", func(t *testing.T) {
-		a, b := mk(0.5, 7), mk(0.5, 7)
+		a, b := mk(t, 0.5, 7), mk(t, 0.5, 7)
 		for i := 0; i < 32; i++ {
 			if da, db := a.jitter(time.Second), b.jitter(time.Second); da != db {
 				t.Fatalf("draw %d: %v vs %v — same seed must draw same jitter", i, da, db)
@@ -276,7 +266,7 @@ func TestBackoffJitter(t *testing.T) {
 	})
 
 	t.Run("negative-disables", func(t *testing.T) {
-		p := mk(-1, 42)
+		p := mk(t, -1, 42)
 		for i := 0; i < 8; i++ {
 			if got := p.jitter(time.Second); got != time.Second {
 				t.Fatalf("jitter disabled but got %v, want exactly 1s", got)
@@ -333,7 +323,6 @@ func TestCheckpointPathLifecycle(t *testing.T) {
 	}
 	sum, err := Run(context.Background(), pts, Options{
 		Workers: 1, PointTimeout: 5 * time.Second, MaxAttempts: 3,
-		BackoffBase: time.Millisecond, BackoffCap: time.Millisecond,
 		CheckpointDir: dir,
 	})
 	if err != nil {

@@ -107,8 +107,9 @@ func serialBaseline(t *testing.T, grid []JobPoint, delay time.Duration) []byte {
 }
 
 // chaosServer is a restartable sweepd: kill() drops every client
-// connection and closes the ledger; start() replays the same ledger into a
-// fresh Manager on a fresh listener. addr is what the rewriteTransport
+// connection, stops the expiry loop and closes the ledger; start() replays
+// the same ledger into a fresh Manager on a fresh listener and runs its
+// Server.ExpireLoop, as sweepd does. addr is what the rewriteTransport
 // routes to, so clients and workers follow the server across restarts.
 type chaosServer struct {
 	t      *testing.T
@@ -117,9 +118,10 @@ type chaosServer struct {
 
 	addr atomic.Value // host:port
 
-	mu  sync.Mutex
-	m   *Manager
-	srv *httptest.Server
+	mu         sync.Mutex
+	m          *Manager
+	srv        *httptest.Server
+	stopExpiry context.CancelFunc
 }
 
 func (cs *chaosServer) start() {
@@ -133,9 +135,12 @@ func (cs *chaosServer) start() {
 	if err != nil {
 		cs.t.Fatalf("chaos server start: %v", err)
 	}
-	srv := httptest.NewServer(NewServer(m).Handler())
+	s := NewServer(m)
+	srv := httptest.NewServer(s.Handler())
+	ctx, stop := context.WithCancel(context.Background())
+	go s.ExpireLoop(ctx)
 	u, _ := url.Parse(srv.URL)
-	cs.m, cs.srv = m, srv
+	cs.m, cs.srv, cs.stopExpiry = m, srv, stop
 	cs.addr.Store(u.Host)
 	cs.t.Logf("chaos: sweepd up at %s", u.Host)
 }
@@ -143,6 +148,7 @@ func (cs *chaosServer) start() {
 func (cs *chaosServer) kill() {
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
+	cs.stopExpiry()
 	cs.srv.CloseClientConnections()
 	cs.srv.Close()
 	cs.m.Close()
@@ -152,22 +158,6 @@ func (cs *chaosServer) kill() {
 func (cs *chaosServer) restart() {
 	cs.kill()
 	cs.start()
-}
-
-// expireLoop runs lease expiry against whichever manager is current.
-func (cs *chaosServer) expireLoop(ctx context.Context, every time.Duration) {
-	t := time.NewTicker(every)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-			cs.mu.Lock()
-			cs.m.ExpireLeases()
-			cs.mu.Unlock()
-		}
-	}
 }
 
 func (cs *chaosServer) snapshotMetrics() Metrics {
@@ -224,7 +214,6 @@ func TestChaosSweep(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	go cs.expireLoop(ctx, 100*time.Millisecond)
 
 	// Every RPC — client and workers alike — crosses the seeded fault
 	// transport, then gets routed to the current server address.
@@ -251,13 +240,11 @@ func TestChaosSweep(t *testing.T) {
 		wctx, wcancel := context.WithCancel(ctx)
 		workerCtx[i] = wcancel
 		w := &Worker{
-			Client:         newClient(),
-			Name:           name,
-			Build:          buildChaosPoint(pointDelay),
-			HeartbeatEvery: leaseTTL / 4,
-			PointTimeout:   5 * time.Second,
-			IdleSleep:      25 * time.Millisecond,
-			Logger:         testLogger(t),
+			Client:       newClient(),
+			Name:         name,
+			Build:        buildChaosPoint(pointDelay),
+			PointTimeout: 5 * time.Second,
+			Logger:       testLogger(t),
 		}
 		wg.Add(1)
 		go func() { defer wg.Done(); w.Run(wctx) }()
@@ -286,11 +273,7 @@ func TestChaosSweep(t *testing.T) {
 	}()
 
 	st, err := client.WaitJob(ctx, "chaos", func(ev Event) {
-		if ev.Status == PointPending && ev.Seq > 0 {
-			t.Logf("event: %s re-queued (lease expired)", ev.ID)
-		} else {
-			t.Logf("event: %s %s (worker %s)", ev.ID, ev.Status, ev.Worker)
-		}
+		t.Logf("event: %s %s (worker %s)", ev.ID, ev.Status, ev.Worker)
 	})
 	if err != nil {
 		t.Fatalf("wait: %v", err)
@@ -489,7 +472,7 @@ func TestChaosCheckpointTakeover(t *testing.T) {
 		cycles    = 1000
 		stepDelay = 2 * time.Millisecond
 		leaseTTL  = 600 * time.Millisecond
-		heartbeat = 100 * time.Millisecond
+		heartbeat = leaseTTL / 4 // the workers' derived beat
 	)
 	sp := ckChaosSpec{Kind: "ck-chaos", Name: "ck-pt", Cycles: cycles}
 	raw, _ := json.Marshal(sp)
@@ -521,19 +504,16 @@ func TestChaosCheckpointTakeover(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	go cs.expireLoop(ctx, 50*time.Millisecond)
 
 	httpClient := &http.Client{Transport: &rewriteTransport{addr: &cs.addr}}
 	newWorker := func(name string, tr *ckChaosTracker) *Worker {
 		return &Worker{
-			Client:         &Client{Base: "http://sweepd.chaos", HTTP: httpClient},
-			Name:           name,
-			Build:          buildCkChaosPoint(stepDelay, tr),
-			HeartbeatEvery: heartbeat,
-			PointTimeout:   30 * time.Second,
-			IdleSleep:      25 * time.Millisecond,
-			CheckpointDir:  filepath.Join(t.TempDir(), name+"-ckpts"),
-			Logger:         testLogger(t),
+			Client:        &Client{Base: "http://sweepd.chaos", HTTP: httpClient},
+			Name:          name,
+			Build:         buildCkChaosPoint(stepDelay, tr),
+			PointTimeout:  30 * time.Second,
+			CheckpointDir: filepath.Join(t.TempDir(), name+"-ckpts"),
+			Logger:        testLogger(t),
 		}
 	}
 

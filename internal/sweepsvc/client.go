@@ -15,22 +15,23 @@ import (
 )
 
 // Client talks to sweepd. Every call retries transparently on transport
-// errors and 5xx with capped backoff — the protocol is designed so each
-// request is idempotent (leases are sticky per worker, reports dedupe by
-// hash), which is what makes blind retry safe across dropped RPCs and
-// sweepd restarts.
+// errors and 5xx with capped backoff for up to callBudget — the protocol
+// is designed so each request is idempotent (leases are sticky per
+// worker, reports dedupe by hash), which is what makes blind retry safe
+// across dropped RPCs and sweepd restarts.
 type Client struct {
 	// Base is the server root, e.g. "http://127.0.0.1:8044".
 	Base string
 	// HTTP is the transport (nil = http.DefaultClient). The chaos harness
 	// installs a fault-injecting RoundTripper here.
 	HTTP *http.Client
-	// MaxElapsed bounds how long one call keeps retrying before giving up
-	// (0 = 2 minutes; covers a sweepd restart).
-	MaxElapsed time.Duration
 	// OnRetry observes call retries (nil = silent).
 	OnRetry func(op string, err error, delay time.Duration)
 }
+
+// callBudget bounds how long one call keeps retrying before giving up;
+// it covers a sweepd restart.
+const callBudget = 2 * time.Minute
 
 type httpStatusError struct {
 	code int
@@ -49,11 +50,7 @@ func (c *Client) client() *http.Client {
 // call POSTs (or GETs when in == nil and method says so) JSON and decodes
 // the JSON response into out, retrying transient failures.
 func (c *Client) call(ctx context.Context, method, path string, in, out any) error {
-	maxElapsed := c.MaxElapsed
-	if maxElapsed <= 0 {
-		maxElapsed = 2 * time.Minute
-	}
-	deadline := time.Now().Add(maxElapsed)
+	deadline := time.Now().Add(callBudget)
 	delay := 100 * time.Millisecond
 	var lastErr error
 	for {

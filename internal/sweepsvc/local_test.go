@@ -485,3 +485,67 @@ func TestWorkerRetries(t *testing.T) {
 		t.Fatalf("point %+v after %d tries, want done after 5 attempts", ps, tries.Load())
 	}
 }
+
+// TestWorkerShortLeaseTTL: a point that runs longer than a short lease
+// TTL keeps its lease. The busy worker beats at a quarter of the TTL
+// sweepd granted, so the idle worker's lease polls, which expire overdue
+// leases, never take the point from it: it is leased once and no lease
+// expires.
+func TestWorkerShortLeaseTTL(t *testing.T) {
+	grid := tinyGrid(1)
+	loc := newLocal(t, "", 300*time.Millisecond)
+	defer loc.Close()
+	var runs atomic.Int32
+	build := func(jp *JobPoint) (runner.Point, error) {
+		return runner.Point{ID: jp.ID, Spec: jp.Spec, Run: func(ctx context.Context, _ runner.Attempt) (any, error) {
+			runs.Add(1)
+			sleepCtx(ctx, time.Second)
+			return "ok", ctx.Err()
+		}}, nil
+	}
+	if st := runLocal(t, loc, GridJobID(grid), grid, 2, build); st.Done != 1 {
+		t.Fatalf("status %+v, want 1 done", st)
+	}
+	mt := loc.m.MetricsSnapshot()
+	if mt.LeasesIssued != 1 || mt.LeasesExpired != 0 || runs.Load() != 1 {
+		t.Errorf("%d leases issued, %d expired, %d runs; want 1, 0, 1", mt.LeasesIssued, mt.LeasesExpired, runs.Load())
+	}
+	if mt.LeasesRenewed < 2 {
+		t.Errorf("%d renewals over a 1s point under a 300ms TTL, want several", mt.LeasesRenewed)
+	}
+}
+
+// TestHeartbeatFollowsRenewedTTL: the worker's first beat follows the TTL
+// on its lease, and every later beat the TTL on the last renewal, so a
+// TTL that changes mid-run changes the heartbeat period with it.
+func TestHeartbeatFollowsRenewedTTL(t *testing.T) {
+	grid := tinyGrid(1)
+	loc := newLocal(t, "", 2*time.Second) // first beat after 500ms
+	defer loc.Close()
+	renewed := func() uint64 { return loc.m.MetricsSnapshot().LeasesRenewed }
+	var early uint64
+	build := func(jp *JobPoint) (runner.Point, error) {
+		return runner.Point{ID: jp.ID, Spec: jp.Spec, Run: func(ctx context.Context, _ runner.Attempt) (any, error) {
+			// The lease is granted: renewals from now on grant 200ms,
+			// a 50ms beat.
+			loc.m.mu.Lock()
+			loc.m.ttl = 200 * time.Millisecond
+			loc.m.mu.Unlock()
+			sleepCtx(ctx, 250*time.Millisecond)
+			early = renewed()
+			sleepCtx(ctx, time.Second)
+			return "ok", ctx.Err()
+		}}, nil
+	}
+	if st := runLocal(t, loc, GridJobID(grid), grid, 1, build); st.Done != 1 {
+		t.Fatalf("status %+v, want 1 done", st)
+	}
+	if early != 0 {
+		t.Errorf("%d renewals 250ms into a lease granted for 2s, want 0 (first beat at 500ms)", early)
+	}
+	// The first renewal lands at 500ms; at a 50ms beat the remaining
+	// ~750ms hold about 15 more.
+	if n, mt := renewed(), loc.m.MetricsSnapshot(); n < 6 || mt.LeasesExpired != 0 {
+		t.Errorf("%d renewals, %d leases expired; want at least 6 renewals (the 200ms TTL's 50ms beat) and none expired", n, mt.LeasesExpired)
+	}
+}

@@ -21,10 +21,14 @@ import (
 var ErrLeaseLost = errors.New("sweepsvc: lease lost")
 
 // DefaultLeaseTTL is the lease deadline horizon granted on lease and on
-// every renewal. Workers heartbeat at a fraction of this; a worker that
-// misses a full TTL of heartbeats is presumed dead and its point is
-// re-issued.
+// every renewal. Workers heartbeat at a quarter of the TTL they are
+// granted; a worker that misses a full TTL of heartbeats is presumed dead
+// and its point is re-issued.
 const DefaultLeaseTTL = 30 * time.Second
+
+// maxTick caps the manager's tick: TTL/8, the idle workers' poll hint and
+// sweepd's expired-lease scan period.
+const maxTick = 500 * time.Millisecond
 
 // pointState is the authoritative per-hash state. A hash is global: jobs
 // submitting the same spec share one state, one execution, one result.
@@ -148,6 +152,7 @@ type Manager struct {
 	mu     sync.Mutex
 	now    func() time.Time
 	ttl    time.Duration
+	tick   time.Duration   // min(ttl/8, maxTick), at least 1ms: idle poll and expiry scan period
 	ledger *runner.Journal // the ledger's durable appender; nil = in-memory
 	log    *slog.Logger    // nil = no logs
 	spans  *obs.SpanLog    // nil-safe: tracing off still propagates contexts
@@ -166,7 +171,8 @@ type ManagerOptions struct {
 	// LedgerPath is the durable ledger file; replayed on open. Empty runs
 	// the manager in-memory only (tests).
 	LedgerPath string
-	// LeaseTTL is the lease deadline horizon (0 = DefaultLeaseTTL).
+	// LeaseTTL is the lease deadline horizon (0 = DefaultLeaseTTL). The
+	// workers' heartbeat and the manager's tick derive from it.
 	LeaseTTL time.Duration
 	// Now overrides the clock (tests); nil = time.Now.
 	Now func() time.Time
@@ -198,6 +204,7 @@ func NewManager(opt ManagerOptions) (*Manager, error) {
 	if m.ttl <= 0 {
 		m.ttl = DefaultLeaseTTL
 	}
+	m.tick = max(min(m.ttl/8, maxTick), time.Millisecond)
 	if opt.LedgerPath != "" {
 		warn := func(format string, args ...any) {
 			m.metrics.ReplayWarnings++
@@ -484,7 +491,7 @@ func (m *Manager) Lease(worker, job string) *LeaseResponse {
 		}
 	}
 	if next < 0 {
-		return &LeaseResponse{RetryAfterMS: 500}
+		return &LeaseResponse{RetryAfterMS: m.tick.Milliseconds()}
 	}
 	hash := m.pending[next]
 	m.pending = append(m.pending[:next], m.pending[next+1:]...)
@@ -530,6 +537,7 @@ func (m *Manager) leaseResponse(p *pointState) *LeaseResponse {
 			Faulty:    p.faulty,
 		},
 		DeadlineUnix: p.deadline.UnixMilli(),
+		TTLMS:        m.ttl.Milliseconds(),
 	}
 	if len(p.ckpts) > 0 {
 		resp.Checkpoints = make(map[string][]byte, len(p.ckpts))
@@ -594,7 +602,7 @@ func (m *Manager) Renew(worker, hash string, ckpts map[string][]byte) (*RenewRes
 	}
 	p.deadline = m.now().Add(m.ttl)
 	m.metrics.LeasesRenewed++
-	return &RenewResponse{DeadlineUnix: p.deadline.UnixMilli()}, nil
+	return &RenewResponse{DeadlineUnix: p.deadline.UnixMilli(), TTLMS: m.ttl.Milliseconds()}, nil
 }
 
 // Report records a point's terminal record, idempotently: the first
@@ -657,8 +665,8 @@ func (m *Manager) Report(worker, hash string, rec *runner.Record, tr *obs.SpanCo
 }
 
 // ExpireLeases re-queues every lease whose deadline has passed and returns
-// how many were re-issued to pending. Called on sweepd's expiry ticker and
-// before every lease grant.
+// how many were re-issued to pending. Called by Server.ExpireLoop and
+// before every lease grant and renewal.
 func (m *Manager) ExpireLeases() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()

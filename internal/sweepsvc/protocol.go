@@ -16,6 +16,13 @@
 // idempotently, so the merged output of a chaotic distributed sweep is
 // bit-identical to a serial local run — asserted by the in-repo chaos
 // harness (chaos_test.go, scripts/chaos_smoke.sh).
+//
+// The lease TTL (ManagerOptions.LeaseTTL) is the service's one timing
+// setting. Workers heartbeat at a quarter of the TTL each lease and
+// renewal carries; the manager's tick, min(TTL/8, 500ms), is both the
+// poll hint handed to idle workers and Server.ExpireLoop's scan period.
+// Client retries, worker back-offs and runner retry backoff are fixed
+// constants.
 package sweepsvc
 
 import (
@@ -125,7 +132,9 @@ type LeaseRequest struct {
 }
 
 // LeaseResponse carries the leased point, or no point plus a poll hint
-// when nothing is pending.
+// when nothing is pending. TTLMS is the lease TTL sweepd granted, as a
+// duration rather than a deadline so that no host clock need agree with
+// sweepd's: the worker heartbeats at a quarter of it.
 //
 // Checkpoints, when present, are the point's latest mid-run checkpoint
 // files (basename → verbatim file bytes) shipped by the previous lease
@@ -136,6 +145,7 @@ type LeaseRequest struct {
 type LeaseResponse struct {
 	Point           *JobPoint         `json:"point,omitempty"`
 	DeadlineUnix    int64             `json:"deadline_unix_ms,omitempty"`
+	TTLMS           int64             `json:"ttl_ms,omitempty"`
 	RetryAfterMS    int64             `json:"retry_after_ms,omitempty"`
 	Checkpoints     map[string][]byte `json:"checkpoints,omitempty"`
 	CheckpointCycle uint64            `json:"checkpoint_cycle,omitempty"`
@@ -162,9 +172,11 @@ type RenewRequest struct {
 	Checkpoints map[string][]byte     `json:"checkpoints,omitempty"`
 }
 
-// RenewResponse returns the extended deadline.
+// RenewResponse returns the extended deadline and the TTL it was
+// extended by, from which the worker times its next heartbeat.
 type RenewResponse struct {
 	DeadlineUnix int64 `json:"deadline_unix_ms"`
+	TTLMS        int64 `json:"ttl_ms"`
 }
 
 // ReportRequest reports a point's terminal record. Reports are idempotent

@@ -57,14 +57,12 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// ExpireLoop re-queues expired leases every interval until ctx ends
-// (sweepd runs this alongside the HTTP server so dead workers' points are
-// re-issued even when no live worker is polling).
-func (s *Server) ExpireLoop(ctx context.Context, interval time.Duration) {
-	if interval <= 0 {
-		interval = time.Second
-	}
-	t := time.NewTicker(interval)
+// ExpireLoop re-queues expired leases every manager tick (an eighth of
+// the lease TTL, at most 500ms) until ctx ends. sweepd runs it alongside
+// the HTTP server so dead workers' points are re-issued even when no live
+// worker is polling.
+func (s *Server) ExpireLoop(ctx context.Context) {
+	t := time.NewTicker(s.m.tick)
 	defer t.Stop()
 	for {
 		select {

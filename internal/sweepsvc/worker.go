@@ -23,27 +23,24 @@ import (
 // Worker pulls leased points from sweepd and runs them through
 // internal/runner's supervision: per-point deadlines, panic isolation,
 // classified failures, capped-backoff retries with jitter. While a point
-// runs, a heartbeat goroutine renews the lease (piggybacking the worker's
-// self-monitoring sample); a lost lease cancels the in-flight point — its
-// spec was re-issued elsewhere — and the terminal record is reported
-// idempotently either way.
+// runs, a heartbeat goroutine renews the lease at a quarter of the TTL
+// sweepd granted (piggybacking the worker's self-monitoring sample); a
+// lost lease cancels the in-flight point — its spec was re-issued
+// elsewhere — and the terminal record is reported idempotently either
+// way. With nothing pending, the worker polls again after sweepd's
+// retry-after hint.
 type Worker struct {
 	Client *Client
 	Name   string
 	// Build turns a leased point's spec into a runnable runner.Point
 	// (cmd/sweepworker wires experiments.PointFromSpec).
 	Build func(p *JobPoint) (runner.Point, error)
-	// HeartbeatEvery is the lease renewal period (0 = DefaultLeaseTTL/4).
-	HeartbeatEvery time.Duration
 	// PointTimeout is the per-point wall-clock deadline (0 = derived from
 	// the point's cycle budget, as runner.Options).
 	PointTimeout time.Duration
 	// Retries bounds the retries of a point's retryable failures: a point
 	// runs at most Retries+1 times (0 = no retries).
 	Retries int
-	// IdleSleep is the poll interval when no work is pending (0 = server's
-	// RetryAfter hint, then 500ms).
-	IdleSleep time.Duration
 	// CheckpointDir, when non-empty, makes points preemptible and
 	// migratable: runs checkpoint under it (runner.Options.CheckpointDir),
 	// heartbeats ship each new capture to sweepd, and a lease that arrives
@@ -179,12 +176,9 @@ func (w *Worker) Run(ctx context.Context) error {
 			continue
 		}
 		if lease.Point == nil {
-			d := w.IdleSleep
+			d := time.Duration(lease.RetryAfterMS) * time.Millisecond
 			if d <= 0 {
-				d = 500 * time.Millisecond
-				if lease.RetryAfterMS > 0 {
-					d = time.Duration(lease.RetryAfterMS) * time.Millisecond
-				}
+				d = maxTick // a sweepd that sends no hint is not polled in a hot loop
 			}
 			sleepCtx(idle, d)
 			continue
@@ -261,7 +255,7 @@ func (w *Worker) runPoint(ctx context.Context, lease *LeaseResponse) {
 	hbDone := make(chan struct{})
 	go func() {
 		defer close(hbDone)
-		w.heartbeat(runCtx, jp, hash, runSC, cancel)
+		w.heartbeat(runCtx, jp, hash, runSC, lease.TTLMS, cancel)
 	}()
 
 	w.log.Info("run start", obs.KeyPoint, jp.ID, obs.KeySpecHash, hash,
@@ -300,17 +294,16 @@ func (w *Worker) runPoint(ctx context.Context, lease *LeaseResponse) {
 }
 
 // heartbeat renews the lease until ctx ends, canceling the run when the
-// lease is lost. Each renewal ships the point's checkpoint files whose
-// capture cycle advanced since the last successful renewal, so sweepd
-// always holds a near-current resume image should this worker die.
-func (w *Worker) heartbeat(ctx context.Context, jp *JobPoint, hash string, runSC obs.SpanContext, lost context.CancelFunc) {
-	every := w.HeartbeatEvery
-	if every <= 0 {
-		every = DefaultLeaseTTL / 4
-	}
+// lease is lost. It beats at a quarter of the lease's TTL (ttlMS, from
+// the lease response) and then of the TTL each renewal returns. Each
+// renewal ships the point's checkpoint files whose capture cycle advanced
+// since the last successful renewal, so sweepd always holds a
+// near-current resume image should this worker die.
+func (w *Worker) heartbeat(ctx context.Context, jp *JobPoint, hash string, runSC obs.SpanContext, ttlMS int64, lost context.CancelFunc) {
+	every := beat(ttlMS)
 	prefix := runner.CheckpointPrefix(w.CheckpointDir, jp.ID)
 	shipped := make(map[string]uint64) // basename → last capture cycle delivered
-	t := time.NewTicker(every)
+	t := time.NewTimer(every)
 	defer t.Stop()
 	for {
 		select {
@@ -324,7 +317,8 @@ func (w *Worker) heartbeat(ctx context.Context, jp *JobPoint, hash string, runSC
 		}
 		var cycles map[string]uint64
 		req.Checkpoints, cycles = collectCheckpoints(prefix, shipped)
-		if _, err := w.Client.Renew(ctx, req); err != nil {
+		resp, err := w.Client.Renew(ctx, req)
+		if err != nil {
 			if errors.Is(err, ErrLeaseLost) {
 				w.log.Warn("lease lost; canceling in-flight run", obs.KeyPoint, jp.ID, obs.KeySpecHash, hash)
 				lost()
@@ -334,8 +328,11 @@ func (w *Worker) heartbeat(ctx context.Context, jp *JobPoint, hash string, runSC
 			// deadline, and the client already retried below it. The
 			// un-acknowledged checkpoints re-ship on the next beat.
 			w.log.Warn("heartbeat failed", obs.KeyPoint, jp.ID, obs.KeySpecHash, hash, "error", err.Error())
+			t.Reset(every)
 			continue
 		}
+		every = beat(resp.TTLMS)
+		t.Reset(every)
 		attrs := map[string]string{obs.KeyPoint: jp.ID, obs.KeyWorker: w.Name}
 		w.Spans.Instant(runSC, "heartbeat", time.Now(), attrs)
 		if len(cycles) > 0 {
@@ -353,6 +350,16 @@ func (w *Worker) heartbeat(ctx context.Context, jp *JobPoint, hash string, runSC
 			})
 		}
 	}
+}
+
+// beat is the heartbeat period of a lease granted for ttlMS: a quarter of
+// it, so three beats in a row can be lost before the lease lapses. A
+// sweepd that sends no TTL is taken to grant DefaultLeaseTTL.
+func beat(ttlMS int64) time.Duration {
+	if ttlMS <= 0 {
+		return DefaultLeaseTTL / 4
+	}
+	return time.Duration(ttlMS) * time.Millisecond / 4
 }
 
 // collectCheckpoints gathers the point's checkpoint files under prefix

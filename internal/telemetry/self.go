@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"sort"
@@ -81,26 +80,23 @@ func tvSeconds(tv syscall.Timeval) float64 {
 	return float64(tv.Sec) + float64(tv.Usec)/1e6
 }
 
-// SelfCollector samples the process on an interval and hands each sample
-// to OnSample (e.g. "attach to the next heartbeat", "serve on /metrics").
+// SelfCollector samples the process when it is read: a sweep worker
+// calls Sample on each heartbeat (the sample rides the renewal to
+// sweepd's /metrics page) and on each scrape of its own -metrics-addr
+// page.
 type SelfCollector struct {
-	// Interval between samples (0 = 5s).
-	Interval time.Duration
 	// Points returns the cumulative completed-work counter (nil = 0).
 	Points func() uint64
 	// SimCounters returns cumulative simulation counters to attach to
 	// each sample (nil = none).
 	SimCounters func() map[string]uint64
-	// OnSample observes each sample (nil = samples are only retained for
-	// Last).
-	OnSample func(*SelfSample)
 
 	mu   sync.Mutex
-	last *SelfSample
+	last *SelfSample // the previous sample, for the work rate
 }
 
-// Sample takes one sample immediately, derives the work rate from the
-// previous sample, retains it for Last, and forwards it to OnSample.
+// Sample takes one sample now and derives the work rate over the window
+// since the previous sample.
 func (c *SelfCollector) Sample() *SelfSample {
 	var points uint64
 	if c.Points != nil {
@@ -117,37 +113,7 @@ func (c *SelfCollector) Sample() *SelfSample {
 	}
 	c.last = s
 	c.mu.Unlock()
-	if c.OnSample != nil {
-		c.OnSample(s)
-	}
 	return s
-}
-
-// Last returns the most recent sample (nil before the first).
-func (c *SelfCollector) Last() *SelfSample {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.last
-}
-
-// Run samples on the interval until ctx ends. An immediate first sample is
-// taken so consumers never see an empty window.
-func (c *SelfCollector) Run(ctx context.Context) {
-	iv := c.Interval
-	if iv <= 0 {
-		iv = 5 * time.Second
-	}
-	c.Sample()
-	t := time.NewTicker(iv)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-			c.Sample()
-		}
-	}
 }
 
 // PromSelf renders a self-sample as Prometheus gauges named

@@ -72,17 +72,17 @@ echo "== serial local baseline ($figs, quick scale) =="
 test -s "$work/baseline.json" || { echo "FAIL: no baseline merged output" >&2; exit 1; }
 
 start_sweepd() {
-  "$work/sweepd" -addr "$addr" -ledger "$ledger" -lease-ttl 10s -expire-every 1s \
+  "$work/sweepd" -addr "$addr" -ledger "$ledger" -lease-ttl 10s \
     >>"$work/sweepd.log" 2>&1 &
   sweepd_pid=$!
 }
 
 start_sweepd
 wait_healthy "$work/sweepd.log"
-"$work/sweepworker" -server "http://$addr" -name w1 -heartbeat 2s \
+"$work/sweepworker" -server "http://$addr" -name w1 \
   -checkpoint-dir "$work/w1-ckpts" >>"$work/w1.log" 2>&1 &
 w1_pid=$!
-"$work/sweepworker" -server "http://$addr" -name w2 -heartbeat 2s \
+"$work/sweepworker" -server "http://$addr" -name w2 \
   -checkpoint-dir "$work/w2-ckpts" >>"$work/w2.log" 2>&1 &
 w2_pid=$!
 
@@ -176,12 +176,12 @@ test -s "$work/baseline-ck.json" || { echo "FAIL: no checkpoint-scenario baselin
 # a short TTL so the takeover happens quickly after the SIGKILL.
 kill -9 "${sweepd_pid:-}" "${w2_pid:-}" 2>/dev/null || true
 wait "${sweepd_pid:-}" "${w2_pid:-}" 2>/dev/null || true
-"$work/sweepd" -addr "$addr" -ledger "$ledger2" -lease-ttl 5s -expire-every 1s \
+"$work/sweepd" -addr "$addr" -ledger "$ledger2" -lease-ttl 5s \
   >>"$work/sweepd-ck.log" 2>&1 &
 sweepd_pid=$!
 wait_healthy "$work/sweepd-ck.log"
 
-"$work/sweepworker" -server "http://$addr" -name w3 -heartbeat 500ms \
+"$work/sweepworker" -server "http://$addr" -name w3 \
   -checkpoint-dir "$work/w3-ckpts" >>"$work/w3.log" 2>&1 &
 w3_pid=$!
 echo "== checkpoint takeover: sweepd pid $sweepd_pid, checkpointing worker w3 ($w3_pid) =="
@@ -209,7 +209,7 @@ echo "killed checkpointing worker w3 (pid $w3_pid) mid-point, captures already s
 
 # The replacement worker gets its own empty checkpoint dir: every byte of
 # resumed progress must come through sweepd's shipped copies.
-"$work/sweepworker" -server "http://$addr" -name w4 -heartbeat 500ms \
+"$work/sweepworker" -server "http://$addr" -name w4 \
   -checkpoint-dir "$work/w4-ckpts" >>"$work/w4.log" 2>&1 &
 w4_pid=$!
 

@@ -13,6 +13,8 @@
 #     (scripts/tracecheck);
 #   - the results API carries per-point provenance attributing the point
 #     to the replacement worker with the right spec hash;
+#   - sweepd never expires the healthy replacement worker's lease: it
+#     heartbeats at a quarter of the TTL sweepd grants;
 #   - /metrics serves the sweepd_build_info gauge;
 #   - the merged result file is still byte-identical to a serial local
 #     run (provenance never leaks into the canonical bytes).
@@ -60,12 +62,12 @@ echo "== serial local baseline ($fig, quick scale) =="
   >"$work/baseline.out" 2>"$work/baseline.err"
 test -s "$work/baseline.json" || { echo "FAIL: no baseline merged output" >&2; exit 1; }
 
-"$work/sweepd" -addr "$addr" -ledger "$ledger" -lease-ttl 5s -expire-every 1s \
+"$work/sweepd" -addr "$addr" -ledger "$ledger" -lease-ttl 5s \
   -span-log "$work/sweepd.spans.jsonl" 2>"$work/sweepd.log" &
 sweepd_pid=$!
 sleep 1
 
-"$work/sweepworker" -server "http://$addr" -name w1 -heartbeat 500ms \
+"$work/sweepworker" -server "http://$addr" -name w1 \
   -checkpoint-dir "$work/w1-ckpts" -span-log "$work/w1.spans.jsonl" \
   2>"$work/w1.log" &
 w1_pid=$!
@@ -94,7 +96,7 @@ fi
 kill -9 "$w1_pid" 2>/dev/null || true
 echo "killed worker w1 (pid $w1_pid) mid-point, checkpoint already shipped"
 
-"$work/sweepworker" -server "http://$addr" -name w2 -heartbeat 500ms \
+"$work/sweepworker" -server "http://$addr" -name w2 \
   -checkpoint-dir "$work/w2-ckpts" -span-log "$work/w2.spans.jsonl" \
   2>"$work/w2.log" &
 w2_pid=$!
@@ -107,6 +109,14 @@ if [[ "$client" != 0 ]]; then
   echo "FAIL: sweep client exited $client, want 0" >&2
   exit 1
 fi
+
+echo "== the healthy replacement worker kept its lease =="
+if grep '"msg":"lease expired"' "$work/sweepd.log" | grep -q '"worker":"w2"'; then
+  echo "FAIL: sweepd expired the lease of the healthy worker w2" >&2
+  grep '"msg":"lease expired"' "$work/sweepd.log" >&2
+  exit 1
+fi
+echo "OK: no lease expiry names w2"
 
 echo "== merged results vs serial baseline (provenance must not leak) =="
 if ! cmp "$work/baseline.json" "$work/remote.json"; then
