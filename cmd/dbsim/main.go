@@ -84,7 +84,7 @@ func main() {
 		traceProcs  = flag.Int("trace-procs", 1, "number of trace files to replay")
 
 		timeout     = flag.Duration("timeout", 0, "wall-clock bound on the run (0 = none)")
-		watchdog    = flag.Uint64("watchdog", 0, "forward-progress watchdog window in cycles (0 = default, negative progress impossible)")
+		watchdog    = flag.Uint64("watchdog", 0, fmt.Sprintf("forward-progress watchdog window in cycles (0 = the default, %d)", uint64(core.DefaultWatchdogWindow)))
 		noWatchdog  = flag.Bool("no-watchdog", false, "disable the forward-progress watchdog")
 		debugChecks = flag.Bool("debug-checks", false, "enable coherence invariant and consistency order checking (slow)")
 		faultSeed   = flag.Uint64("fault-seed", 1, "fault injector seed")

@@ -38,9 +38,9 @@ type WorkloadCheckpointer interface {
 }
 
 // CheckpointOptions arms periodic (and on-cancel) checkpointing for a
-// run. The capture cycle boundaries are deterministic — fast-forward
-// jumps are capped at the next boundary — so checkpointing does not
-// perturb the simulation.
+// run. The capture cycle boundaries are deterministic — the run loop
+// visits every cycle and settles every skip run before a capture — so
+// checkpointing does not perturb the simulation.
 type CheckpointOptions struct {
 	// Path is the checkpoint file; each capture atomically replaces it.
 	Path string

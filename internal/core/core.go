@@ -425,7 +425,6 @@ func (s *System) run(opt RunOptions, resume *MachineState) (rep *stats.Report, e
 			opt.Tracer.Finish(s.cycle)
 		}()
 	}
-	prevRet := lastRetired
 	// Per-core skip runs: wake[i] is a cached bound below which core i
 	// provably repeats the same retire-free cycle, so its Tick can be
 	// replaced by FastForward. The bound is computed only on ticks that
@@ -443,6 +442,9 @@ func (s *System) run(opt RunOptions, resume *MachineState) (rep *stats.Report, e
 	// change of category or PC is committed at the same point in the event
 	// order as in the per-cycle loop; the rest is recorded in skipFrom and
 	// applied by settle when the run ends or something reads the counters.
+	// The loop itself visits every cycle, so each cycle-timed check below
+	// (telemetry, MaxCycles, watchdog, context poll, checkpoint) runs on
+	// its own cycle.
 	ff := !opt.DisableFastForward
 	n := len(s.cores)
 	wake := make([]uint64, n)
@@ -559,24 +561,6 @@ func (s *System) run(opt RunOptions, resume *MachineState) (rep *stats.Report, e
 				return s.buildReport(opt.Label), fmt.Errorf("core: checkpoint at cycle %d: %w", s.cycle, cerr)
 			}
 		}
-		// A retire-free cycle is the fast-forward trigger: only then is it
-		// worth asking every component for its next event. (The skip itself
-		// is correct regardless; this is purely a cost gate.)
-		if ff && ret == prevRet {
-			if s.locks.gen != lockGen {
-				// A core later in this cycle's order released a lock after the
-				// earlier cores' bounds were refreshed: a spinner's next
-				// successful try may precede its cached wake. No jump; the
-				// zeroed bounds force full re-ticking next cycle.
-				lockGen = s.locks.gen
-				for k := range wake {
-					wake[k] = 0
-				}
-			} else {
-				s.fastForward(&opt, window, lastProgress, tel, wake, ckInterval)
-			}
-		}
-		prevRet = ret
 	}
 	s.settleAll()
 	s.mem.Finalize(s.cycle)
@@ -584,88 +568,6 @@ func (s *System) run(opt RunOptions, resume *MachineState) (rep *stats.Report, e
 		tel.flush(s)
 	}
 	return s.buildReport(opt.Label), nil
-}
-
-// fastForward jumps s.cycle to just before the machine-wide next event
-// when every component proves the intervening cycles are steady (constant
-// per-cycle bookkeeping, zero state mutation), leaving every core in a
-// skip run whose bookkeeping settle applies later, so the run is
-// bit-identical to ticking every cycle. The jump is also capped so that every externally timed check in Run — telemetry
-// sample boundaries, the watchdog trip, the MaxCycles trip, the context
-// poll cadence — still happens on exactly the cycle it would have.
-func (s *System) fastForward(opt *RunOptions, window, lastProgress uint64, tel *telemetryState, wake []uint64, ckInterval uint64) {
-	now := s.cycle
-	limit := uint64(cpu.EventNever)
-	// On a machine-wide retire-free cycle every core either skipped (its
-	// cached wake bound still holds) or ticked retire-free and refreshed its
-	// bound, so the machine-wide next event is simply the minimum of the
-	// per-core bounds — no component needs to be asked again, provided the
-	// two cross-core invalidation channels are re-checked here: the caller
-	// rules out lock releases that post-date the refreshes, and pokes are
-	// consumed below. A zero bound (core mid-refresh, e.g. right after the
-	// warm-up counter reset) just means "unknown": no jump this cycle.
-	for i, c := range s.cores {
-		w := wake[i]
-		if c.TakePoked() {
-			// An invalidation landed after this core's bound was cached (a
-			// later core's store this very cycle): the rollback is due at the
-			// violated load's retirement, earlier than the stale bound. Zeroing
-			// the bound forces a re-ticking refresh next cycle.
-			w = 0
-			wake[i] = 0
-		}
-		if w < limit {
-			limit = w
-		}
-		if limit <= now+1 {
-			return
-		}
-	}
-	// limit may still be EventNever here — a wedged machine (spinners whose
-	// lock holder never releases). The caps below bound the jump to the
-	// watchdog trip, cycle limit, context poll, or telemetry sample; with
-	// none of them set the final check falls back to per-cycle ticking,
-	// which is the original loop's (non-terminating) behavior.
-	if tel != nil && tel.nextAt < limit {
-		limit = tel.nextAt
-	}
-	if !opt.DisableWatchdog {
-		if t := lastProgress + window; t < limit {
-			limit = t
-		}
-	}
-	if opt.MaxCycles > 0 {
-		if t := s.statsStart + opt.MaxCycles; t < limit {
-			limit = t
-		}
-	}
-	if opt.Context != nil {
-		if t := (now/ctxCheckEvery + 1) * ctxCheckEvery; t < limit {
-			limit = t
-		}
-	}
-	if opt.Checkpoint != nil && ckInterval > 0 {
-		// Capture boundaries must be ticked normally so the checkpoint
-		// cadence is a deterministic function of the cycle count alone.
-		if t := (now/ckInterval + 1) * ckInterval; t < limit {
-			limit = t
-		}
-	}
-	if limit <= now+1 || limit == cpu.EventNever {
-		return
-	}
-	// Cycles now+1 .. limit-1 are steady; cycle limit is ticked normally by
-	// the next loop iteration (it may retire, sample, trip a check, ...).
-	// Every core is now in a skip run through limit-1: the jump is the
-	// per-cycle loop's skip path taken by all cores at once, so a core
-	// that ticked this cycle starts its run exactly as the loop would
-	// have (first cycle applied at once), and a deferred run just extends.
-	for i := range s.cores {
-		if s.skipFrom[i] == 0 {
-			s.startRun(i, now+1)
-		}
-	}
-	s.cycle = limit - 1
 }
 
 // startRun begins core i's skip run at cycle t: the first cycle is

@@ -118,12 +118,12 @@ func runStressMachine(t *testing.T, cfg config.Config, seed uint64, iters int, w
 // FuzzMachineConfig is the machine-level differential oracle for
 // fast-forward: over a space of whole-machine configurations running
 // TestNextEventConservatismStress's shared-memory streams, a run with
-// fast-forward (per-core skip runs and machine-wide jumps) must equal the
-// same run ticking every cycle — the Report field for field, the
-// telemetry JSONL and (when traced) the exported trace byte for byte — with the coherence, consistency and
-// issue-scheduler checkers on in both, through warm-up resets, telemetry
-// samples and checkpoint captures. Failing inputs the fuzzer finds are
-// kept under testdata/fuzz/FuzzMachineConfig.
+// fast-forward (per-core skip runs) must equal the same run ticking every
+// cycle — the Report field for field, the telemetry JSONL and (when
+// traced) the exported trace byte for byte — with the coherence,
+// consistency and issue-scheduler checkers on in both, through warm-up
+// resets, telemetry samples and checkpoint captures. Failing inputs the
+// fuzzer finds are kept under testdata/fuzz/FuzzMachineConfig.
 //
 //	go test -run '^$' -fuzz '^FuzzMachineConfig$' -fuzztime 60s ./internal/core/
 func FuzzMachineConfig(f *testing.F) {

@@ -1,13 +1,17 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/config"
 	"repro/internal/diag"
+	"repro/internal/stats"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
@@ -39,21 +43,12 @@ func lockStream(lockAddr uint64, release bool) *trace.SliceStream {
 // watchdog must convert the livelock into a *ProgressError (with snapshot)
 // well before the cycle bound, rather than burning MaxCycles.
 func TestWatchdogTripsOnLivelock(t *testing.T) {
-	cfg := config.Default()
-	cfg.Nodes = 2
-	sys, err := NewSystem(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const lockAddr = 0xA00000
-	sys.AddProcess(0, lockStream(lockAddr, false)) // holder, never releases
-	sys.AddProcess(1, lockStream(lockAddr, true))  // spins forever
 	const window = 50_000
-	_, err = sys.Run(RunOptions{
+	err := runLivelock(t, RunOptions{
 		Label:          "livelock",
 		MaxCycles:      500_000_000, // far beyond the watchdog window
 		WatchdogWindow: window,
-	})
+	}, 0, false).err
 	var pe *ProgressError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want *ProgressError", err)
@@ -80,21 +75,12 @@ func TestWatchdogTripsOnLivelock(t *testing.T) {
 // TestWatchdogDisabled: the same livelock with the watchdog off must run
 // all the way to the cycle bound.
 func TestWatchdogDisabled(t *testing.T) {
-	cfg := config.Default()
-	cfg.Nodes = 2
-	sys, err := NewSystem(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const lockAddr = 0xA00000
-	sys.AddProcess(0, lockStream(lockAddr, false))
-	sys.AddProcess(1, lockStream(lockAddr, true))
-	_, err = sys.Run(RunOptions{
+	err := runLivelock(t, RunOptions{
 		Label:           "livelock-nowd",
 		MaxCycles:       200_000,
 		WatchdogWindow:  50_000,
 		DisableWatchdog: true,
-	})
+	}, 0, false).err
 	if !errors.Is(err, ErrMaxCycles) {
 		t.Fatalf("err = %v, want ErrMaxCycles", err)
 	}
@@ -208,4 +194,114 @@ func TestSnapshotRenders(t *testing.T) {
 	if len(snap.Nodes) != cfg.Nodes {
 		t.Errorf("snapshot has %d nodes, want %d", len(snap.Nodes), cfg.Nodes)
 	}
+}
+
+// livelockRun is one arm of TestErrorExitsMatchWithoutFastForward.
+type livelockRun struct {
+	rep   *stats.Report
+	err   error
+	jsonl []byte
+}
+
+// runLivelock runs the livelock machine (a holder that ends its stream
+// without releasing the lock, a spinner on it) under opt, with
+// fast-forward on or off, and telemetry into a JSONL buffer when
+// telInterval is non-zero.
+func runLivelock(t *testing.T, opt RunOptions, telInterval uint64, disableFF bool) livelockRun {
+	t.Helper()
+	cfg := config.Default()
+	cfg.Nodes = 2
+	sys, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const lockAddr = 0xA00000
+	sys.AddProcess(0, lockStream(lockAddr, false)) // holder, never releases
+	sys.AddProcess(1, lockStream(lockAddr, true))  // spins forever
+	opt.DisableFastForward = disableFF
+	var jsonl bytes.Buffer
+	if telInterval > 0 {
+		opt.Telemetry = telemetry.New(telInterval)
+		opt.Telemetry.Attach(telemetry.NewJSONLSink(nopCloser{&jsonl}), nil)
+	}
+	var r livelockRun
+	r.rep, r.err = sys.Run(opt)
+	if opt.Telemetry != nil {
+		if err := opt.Telemetry.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r.jsonl = jsonl.Bytes()
+	return r
+}
+
+// TestErrorExitsMatchWithoutFastForward: on a wedged machine every core
+// sits in a skip run, so each cycle-timed exit (the watchdog trip, the
+// cycle limit, the context poll) and each telemetry sample inside the
+// wedged span must still land on the cycle the plain loop reaches it, and
+// report the same machine.
+func TestErrorExitsMatchWithoutFastForward(t *testing.T) {
+	t.Run("watchdog", func(t *testing.T) {
+		opt := RunOptions{Label: "wd", MaxCycles: 500_000_000, WatchdogWindow: 50_000}
+		var on, off *ProgressError
+		if a, b := runLivelock(t, opt, 0, false), runLivelock(t, opt, 0, true); !errors.As(a.err, &on) || !errors.As(b.err, &off) {
+			t.Fatalf("errors = %v / %v, want *ProgressError", a.err, b.err)
+		}
+		if on.Cycle != off.Cycle || on.LastProgress != off.LastProgress || on.Retired != off.Retired || on.Window != off.Window {
+			t.Errorf("watchdog trips differ:\nff-on  %+v\nff-off %+v", *on, *off)
+		}
+		if a, b := on.Snapshot.String(), off.Snapshot.String(); a != b {
+			t.Errorf("watchdog snapshots differ:\nff-on\n%s\nff-off\n%s", a, b)
+		}
+	})
+
+	t.Run("cycle-limit", func(t *testing.T) {
+		// The second telemetry sample is due past the limit, so the wedged
+		// span has a finite next event to skip towards.
+		opt := RunOptions{Label: "limit", MaxCycles: 123_457, DisableWatchdog: true}
+		var on, off *CycleLimitError
+		if a, b := runLivelock(t, opt, 100_000, false), runLivelock(t, opt, 100_000, true); !errors.As(a.err, &on) || !errors.As(b.err, &off) {
+			t.Fatalf("errors = %v / %v, want *CycleLimitError", a.err, b.err)
+		}
+		if on.Cycles != off.Cycles || on.Retired != off.Retired || on.Cycles != opt.MaxCycles {
+			t.Errorf("cycle limits differ: ff-on %d cycles %d retired, ff-off %d cycles %d retired (limit %d)",
+				on.Cycles, on.Retired, off.Cycles, off.Retired, opt.MaxCycles)
+		}
+		if !reflect.DeepEqual(on.Snapshot, off.Snapshot) {
+			t.Errorf("cycle-limit snapshots differ:\nff-on\n%s\nff-off\n%s", on.Snapshot, off.Snapshot)
+		}
+	})
+
+	t.Run("canceled", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel() // the first poll, at cycle ctxCheckEvery, must notice
+		opt := RunOptions{Label: "cancel", MaxCycles: 500_000_000, Context: ctx}
+		var on, off *CanceledError
+		if a, b := runLivelock(t, opt, 0, false), runLivelock(t, opt, 0, true); !errors.As(a.err, &on) || !errors.As(b.err, &off) {
+			t.Fatalf("errors = %v / %v, want *CanceledError", a.err, b.err)
+		}
+		if on.Cycle != ctxCheckEvery || off.Cycle != ctxCheckEvery {
+			t.Errorf("canceled at cycle %d (ff-on) and %d (ff-off), want %d", on.Cycle, off.Cycle, ctxCheckEvery)
+		}
+	})
+
+	t.Run("telemetry", func(t *testing.T) {
+		// Samples every 15,000 cycles fall inside the 50,000-cycle wedged
+		// span before the watchdog trips.
+		opt := RunOptions{Label: "tel", MaxCycles: 500_000_000, WatchdogWindow: 50_000}
+		on, off := runLivelock(t, opt, 15_000, false), runLivelock(t, opt, 15_000, true)
+		var pe *ProgressError
+		if !errors.As(on.err, &pe) || !errors.As(off.err, &pe) {
+			t.Fatalf("errors = %v / %v, want *ProgressError", on.err, off.err)
+		}
+		if !reflect.DeepEqual(on.rep, off.rep) {
+			t.Errorf("reports differ:\nff-on  %+v\nff-off %+v", on.rep, off.rep)
+		}
+		if n := bytes.Count(on.jsonl, []byte("\n")); n < 3 {
+			t.Errorf("%d telemetry samples, want at least 3 inside the wedged span", n)
+		}
+		if !bytes.Equal(on.jsonl, off.jsonl) {
+			t.Errorf("telemetry JSONL differs (%d vs %d bytes)", len(on.jsonl), len(off.jsonl))
+		}
+	})
 }

@@ -16,7 +16,7 @@ const EventNever = ^uint64(0)
 // immediately, the lock's freeAt when it is released but still cooling
 // down, and EventNever when it is held by another process — in that case
 // the holder's own pipeline events (the releasing store performing) bound
-// the wait, so the machine-wide minimum still wakes the spinner in time.
+// the wait, and the release drops the spinner's cached bound in core.Run.
 type LockProber interface {
 	NextTry(addr uint64, proc int, now uint64) uint64
 }
