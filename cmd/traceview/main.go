@@ -50,22 +50,19 @@ func main() {
 	}
 	an := tf.Analysis
 	totals := an.Totals()
-	if totals.Total() == 0 && len(tf.Events) == 0 {
+	kept, _ := tf.OtherData["events_kept"].(float64)
+	if totals.Total() == 0 && kept == 0 {
 		log.Printf("%s: trace contains no events", flag.Arg(0))
 		os.Exit(1)
 	}
 
-	source := "embedded aggregates"
-	if !tf.FromAggregates {
-		source = "rebuilt from raw events (no embedded aggregates; busy time unavailable)"
-	}
 	fmt.Printf("trace               %s\n", flag.Arg(0))
 	if label, ok := tf.OtherData["label"].(string); ok {
 		fmt.Printf("run                 %s\n", label)
 	}
 	fmt.Printf("window              cycles %d..%d\n", an.StartCycle, an.EndCycle)
-	fmt.Printf("raw events          %d retained\n", len(tf.Events))
-	fmt.Printf("analysis            %s\n\n", source)
+	fmt.Printf("raw events          %d retained\n", uint64(kept))
+	fmt.Printf("analysis            embedded aggregates\n\n")
 
 	var ref *stats.Breakdown
 	if b, ok := tracing.BreakdownFromMeta(tf.OtherData[tracing.BreakdownMetaKey]); ok {

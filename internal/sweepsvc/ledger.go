@@ -12,20 +12,30 @@ import (
 // extension of internal/runner's journal. Where the journal records only
 // terminal outcomes, the ledger also records point registration and lease
 // issuance, so a restarted sweepd can rebuild the whole pending → leased →
-// done|failed state machine by replaying it in order. Replay follows the
-// live transitions: the first "done" for a hash wins; a "point" record of
-// a new job re-queues a failed hash, and a later "done" replaces a
-// "failed" (a retry that succeeded).
+// done|failed state machine by replaying it in order. Replay and the live
+// calls share one transition function, Manager.apply: a live call appends
+// its record and applies it, and replay applies the same records. The
+// first "done" for a hash wins; a "point" record of a new job re-queues a
+// failed hash, and a later "done" replaces a "failed" (a retry that
+// succeeded).
 //
 // Record types:
 //
-//   - "point":  a point was registered (Job, ID, Hash, Spec, MaxCycles, Faulty)
+//   - "point":  a job member was registered (Job, ID, Hash, Spec, MaxCycles,
+//     Faulty, and the submitting job's Trace). A member whose hash is
+//     already done is a cache hit, cached for that job only.
 //   - "lease":  a lease was issued or re-issued (Hash, Worker, DeadlineUnix)
 //   - "resume": a lease was issued WITH shipped mid-run checkpoints — the
 //     new worker resumes the point from FromCycle instead of restarting
 //     (Hash, Worker, FromCycle). Always paired with a "lease" record.
 //   - "done":   a point completed (Hash, Worker, Record)
 //   - "failed": a point failed terminally on its worker (Hash, Worker, Record)
+//
+// Lease expiry is applied as an "expire" record that is never written: it
+// is the clock's, and a restarted sweepd expires the replayed leases from
+// their deadlines. A rejoin (the same job submitting the same grid again)
+// writes nothing either, so the cached mark it gives the job's members
+// already done is in memory only.
 //
 // Lease renewals are deliberately NOT persisted: heartbeats would grow the
 // ledger without bound, and the worst a restart can do without them is
@@ -56,9 +66,10 @@ type LedgerRecord struct {
 	// Terminal fields.
 	Record *runner.Record `json:"record,omitempty"`
 
-	// Observability fields, on "point" records: the job's trace context
-	// (so a restarted sweepd keeps new leases linked to the original
-	// trace) and the submitting client's provenance. Appended last —
+	// Observability fields, on "point" records: the submitting job's trace
+	// context (the job's trace, and the trace of a point this record
+	// registers, so a restarted sweepd keeps new leases linked to the
+	// original trace) and the submitting client's provenance. Appended last —
 	// tooling greps for adjacent `"type":...,"hash":...` on terminal
 	// records, so field order above must not shift.
 	Trace      *obs.SpanContext `json:"trace,omitempty"`

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -32,6 +33,8 @@ const maxTick = 500 * time.Millisecond
 
 // pointState is the authoritative per-hash state. A hash is global: jobs
 // submitting the same spec share one state, one execution, one result.
+// Only Manager.apply changes status, worker and record; whether a job was
+// served the result from the cache is the job member's, not the hash's.
 type pointState struct {
 	id        string // first-submitted point id (display)
 	hash      string
@@ -43,7 +46,6 @@ type pointState struct {
 	worker   string    // current lease holder (leased) or completer (done/failed)
 	deadline time.Time // lease deadline (leased)
 	leases   int       // leases issued, re-issues included
-	cached   bool      // done was served from the point table, not run for this job
 	record   *runner.Record
 
 	// Latest mid-run checkpoints shipped by heartbeats (basename → file
@@ -52,11 +54,11 @@ type pointState struct {
 	ckpts      map[string][]byte
 	ckptCycles map[string]uint64
 
-	// Trace linkage: the submit-span context this point's spans attach
-	// under (persisted on the ledger "point" record so a restarted sweepd
-	// keeps the linkage), and the current lease's span ID — the parent
-	// the lease response advertises to the worker and the anchor for
-	// expiry/takeover spans.
+	// Trace linkage: the submit-span context of the job that registered
+	// this point, which its spans attach under (taken from the "point"
+	// record that registered it, so a restarted sweepd keeps the linkage),
+	// and the current lease's span ID — the parent the lease response
+	// advertises to the worker and the anchor for expiry/takeover spans.
 	trace     obs.SpanContext
 	leaseSpan string
 }
@@ -73,14 +75,15 @@ func (p *pointState) ckptCycle() uint64 {
 	return max
 }
 
-func (p *pointState) state() PointState {
+// state is the point's state as job member mem sees it.
+func (p *pointState) state(mem jobMember) PointState {
 	ps := PointState{
-		ID:     p.id,
+		ID:     mem.id,
 		Hash:   p.hash,
 		Status: p.status,
 		Worker: p.worker,
 		Leases: p.leases,
-		Cached: p.cached,
+		Cached: mem.cached,
 	}
 	if p.record != nil {
 		ps.Attempts = p.record.Attempts
@@ -101,9 +104,14 @@ type jobState struct {
 	trace  obs.SpanContext // the job's submit-span context
 }
 
+// jobMember is one point of a job. cached marks a member served from the
+// result cache: its hash was already done when the member's "point" record
+// registered it (journaled, so replay restores the mark), or when a rejoin
+// of the job found it done (in memory only: a rejoin writes no record).
 type jobMember struct {
-	id   string
-	hash string
+	id     string
+	hash   string
+	cached bool
 }
 
 // sameMembers reports whether a submitted grid matches a job's existing
@@ -212,7 +220,7 @@ func NewManager(opt ManagerOptions) (*Manager, error) {
 				m.log.Warn(fmt.Sprintf(format, args...))
 			}
 		}
-		if err := ReplayLedger(opt.LedgerPath, warn, m.replay); err != nil {
+		if err := ReplayLedger(opt.LedgerPath, warn, m.apply); err != nil {
 			return nil, err
 		}
 		led, err := runner.OpenJournal(opt.LedgerPath)
@@ -232,114 +240,103 @@ func (m *Manager) Close() error {
 	return m.ledger.Close()
 }
 
-// replay applies one ledger record during recovery (no locking: runs
-// before the manager is shared; no re-journaling: the record is already
-// durable).
-func (m *Manager) replay(r *LedgerRecord) {
+// apply is the one transition function of the point table, the pending
+// queue and job membership. The live methods decide, then commit a record,
+// which applies it; NewManager applies the replayed ledger through it, so
+// a reopened manager rebuilds the state the live calls built. Records that
+// no longer fit the state are dropped: a lease of a terminal point is
+// stale, and the first terminal record for a hash wins. apply counts only
+// what a replay must restore (Jobs, PointsRegistered, Takeovers); the live
+// methods count the rest. Caller holds the lock (or is replaying, before
+// the manager is shared).
+func (m *Manager) apply(r *LedgerRecord) {
+	p := m.points[r.Hash]
 	switch r.Type {
 	case "point":
-		p := m.points[r.Hash]
+		cached := p != nil && p.status == PointDone
 		if p == nil {
 			p = &pointState{id: r.ID, hash: r.Hash, spec: r.Spec, maxCycles: r.MaxCycles, faulty: r.Faulty, status: PointPending}
 			if r.Trace != nil {
-				// Restore the trace linkage: leases issued after the
-				// restart still attach to the original job trace.
 				p.trace = *r.Trace
 			}
 			m.points[r.Hash] = p
 			m.pending = append(m.pending, r.Hash)
 			m.metrics.PointsRegistered++
 		} else if p.status == PointFailed {
-			// A "point" record is only written by a new job's submit, which
-			// gives a failed hash a fresh chance (as Submit does).
-			m.requeueFailed(p)
+			// A new job's submit gives a failed hash a fresh chance: back
+			// to pending, its failure record dropped.
+			p.status, p.worker, p.record = PointPending, "", nil
+			m.pending = append(m.pending, r.Hash)
 		}
-		if r.Job != "" {
-			j := m.jobs[r.Job]
-			if j == nil {
-				j = &jobState{id: r.Job}
-				if r.Trace != nil {
-					j.trace = *r.Trace
-				}
-				m.jobs[r.Job] = j
-				m.jobSeq++
-				m.metrics.Jobs++
-			}
-			j.points = append(j.points, jobMember{id: r.ID, hash: r.Hash})
-		}
-	case "lease":
-		p := m.points[r.Hash]
-		if p == nil || p.status.Terminal() {
-			return // lease after done: stale record, terminal wins
-		}
-		if p.status == PointPending {
-			m.unqueue(r.Hash)
-		}
-		p.status = PointLeased
-		p.worker = r.Worker
-		p.deadline = time.UnixMilli(r.DeadlineUnix)
-		p.leases++
-	case "resume":
-		// Informational: a takeover resumed from shipped checkpoints. The
-		// images themselves are not persisted, so replay only restores the
-		// counter the chaos harness and /metrics read.
-		m.metrics.Takeovers++
-	case "done", "failed":
-		p := m.points[r.Hash]
-		if p == nil || p.status == PointDone || (p.status == PointFailed && r.Type == "failed") {
-			return // duplicate terminal record: the first done wins
-		}
-		// A done after a failed is a retry that succeeded (a failed hash
-		// is only re-run after a new job resubmits it): it replaces the
-		// failure.
-		if p.status == PointPending {
-			m.unqueue(r.Hash)
-		}
-		p.worker = r.Worker
-		p.record = r.Record
-		p.ckpts, p.ckptCycles = nil, nil
-		if r.Type == "done" {
-			p.status = PointDone
-		} else {
-			p.status = PointFailed
-		}
-	}
-}
-
-// unqueue removes hash from the pending queue. Caller holds the lock (or
-// is replaying single-threaded).
-func (m *Manager) unqueue(hash string) {
-	for i, h := range m.pending {
-		if h == hash {
-			m.pending = append(m.pending[:i], m.pending[i+1:]...)
+		if r.Job == "" {
 			return
 		}
+		j := m.jobs[r.Job]
+		if j == nil {
+			j = &jobState{id: r.Job}
+			if r.Trace != nil {
+				j.trace = *r.Trace
+			}
+			m.jobs[r.Job] = j
+			m.jobSeq++
+			m.metrics.Jobs++
+		}
+		j.points = append(j.points, jobMember{id: r.ID, hash: r.Hash, cached: cached})
+	case "lease":
+		if p == nil || p.status.Terminal() {
+			return
+		}
+		if p.status == PointPending {
+			m.pending = slices.DeleteFunc(m.pending, func(h string) bool { return h == r.Hash })
+		}
+		p.status, p.worker, p.deadline = PointLeased, r.Worker, time.UnixMilli(r.DeadlineUnix)
+		p.leases++
+	case "resume":
+		// The checkpoint images are not journaled, so this restores only
+		// the counter the chaos harness and /metrics read.
+		m.metrics.Takeovers++
+	case "expire":
+		// Never journaled: expiry is the clock's, and a reopened manager
+		// expires the restored leases again from their deadlines.
+		if p == nil || p.status != PointLeased {
+			return
+		}
+		p.status, p.worker = PointPending, ""
+		m.pending = append(m.pending, r.Hash)
+	case "done", "failed":
+		if p == nil || p.status == PointDone || (p.status == PointFailed && r.Type == "failed") {
+			return
+		}
+		// A done after a failed is a retry that succeeded: it replaces
+		// the failure.
+		if p.status == PointPending {
+			m.pending = slices.DeleteFunc(m.pending, func(h string) bool { return h == r.Hash })
+		}
+		p.status = PointFailed
+		if r.Type == "done" {
+			p.status = PointDone
+		}
+		p.worker, p.record = r.Worker, r.Record
+		// Retained checkpoints are dead weight now, and a resubmit of a
+		// failed spec must restart clean, not resume the failed run.
+		p.ckpts, p.ckptCycles = nil, nil
 	}
 }
 
-// requeueFailed gives a failed point a fresh chance: back to pending, its
-// failure record dropped. Caller holds the lock (or is replaying).
-func (m *Manager) requeueFailed(p *pointState) {
-	p.status = PointPending
-	p.worker = ""
-	p.record = nil
-	p.cached = false
-	m.pending = append(m.pending, p.hash)
-}
-
-// append writes a ledger record, tolerating a nil ledger (in-memory mode)
-// and counting failures (an unwritable ledger degrades durability, not
-// availability).
-func (m *Manager) append(r *LedgerRecord) {
-	if m.ledger == nil {
-		return
-	}
-	if err := m.ledger.Append(r); err != nil {
-		m.metrics.LedgerErrors++
-		if m.log != nil {
-			m.log.Warn("ledger append failed", "type", r.Type, obs.KeySpecHash, r.Hash, "error", err.Error())
+// commit journals r and applies it: the live half of every journaled
+// transition. A nil ledger (in-memory mode) journals nothing, and an
+// append failure is counted and logged but still applied: an unwritable
+// ledger degrades durability, not availability.
+func (m *Manager) commit(r *LedgerRecord) {
+	if m.ledger != nil {
+		if err := m.ledger.Append(r); err != nil {
+			m.metrics.LedgerErrors++
+			if m.log != nil {
+				m.log.Warn("ledger append failed", "type", r.Type, obs.KeySpecHash, r.Hash, "error", err.Error())
+			}
 		}
 	}
+	m.apply(r)
 }
 
 // span records an instant span at the manager clock's now under parent,
@@ -368,7 +365,7 @@ func (m *Manager) emit(p *pointState, errMsg string) {
 					Hash:   p.hash,
 					Status: p.status,
 					Worker: p.worker,
-					Cached: p.cached,
+					Cached: mem.cached,
 					Error:  errMsg,
 				})
 				break
@@ -402,58 +399,43 @@ func (m *Manager) Submit(req *SubmitRequest) (*JobStatus, error) {
 		if !sameMembers(j.points, req.Points) {
 			return nil, fmt.Errorf("sweepsvc: submit: job %q already exists with a different point set", id)
 		}
-		for _, mem := range j.points {
-			if p := m.points[mem.hash]; p != nil && p.status == PointDone {
-				p.cached = true
+		// A rejoin writes no record, so this mark is in memory only.
+		for i, mem := range j.points {
+			if m.points[mem.hash].status == PointDone {
+				j.points[i].cached = true
 			}
 		}
 		return m.jobStatusLocked(j, false), nil
 	}
-	j := &jobState{id: id}
 	// Root the job's span tree: under the client's trace context when it
 	// sent one, else a fresh trace so server-side spans still correlate.
 	parent := obs.SpanContext{}
 	if req.Trace != nil {
 		parent = *req.Trace
 	}
-	j.trace = m.span(parent, "submit", map[string]string{obs.KeyJob: id})
-	m.jobs[id] = j
-	m.jobSeq++
-	m.metrics.Jobs++
+	trace := m.span(parent, "submit", map[string]string{obs.KeyJob: id})
 	if m.log != nil {
-		m.log.Info("job submitted", obs.KeyJob, id, "points", len(req.Points), obs.KeyTrace, j.trace.Trace)
+		m.log.Info("job submitted", obs.KeyJob, id, "points", len(req.Points), obs.KeyTrace, trace.Trace)
 	}
 	for i := range req.Points {
 		jp := &req.Points[i]
 		hash := jp.Hash()
-		j.points = append(j.points, jobMember{id: jp.ID, hash: hash})
-		p := m.points[hash]
-		if p == nil {
-			p = &pointState{id: jp.ID, hash: hash, spec: jp.Spec, maxCycles: jp.MaxCycles, faulty: jp.Faulty, status: PointPending, trace: j.trace}
-			m.points[hash] = p
-			m.metrics.PointsRegistered++
+		switch p := m.points[hash]; {
+		case p == nil, p.status == PointFailed:
+			// A new spec, or a new submission re-trying a failed one.
 			m.metrics.CacheMisses++
-			m.pending = append(m.pending, hash)
-		} else {
-			switch {
-			case p.status == PointDone:
-				// Content-addressed cache hit: same spec, same result.
-				p.cached = true
-				m.metrics.CacheHits++
-				m.span(j.trace, "cache-hit", map[string]string{obs.KeyPoint: jp.ID, obs.KeySpecHash: hash})
-			case p.status == PointFailed:
-				// A new submission re-tries a previously failed spec.
-				m.metrics.CacheMisses++
-				m.requeueFailed(p)
-			default:
-				// pending/leased: join the in-flight execution (neither a
-				// cache hit nor a miss — the work is shared, not repeated).
-			}
+		case p.status == PointDone:
+			// Content-addressed cache hit: same spec, same result.
+			m.metrics.CacheHits++
+			m.span(trace, "cache-hit", map[string]string{obs.KeyPoint: jp.ID, obs.KeySpecHash: hash})
+		default:
+			// pending/leased: join the in-flight execution (neither a cache
+			// hit nor a miss — the work is shared, not repeated).
 		}
-		m.append(&LedgerRecord{Type: "point", Job: id, ID: jp.ID, Hash: hash, Spec: jp.Spec, MaxCycles: jp.MaxCycles, Faulty: jp.Faulty, Trace: &p.trace, Provenance: req.Provenance})
-		m.emit(p, "")
+		m.commit(&LedgerRecord{Type: "point", Job: id, ID: jp.ID, Hash: hash, Spec: jp.Spec, MaxCycles: jp.MaxCycles, Faulty: jp.Faulty, Trace: &trace, Provenance: req.Provenance})
+		m.emit(m.points[hash], "")
 	}
-	return m.jobStatusLocked(j, false), nil
+	return m.jobStatusLocked(m.jobs[id], false), nil
 }
 
 // Lease hands the worker one pending point, or a response with no point
@@ -483,23 +465,13 @@ func (m *Manager) Lease(worker, job string) *LeaseResponse {
 			return m.leaseResponse(p)
 		}
 	}
-	next := -1
-	for i, h := range m.pending {
-		if in(h) {
-			next = i
-			break
-		}
-	}
+	next := slices.IndexFunc(m.pending, in)
 	if next < 0 {
 		return &LeaseResponse{RetryAfterMS: m.tick.Milliseconds()}
 	}
 	hash := m.pending[next]
-	m.pending = append(m.pending[:next], m.pending[next+1:]...)
+	m.commit(&LedgerRecord{Type: "lease", Hash: hash, Worker: worker, DeadlineUnix: now.Add(m.ttl).UnixMilli()})
 	p := m.points[hash]
-	p.status = PointLeased
-	p.worker = worker
-	p.deadline = now.Add(m.ttl)
-	p.leases++
 	m.metrics.LeasesIssued++
 	leaseSC := m.span(p.trace, "lease", map[string]string{
 		obs.KeyPoint: p.id, obs.KeySpecHash: hash, obs.KeyWorker: worker,
@@ -509,12 +481,10 @@ func (m *Manager) Lease(worker, job string) *LeaseResponse {
 		m.log.Info("lease issued", obs.KeyPoint, p.id, obs.KeySpecHash, hash,
 			obs.KeyWorker, worker, obs.KeyLease, p.leaseSpan, "leases", p.leases)
 	}
-	m.append(&LedgerRecord{Type: "lease", Hash: hash, Worker: worker, DeadlineUnix: p.deadline.UnixMilli()})
 	if len(p.ckpts) > 0 {
 		// The previous holder shipped mid-run checkpoints before its lease
 		// lapsed: this grant is a takeover that resumes, not restarts.
-		m.metrics.Takeovers++
-		m.append(&LedgerRecord{Type: "resume", ID: p.id, Hash: hash, Worker: worker, FromCycle: p.ckptCycle()})
+		m.commit(&LedgerRecord{Type: "resume", ID: p.id, Hash: hash, Worker: worker, FromCycle: p.ckptCycle()})
 		m.span(leaseSC, "takeover", map[string]string{
 			obs.KeyPoint: p.id, obs.KeyWorker: worker,
 			obs.KeyCycle: fmt.Sprintf("%d", p.ckptCycle()),
@@ -626,23 +596,12 @@ func (m *Manager) Report(worker, hash string, rec *runner.Record, tr *obs.SpanCo
 		m.metrics.ReportsDuplicate++
 		return &ReportResponse{Accepted: true, Duplicate: true}, nil
 	}
-	if p.status == PointPending {
-		m.unqueue(hash)
-	}
 	typ := "failed"
-	p.status = PointFailed
 	if rec.Status == runner.StatusOK || rec.Status == runner.StatusRecovered {
 		typ = "done"
-		p.status = PointDone
 	}
-	p.worker = worker
-	p.record = rec
-	// Terminal state: retained checkpoints are dead weight (and a future
-	// resubmit of a failed spec must restart clean, not replay a capture
-	// from the failed run).
-	p.ckpts, p.ckptCycles = nil, nil
+	m.commit(&LedgerRecord{Type: typ, Hash: hash, Worker: worker, Record: rec})
 	m.metrics.ReportsAccepted++
-	m.append(&LedgerRecord{Type: typ, Hash: hash, Worker: worker, Record: rec})
 	parent := obs.SpanContext{Trace: p.trace.Trace, Span: p.leaseSpan}
 	if tr != nil && tr.Valid() {
 		parent = *tr
@@ -677,15 +636,13 @@ func (m *Manager) expireLocked(now time.Time) int {
 	n := 0
 	for _, p := range m.points {
 		if p.status == PointLeased && now.After(p.deadline) {
-			p.status = PointPending
 			if m.log != nil {
 				m.log.Warn("lease expired", obs.KeyPoint, p.id, obs.KeySpecHash, p.hash,
 					obs.KeyWorker, p.worker, obs.KeyLease, p.leaseSpan)
 			}
 			m.span(obs.SpanContext{Trace: p.trace.Trace, Span: p.leaseSpan}, "expiry",
 				map[string]string{obs.KeyPoint: p.id, obs.KeyWorker: p.worker})
-			p.worker = ""
-			m.pending = append(m.pending, p.hash)
+			m.apply(&LedgerRecord{Type: "expire", Hash: p.hash})
 			m.metrics.LeasesExpired++
 			n++
 			m.emit(p, "")
@@ -721,16 +678,14 @@ func (m *Manager) jobStatusLocked(j *jobState, withPoints bool) *JobStatus {
 			st.Leased++
 		case PointDone:
 			st.Done++
-			if p.cached {
+			if mem.cached {
 				st.Cached++
 			}
 		case PointFailed:
 			st.Failed++
 		}
 		if withPoints {
-			ps := p.state()
-			ps.ID = mem.id
-			st.Points = append(st.Points, ps)
+			st.Points = append(st.Points, p.state(mem))
 		}
 	}
 	st.Complete = st.Done+st.Failed == st.Total

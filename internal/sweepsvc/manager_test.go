@@ -382,3 +382,26 @@ func TestFailedSpecRetriedOnResubmit(t *testing.T) {
 		t.Fatalf("resubmitted failed spec: %+v, want pending (fresh chance)", st2)
 	}
 }
+
+// TestCachedIsPerJob: a cache hit is the hitting job's, not the point's.
+// Job A runs p0 and job B is then served it from the cache: B counts it
+// cached, and A, which ran it, still does not.
+func TestCachedIsPerJob(t *testing.T) {
+	clock := newFakeClock()
+	m := newTestManager(t, clock, "")
+	submitGrid(t, m, "A", 1)
+	h := m.Lease("w1", "").Point.Hash()
+	if _, err := m.Report("w1", h, okRecord("p0", h, map[string]int{"v": 0}), nil); err != nil {
+		t.Fatal(err)
+	}
+	if st := submitGrid(t, m, "B", 1); st.Done != 1 || st.Cached != 1 {
+		t.Fatalf("job B: %+v, want 1 done, 1 cached", st)
+	}
+	st, err := m.JobStatus("A", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Done != 1 || st.Cached != 0 || st.Points[0].Cached {
+		t.Fatalf("job A after B's cache hit: %+v, want 1 done, none cached", st)
+	}
+}

@@ -107,9 +107,9 @@ type JobStatus struct {
 }
 
 // Event is one per-point transition, streamed to job watchers. Seq orders
-// events within one sweepd process; after a sweepd restart the log is
-// rebuilt from ledger replay, so watchers reconcile by (hash, status), not
-// by seq alone.
+// events within one sweepd process; the log is a live stream that ledger
+// replay does not rebuild, so after a sweepd restart it starts over and
+// watchers reconcile by (hash, status), not by seq alone.
 type Event struct {
 	Seq    int         `json:"seq"`
 	JobID  string      `json:"job_id"`

@@ -125,9 +125,8 @@ func (l *LineSharing) IsMigratory() bool {
 	return l.Tenures >= 2 && 2*l.OwningTenure >= l.Tenures
 }
 
-// Analysis is the exact aggregate view of a trace: it can be produced
-// live by a Tracer, embedded in and recovered from an exported trace
-// file, or (with reduced fidelity) rebuilt from retained raw events.
+// Analysis is the exact aggregate view of a trace: it is produced live by
+// a Tracer, and embedded in and recovered from an exported trace file.
 type Analysis struct {
 	StartCycle uint64
 	EndCycle   uint64
@@ -222,31 +221,6 @@ func (a *Analysis) Totals() stats.Breakdown {
 		b.Add(&s.ByCat)
 	}
 	return b
-}
-
-// RebuildFromEvents folds retained raw events into an Analysis — the
-// fallback path for trace files without embedded aggregates. Busy time
-// is not carried by raw events (it is aggregate-only), and a wrapped or
-// sampled ring makes the result partial; prefer embedded aggregates.
-func RebuildFromEvents(events []Event) *Analysis {
-	a := NewAnalysis()
-	for i := range events {
-		ev := &events[i]
-		switch ev.Kind {
-		case KindStall:
-			a.site(ev.PC).ByCat[ev.Cat] += ev.Cycles
-		case KindMiss:
-			a.addMiss(ev)
-		case KindHTM:
-			a.addHTM(ev)
-		}
-		a.Recorded[ev.Kind]++
-		if ev.End > a.EndCycle {
-			a.EndCycle = ev.End
-		}
-	}
-	a.closeTenures()
-	return a
 }
 
 // ------------------------------------------------------------- reports --

@@ -7,18 +7,19 @@
 // is rendered as one microsecond.
 //
 // The exact aggregates are embedded under the extra top-level key
-// "dbsimAggregates" (trace viewers ignore unknown keys), so traceview
-// reconciles exactly even when the raw ring wrapped or was sampled.
+// "dbsimAggregates" (trace viewers ignore unknown keys). ReadFile reads
+// only them, so traceview reconciles exactly even when the raw ring
+// wrapped or was sampled.
 
 package tracing
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
 	"strconv"
-	"strings"
 
 	"repro/internal/db"
 	"repro/internal/htm"
@@ -487,161 +488,45 @@ func (t *Tracer) chromeEvents(ev *Event) []chromeEvent {
 	return nil
 }
 
-// TraceFile is a loaded trace: the retained raw events plus the exact
-// aggregate analysis (embedded, or rebuilt from events as a fallback).
+// TraceFile is a loaded trace: the exact aggregate analysis embedded by
+// WriteChrome, the run's metadata, and the engine operation at each site.
+// The raw events are for a timeline viewer; no report reads them back.
 type TraceFile struct {
-	Events         []Event
-	Analysis       *Analysis
-	FromAggregates bool
-	OtherData      map[string]any
-	Ops            map[uint64]string // pc -> engine operation, from the embedded sites
+	Analysis  *Analysis
+	OtherData map[string]any
+	Ops       map[uint64]string // pc -> engine operation, from the embedded sites
 }
 
 // Resolve maps a PC to the engine-operation name recorded at export time
 // ("" when unknown) — the offline stand-in for the workload's resolver.
 func (tf *TraceFile) Resolve(pc uint64) string { return tf.Ops[pc] }
 
-// ReadFile parses a trace written by WriteChrome. Metadata, flow and
-// directory-track events are skipped when rebuilding Events; the
-// embedded aggregates are preferred for analysis.
+// ReadFile parses a trace written by WriteChrome. A file without the
+// embedded aggregates is an error: every trace WriteChrome writes has them.
 func ReadFile(r io.Reader) (*TraceFile, error) {
-	var f chromeFile
+	var f struct { // chromeFile without its traceEvents, which no report reads
+		OtherData  map[string]any  `json:"otherData"`
+		Aggregates *AggregatesJSON `json:"dbsimAggregates"`
+	}
 	dec := json.NewDecoder(r)
 	if err := dec.Decode(&f); err != nil {
 		return nil, fmt.Errorf("tracing: parsing trace file: %w", err)
 	}
-	tf := &TraceFile{OtherData: f.OtherData, Ops: make(map[uint64]string)}
-	if f.Aggregates != nil {
-		for _, sj := range f.Aggregates.Sites {
-			if sj.Op == "" {
-				continue
-			}
-			if pc, err := parseHex(sj.PC); err == nil {
-				tf.Ops[pc] = sj.Op
-			}
-		}
+	if f.Aggregates == nil {
+		return nil, errors.New("tracing: trace file has no embedded dbsimAggregates")
 	}
-	for i := range f.TraceEvents {
-		ce := &f.TraceEvents[i]
-		if ce.Ph != "X" && ce.Ph != "i" {
+	an, err := unmarshalAggregates(f.Aggregates)
+	if err != nil {
+		return nil, err
+	}
+	tf := &TraceFile{Analysis: an, OtherData: f.OtherData, Ops: make(map[uint64]string)}
+	for _, sj := range f.Aggregates.Sites {
+		if sj.Op == "" {
 			continue
 		}
-		if ce.Pid != pidCPU {
-			continue // directory slices are derived views of miss events
+		if pc, err := parseHex(sj.PC); err == nil {
+			tf.Ops[pc] = sj.Op
 		}
-		ev, ok := eventFromChrome(ce)
-		if !ok {
-			continue
-		}
-		tf.Events = append(tf.Events, ev)
-	}
-	if f.Aggregates != nil {
-		an, err := unmarshalAggregates(f.Aggregates)
-		if err != nil {
-			return nil, err
-		}
-		tf.Analysis = an
-		tf.FromAggregates = true
-	} else {
-		tf.Analysis = RebuildFromEvents(tf.Events)
 	}
 	return tf, nil
-}
-
-func argU64(args map[string]any, key string) uint64 {
-	switch v := args[key].(type) {
-	case float64:
-		return uint64(v)
-	case string:
-		if u, err := parseHex(v); err == nil {
-			return u
-		}
-	}
-	return 0
-}
-
-func argF64(args map[string]any, key string) float64 {
-	if v, ok := args[key].(float64); ok {
-		return v
-	}
-	return 0
-}
-
-func argBool(args map[string]any, key string) bool {
-	v, _ := args[key].(bool)
-	return v
-}
-
-func eventFromChrome(ce *chromeEvent) (Event, bool) {
-	ev := Event{CPU: int16(ce.Tid), Home: -1, SrcOwner: -1, Proc: -1, Start: ce.Ts, End: ce.Ts + ce.Dur}
-	switch {
-	case ce.Cat == "stall":
-		cat, ok := stats.ParseCategory(ce.Name[len("stall:"):])
-		if !ok {
-			return ev, false
-		}
-		ev.Kind, ev.Cat = KindStall, cat
-		ev.PC = argU64(ce.Args, "pc")
-		ev.Cycles = argF64(ce.Args, "slot_cycles")
-		ev.Proc = int32(argU64(ce.Args, "proc"))
-	case ce.Cat == "miss" && ce.Ph == "X":
-		class, ok := ParseClass(ce.Name[len("miss:"):])
-		if !ok {
-			return ev, false
-		}
-		ev.Kind, ev.Class = KindMiss, class
-		ev.PC = argU64(ce.Args, "pc")
-		ev.Addr = argU64(ce.Args, "line")
-		ev.Write = argBool(ce.Args, "write")
-		ev.InCS = argBool(ce.Args, "in_cs")
-		ev.Migratory = argBool(ce.Args, "migratory")
-		ev.TLBMiss = argBool(ce.Args, "tlb_miss")
-		ev.MSHRAt = argU64(ce.Args, "mshr_at")
-		if _, hasHome := ce.Args["home"]; hasHome {
-			ev.Home = int16(argU64(ce.Args, "home"))
-			ev.DirAt = argU64(ce.Args, "dir_at")
-			ev.Hops = int16(argU64(ce.Args, "hops"))
-			ev.Retries = int16(argU64(ce.Args, "retries"))
-			ev.Sharers = int16(argU64(ce.Args, "sharers"))
-			ev.ReqQueue = argU64(ce.Args, "req_queue")
-			if _, hasOwner := ce.Args["src_owner"]; hasOwner {
-				ev.SrcOwner = int16(argU64(ce.Args, "src_owner"))
-			}
-		}
-	case ce.Name == "lock":
-		ev.Kind = KindLock
-		ev.Addr = argU64(ce.Args, "addr")
-		ev.PC = argU64(ce.Args, "pc")
-		ev.Wait = argU64(ce.Args, "wait")
-		ev.Link = argU64(ce.Args, "handoff_from")
-		ev.Proc = int32(argU64(ce.Args, "proc"))
-	case ce.Name == "unlock":
-		ev.Kind = KindUnlock
-		ev.Addr = argU64(ce.Args, "addr")
-		ev.Link = argU64(ce.Args, "acquire")
-		ev.Proc = int32(argU64(ce.Args, "proc"))
-	case ce.Name == "writeback":
-		ev.Kind = KindWriteback
-		ev.Addr = argU64(ce.Args, "line")
-	case strings.HasPrefix(ce.Name, "htm:"):
-		opName, _ := ce.Args["htm_op"].(string)
-		hop, ok := ParseHTMOp(opName)
-		if !ok {
-			return ev, false
-		}
-		ev.Kind, ev.HTMOp = KindHTM, hop
-		ev.Addr = argU64(ce.Args, "latch")
-		ev.PC = argU64(ce.Args, "pc")
-		ev.Proc = int32(argU64(ce.Args, "proc"))
-		ev.InCS = hop == HTMOpCommit
-		if causeName, hasCause := ce.Args["cause"].(string); hasCause {
-			if c, okc := htm.ParseAbortCause(causeName); okc {
-				ev.Cause = c
-			}
-		}
-		ev.Conflict = argU64(ce.Args, "conflict")
-	default:
-		return ev, false
-	}
-	return ev, true
 }

@@ -83,16 +83,6 @@ func (o HTMOp) String() string {
 	return fmt.Sprintf("HTMOp(%d)", int(o))
 }
 
-// ParseHTMOp inverts HTMOp.String.
-func ParseHTMOp(s string) (HTMOp, bool) {
-	for i, n := range htmOpNames {
-		if n == s {
-			return HTMOp(i), true
-		}
-	}
-	return 0, false
-}
-
 func (k Kind) String() string {
 	if int(k) < len(kindNames) {
 		return kindNames[k]

@@ -231,9 +231,6 @@ func TestChromeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !tf.FromAggregates {
-		t.Error("embedded aggregates not recovered")
-	}
 	if got, want := tf.Analysis.Totals(), tr.Analysis().Totals(); got != want {
 		t.Errorf("round-tripped totals = %v, want %v", got, want)
 	}
@@ -247,50 +244,13 @@ func TestChromeRoundTrip(t *testing.T) {
 	if got := tf.Resolve(0x40); got != "bufget" {
 		t.Errorf("offline resolver = %q, want bufget", got)
 	}
-	// Event reconstruction: one of each kind survived (stall, miss, lock,
-	// unlock, writeback), with the miss's directory leg intact.
-	kinds := map[Kind]int{}
-	var miss *Event
-	for i := range tf.Events {
-		kinds[tf.Events[i].Kind]++
-		if tf.Events[i].Kind == KindMiss {
-			miss = &tf.Events[i]
-		}
-	}
-	for k, want := range map[Kind]int{KindStall: 1, KindMiss: 1, KindLock: 1, KindUnlock: 1, KindWriteback: 1} {
-		if kinds[k] != want {
-			t.Errorf("reconstructed %v events = %d, want %d", k, kinds[k], want)
-		}
-	}
-	if miss == nil || miss.Home != 3 || miss.Hops != 2 || miss.Retries != 1 ||
-		miss.Sharers != 2 || miss.ReqQueue != 7 || miss.SrcOwner != 1 || !miss.Write {
-		t.Errorf("reconstructed miss = %+v", miss)
-	}
 	if ref, ok := BreakdownFromMeta(tf.OtherData[BreakdownMetaKey]); !ok {
 		t.Error("embedded breakdown not recovered")
 	} else if err := ReconcileError(tf.Analysis.Totals(), ref); err != 0 {
 		t.Errorf("reconciliation error = %v, want 0", err)
 	}
-}
-
-func TestRebuildFromEvents(t *testing.T) {
-	tr := New(Options{})
-	tr.Start(0)
-	tr.StallSlot(0, 0, 0x40, stats.Sync, 1, 5)
-	endMiss(tr, 0, 0xA000, 100, true, ClassRemoteDirty, false)
-	endMiss(tr, 1, 0xA000, 500, true, ClassRemoteDirty, false)
-	tr.Finish(1000)
-
-	an := RebuildFromEvents(tr.Events())
-	if got := an.Lat[ClassRemoteDirty].Count; got != 2 {
-		t.Errorf("rebuilt dirty count = %d, want 2", got)
-	}
-	l := an.Lines[0xA000]
-	if l == nil || l.Tenures != 2 || l.OwningTenure != 2 {
-		t.Errorf("rebuilt line sharing = %+v, want 2 owning tenures", l)
-	}
-	if got := an.Totals()[stats.Sync]; got != 1 {
-		t.Errorf("rebuilt sync stall = %v, want 1", got)
+	if _, err := ReadFile(strings.NewReader(`{"traceEvents":[]}`)); err == nil {
+		t.Error("a trace file without embedded aggregates was read")
 	}
 }
 
